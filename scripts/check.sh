@@ -34,6 +34,17 @@ if grep -rn "dynamic_cast<[^>]*Provider" src tests bench examples tools; then
     exit 1
 fi
 
+# Counter-read guard: StatGroup::counter() creates the name it is
+# given, so `.counter("x").value()` reads a misspelled counter as a
+# silent zero. Reads go through StatGroup::value(), which panics on
+# an unregistered name. -z lets the pattern span a line break.
+if grep -rlzP '\.counter\([^()]*\)\s*\.value\(\)' \
+        src tests bench examples tools; then
+    echo "check: counter read through counter(); use" \
+         "StatGroup::value() so a typo is an error" >&2
+    exit 1
+fi
+
 # Finding-code guard: every compiler::Finding code declared in
 # finding.hh must be exercised by at least one test, so a code can't
 # silently decay into dead diagnostics nothing would catch regressing.

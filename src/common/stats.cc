@@ -90,6 +90,16 @@ StatGroup::counter(const std::string &stat_name)
     return _counters[stat_name];
 }
 
+std::uint64_t
+StatGroup::value(const std::string &stat_name) const
+{
+    const auto it = _counters.find(stat_name);
+    if (it == _counters.end())
+        panic("stat group '", _name, "' has no counter '", stat_name,
+              "'");
+    return it->second.value();
+}
+
 Distribution &
 StatGroup::distribution(const std::string &stat_name)
 {

@@ -117,6 +117,13 @@ class StatGroup
     /** Create (or fetch) a named counter. */
     Counter &counter(const std::string &stat_name);
 
+    /**
+     * Read registered counter @a stat_name. Every read goes through
+     * here, not counter(), so a misspelled name panics instead of
+     * creating a silent zero.
+     */
+    std::uint64_t value(const std::string &stat_name) const;
+
     /** Create (or fetch) a named distribution. */
     Distribution &distribution(const std::string &stat_name);
 

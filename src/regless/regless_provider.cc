@@ -248,44 +248,44 @@ ReglessProvider::dumpStats(std::ostream &os) const
 }
 
 std::uint64_t
-ReglessProvider::preloadsFrom(const char *counter_name)
+ReglessProvider::cmCounter(const char *counter_name) const
 {
     std::uint64_t total = 0;
     for (const auto &cm : _cms)
-        total += cm->stats().counter(counter_name).value();
+        total += cm->stats().value(counter_name);
     return total;
 }
 
-std::uint64_t
-ReglessProvider::l1Requests(const char *counter_name)
+namespace
 {
-    return preloadsFrom(counter_name);
-}
 
+/** Mean of one CM distribution, pooled over every shard's samples. */
 double
-ReglessProvider::meanRegionPreloads()
+pooledMean(const std::vector<std::unique_ptr<CapacityManager>> &cms,
+           Distribution &(CapacityManager::*dist)())
 {
     double sum = 0.0;
     std::uint64_t n = 0;
-    for (const auto &cm : _cms) {
-        auto &d = cm->regionPreloads();
+    for (const auto &cm : cms) {
+        const Distribution &d = (cm.get()->*dist)();
         sum += d.sum();
         n += d.count();
     }
     return n ? sum / static_cast<double>(n) : 0.0;
+}
+
+} // namespace
+
+double
+ReglessProvider::meanRegionPreloads()
+{
+    return pooledMean(_cms, &CapacityManager::regionPreloads);
 }
 
 double
 ReglessProvider::meanRegionLive()
 {
-    double sum = 0.0;
-    std::uint64_t n = 0;
-    for (const auto &cm : _cms) {
-        auto &d = cm->regionLive();
-        sum += d.sum();
-        n += d.count();
-    }
-    return n ? sum / static_cast<double>(n) : 0.0;
+    return pooledMean(_cms, &CapacityManager::regionLive);
 }
 
 double
@@ -309,52 +309,13 @@ ReglessProvider::stddevRegionLive()
 double
 ReglessProvider::meanRegionCycles()
 {
-    double sum = 0.0;
-    std::uint64_t n = 0;
-    for (const auto &cm : _cms) {
-        auto &d = cm->regionCycles();
-        sum += d.sum();
-        n += d.count();
-    }
-    return n ? sum / static_cast<double>(n) : 0.0;
+    return pooledMean(_cms, &CapacityManager::regionCycles);
 }
 
 double
 ReglessProvider::meanRegionInsns()
 {
-    double sum = 0.0;
-    std::uint64_t n = 0;
-    for (const auto &cm : _cms) {
-        auto &d = cm->regionInsns();
-        sum += d.sum();
-        n += d.count();
-    }
-    return n ? sum / static_cast<double>(n) : 0.0;
-}
-
-std::uint64_t
-ReglessProvider::osuAccesses()
-{
-    std::uint64_t total = 0;
-    for (const auto &osu : _osus) {
-        auto &s = osu->stats();
-        total += s.counter("reads").value() + s.counter("writes").value();
-    }
-    return total;
-}
-
-std::uint64_t
-ReglessProvider::compressorAccesses()
-{
-    std::uint64_t total = 0;
-    for (const auto &comp : _compressors) {
-        auto &s = comp->stats();
-        total += s.counter("matches").value() +
-                 s.counter("incompressible").value() +
-                 s.counter("cache_hits").value() +
-                 s.counter("cache_misses").value();
-    }
-    return total;
+    return pooledMean(_cms, &CapacityManager::regionInsns);
 }
 
 std::vector<double>

@@ -140,15 +140,13 @@ class ReglessProvider : public regfile::RegisterProvider
 
     /** @name Aggregates across shards (Figures 3, 17, 18, 19). */
     /// @{
-    std::uint64_t preloadsFrom(const char *counter_name);
-    std::uint64_t l1Requests(const char *counter_name);
+    /** Counter @a counter_name summed over the shards' CMs. */
+    std::uint64_t cmCounter(const char *counter_name) const;
     double meanRegionPreloads();
     double meanRegionLive();
     double stddevRegionLive();
     double meanRegionCycles();
     double meanRegionInsns();
-    std::uint64_t osuAccesses();
-    std::uint64_t compressorAccesses();
     /** Sum of all shards' per-100-cycle L1 request series. */
     std::vector<double> l1SeriesPoints();
     /// @}

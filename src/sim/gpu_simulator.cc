@@ -39,53 +39,6 @@ mix64(std::uint64_t x)
     return x;
 }
 
-/**
- * Add @a from's provider-activity counters into @a into (multi-tenant
- * harvest: each tenant's provider is collected separately and the
- * footprints sum). Means and series have no meaningful cross-kernel
- * sum; they are taken from tenant 0.
- */
-void
-mergeProviderCounters(RunStats &into, const RunStats &from, bool first)
-{
-    into.metadataInsns += from.metadataInsns;
-    into.rfReads += from.rfReads;
-    into.rfWrites += from.rfWrites;
-    into.renameLookups += from.renameLookups;
-    into.lrfAccesses += from.lrfAccesses;
-    into.orfAccesses += from.orfAccesses;
-    into.mrfAccesses += from.mrfAccesses;
-    into.osuAccesses += from.osuAccesses;
-    into.osuTagLookups += from.osuTagLookups;
-    into.osuBankConflicts += from.osuBankConflicts;
-    into.compressorAccesses += from.compressorAccesses;
-    into.compressorMatches += from.compressorMatches;
-    into.compressorIncompressible += from.compressorIncompressible;
-    into.compressorStaticHits += from.compressorStaticHits;
-    into.compressorStaticUnsound += from.compressorStaticUnsound;
-    into.osuGatedBankCycles += from.osuGatedBankCycles;
-    into.rfCacheHits += from.rfCacheHits;
-    into.rfCacheMisses += from.rfCacheMisses;
-    into.spillStores += from.spillStores;
-    into.fillLoads += from.fillLoads;
-    into.preloadSrcOsu += from.preloadSrcOsu;
-    into.preloadSrcCompressor += from.preloadSrcCompressor;
-    into.preloadSrcL1 += from.preloadSrcL1;
-    into.preloadSrcL2Dram += from.preloadSrcL2Dram;
-    into.l1PreloadReqs += from.l1PreloadReqs;
-    into.l1StoreReqs += from.l1StoreReqs;
-    into.l1InvalidateReqs += from.l1InvalidateReqs;
-    if (first) {
-        into.meanWorkingSetBytes = from.meanWorkingSetBytes;
-        into.backingSeries = from.backingSeries;
-        into.regionPreloadsMean = from.regionPreloadsMean;
-        into.regionLiveMean = from.regionLiveMean;
-        into.regionLiveStddev = from.regionLiveStddev;
-        into.regionCyclesMean = from.regionCyclesMean;
-        into.regionInsnsMean = from.regionInsnsMean;
-    }
-}
-
 } // namespace
 
 std::function<std::uint32_t(Addr)>
@@ -432,27 +385,26 @@ GpuSimulator::harvest(RunStats &stats)
     stats.skipEvents = _sm->skipEvents();
 
     // Memory hierarchy counts.
-    auto cache_accesses = [](mem::Cache &cache) {
-        return cache.stats().counter("hits").value() +
-               cache.stats().counter("misses").value();
+    auto cache_accesses = [](const mem::Cache &cache) {
+        return cache.stats().value("hits") + cache.stats().value("misses");
     };
     stats.l1Accesses = cache_accesses(_mem->l1());
     stats.l2Accesses = cache_accesses(_mem->l2());
-    stats.dramAccesses = _mem->dram().stats().counter("accesses").value();
+    stats.dramAccesses = _mem->dram().stats().value("accesses");
 
     // Provider-specific counters: each registry descriptor knows how
-    // to harvest its own design. Multi-tenant runs collect each
-    // tenant's provider and sum the activity.
+    // to harvest its own design. Multi-tenant runs collect tenant 0
+    // into the run and fold the other tenants' providers in under the
+    // field list's merge rules (counters sum, means stay tenant 0's).
     const ProviderDescriptor &desc =
         providerDescriptor(_config.provider);
-    if (_cks.size() == 1) {
-        desc.collect(*_providers[0], stats);
-    } else {
-        for (std::size_t t = 0; t < _providers.size(); ++t) {
-            RunStats lane;
-            desc.collect(*_providers[t], lane);
-            mergeProviderCounters(stats, lane, t == 0);
-        }
+    desc.collect(*_providers[0], stats);
+    for (std::size_t t = 1; t < _providers.size(); ++t) {
+        RunStats lane;
+        desc.collect(*_providers[t], lane);
+        mergeRunStats(stats, lane);
+    }
+    if (_cks.size() > 1) {
         stats.tenants.resize(_cks.size());
         for (unsigned t = 0; t < static_cast<unsigned>(_cks.size());
              ++t) {

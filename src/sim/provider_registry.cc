@@ -99,8 +99,8 @@ void
 collectBaseline(regfile::RegisterProvider &provider, RunStats &stats)
 {
     auto &rf = static_cast<regfile::BaselineRf &>(provider);
-    stats.rfReads = rf.stats().counter("reads").value();
-    stats.rfWrites = rf.stats().counter("writes").value();
+    stats.rfReads = rf.stats().value("reads");
+    stats.rfWrites = rf.stats().value("writes");
     stats.meanWorkingSetBytes = rf.meanWorkingSetBytes();
     rf.flushSeries();
     stats.backingSeries = rf.accessSeries().points();
@@ -111,12 +111,9 @@ collectRfh(regfile::RegisterProvider &provider, RunStats &stats)
 {
     auto &rfh = static_cast<regfile::RfHierarchy &>(provider);
     auto &s = rfh.stats();
-    stats.lrfAccesses = s.counter("lrf_reads").value() +
-                        s.counter("lrf_writes").value();
-    stats.orfAccesses = s.counter("orf_reads").value() +
-                        s.counter("orf_writes").value();
-    stats.mrfAccesses = s.counter("mrf_reads").value() +
-                        s.counter("mrf_writes").value();
+    stats.lrfAccesses = s.value("lrf_reads") + s.value("lrf_writes");
+    stats.orfAccesses = s.value("orf_reads") + s.value("orf_writes");
+    stats.mrfAccesses = s.value("mrf_reads") + s.value("mrf_writes");
     rfh.mrfSeries().flush();
     stats.backingSeries = rfh.mrfSeries().points();
 }
@@ -125,54 +122,48 @@ void
 collectRfv(regfile::RegisterProvider &provider, RunStats &stats)
 {
     auto &rfv = static_cast<regfile::RfVirtualization &>(provider);
-    stats.rfReads = rfv.stats().counter("reads").value();
-    stats.rfWrites = rfv.stats().counter("writes").value();
-    stats.renameLookups =
-        rfv.stats().counter("rename_lookups").value();
+    stats.rfReads = rfv.stats().value("reads");
+    stats.rfWrites = rfv.stats().value("writes");
+    stats.renameLookups = rfv.stats().value("rename_lookups");
 }
 
 void
 collectRegless(regfile::RegisterProvider &provider, RunStats &stats)
 {
     auto &rp = static_cast<staging::ReglessProvider &>(provider);
-    stats.osuAccesses = rp.osuAccesses();
-    stats.compressorAccesses = rp.compressorAccesses();
-    std::uint64_t tags = 0;
-    for (unsigned s = 0; s < rp.numShards(); ++s)
-        tags += rp.osu(s).stats().counter("tag_lookups").value();
-    stats.osuTagLookups = tags;
-    stats.preloadSrcOsu = rp.preloadsFrom("preload_src_osu");
-    stats.preloadSrcCompressor =
-        rp.preloadsFrom("preload_src_compressor");
-    stats.preloadSrcL1 = rp.preloadsFrom("preload_src_l1");
-    stats.preloadSrcL2Dram = rp.preloadsFrom("preload_src_l2dram");
-    stats.l1PreloadReqs = rp.l1Requests("l1_preload_reqs");
-    stats.l1StoreReqs = rp.l1Requests("l1_store_reqs");
-    stats.l1InvalidateReqs = rp.l1Requests("l1_invalidate_reqs");
-    stats.metadataInsns = rp.l1Requests("metadata_insns");
-    stats.osuGatedBankCycles = rp.preloadsFrom("gated_bank_cycles");
+    stats.preloadSrcOsu = rp.cmCounter("preload_src_osu");
+    stats.preloadSrcCompressor = rp.cmCounter("preload_src_compressor");
+    stats.preloadSrcL1 = rp.cmCounter("preload_src_l1");
+    stats.preloadSrcL2Dram = rp.cmCounter("preload_src_l2dram");
+    stats.l1PreloadReqs = rp.cmCounter("l1_preload_reqs");
+    stats.l1StoreReqs = rp.cmCounter("l1_store_reqs");
+    stats.l1InvalidateReqs = rp.cmCounter("l1_invalidate_reqs");
+    stats.metadataInsns = rp.cmCounter("metadata_insns");
+    stats.osuGatedBankCycles = rp.cmCounter("gated_bank_cycles");
     stats.regionPreloadsMean = rp.meanRegionPreloads();
     stats.regionLiveMean = rp.meanRegionLive();
     stats.regionLiveStddev = rp.stddevRegionLive();
     stats.regionCyclesMean = rp.meanRegionCycles();
     stats.regionInsnsMean = rp.meanRegionInsns();
     stats.backingSeries = rp.l1SeriesPoints();
-    stats.osuBankConflicts =
-        rp.stats().counter("osu_bank_conflicts").value();
-    // Compressed line flushes are L1 stores too (Figure 18).
+    stats.osuBankConflicts = rp.stats().value("osu_bank_conflicts");
     for (unsigned s = 0; s < rp.numShards(); ++s) {
-        if (auto *comp = rp.compressor(s)) {
-            stats.l1StoreReqs +=
-                comp->stats().counter("line_flushes").value();
-            stats.compressorMatches +=
-                comp->stats().counter("matches").value();
-            stats.compressorIncompressible +=
-                comp->stats().counter("incompressible").value();
-            stats.compressorStaticHits +=
-                comp->stats().counter("static_hits").value();
-            stats.compressorStaticUnsound +=
-                comp->stats().counter("static_unsound").value();
-        }
+        const StatGroup &osu = rp.osu(s).stats();
+        stats.osuAccesses += osu.value("reads") + osu.value("writes");
+        stats.osuTagLookups += osu.value("tag_lookups");
+        const staging::Compressor *comp = rp.compressor(s);
+        if (!comp)
+            continue;
+        const StatGroup &cs = comp->stats();
+        stats.compressorAccesses +=
+            cs.value("matches") + cs.value("incompressible") +
+            cs.value("cache_hits") + cs.value("cache_misses");
+        // Compressed line flushes are L1 stores too (Figure 18).
+        stats.l1StoreReqs += cs.value("line_flushes");
+        stats.compressorMatches += cs.value("matches");
+        stats.compressorIncompressible += cs.value("incompressible");
+        stats.compressorStaticHits += cs.value("static_hits");
+        stats.compressorStaticUnsound += cs.value("static_unsound");
     }
 }
 
@@ -182,11 +173,11 @@ collectCompilerRfCache(regfile::RegisterProvider &provider,
 {
     auto &rc = static_cast<regfile::CompilerRfCache &>(provider);
     auto &s = rc.stats();
-    stats.rfCacheHits = s.counter("cache_hits").value();
-    stats.rfCacheMisses = s.counter("cache_misses").value();
+    stats.rfCacheHits = s.value("cache_hits");
+    stats.rfCacheMisses = s.value("cache_misses");
     // The backing MRF absorbs whatever the cache did not.
-    stats.rfReads = s.counter("mrf_reads").value();
-    stats.rfWrites = s.counter("mrf_writes").value();
+    stats.rfReads = s.value("mrf_reads");
+    stats.rfWrites = s.value("mrf_writes");
 }
 
 void
@@ -194,10 +185,10 @@ collectRegDem(regfile::RegisterProvider &provider, RunStats &stats)
 {
     auto &rd = static_cast<regfile::RegDemProvider &>(provider);
     auto &s = rd.stats();
-    stats.rfReads = s.counter("rf_reads").value();
-    stats.rfWrites = s.counter("rf_writes").value();
-    stats.fillLoads = s.counter("fill_loads").value();
-    stats.spillStores = s.counter("spill_stores").value();
+    stats.rfReads = s.value("rf_reads");
+    stats.rfWrites = s.value("rf_writes");
+    stats.fillLoads = s.value("fill_loads");
+    stats.spillStores = s.value("spill_stores");
 }
 
 /* ---------------- energy models ---------------- */

@@ -1,74 +1,57 @@
 #include "sim/run_stats.hh"
 
+#include <algorithm>
+#include <type_traits>
+
 #include "common/logging.hh"
 #include "sim/provider_registry.hh"
 
 namespace regless::sim
 {
 
-bool
-operator==(const TenantLane &a, const TenantLane &b)
+namespace
 {
-    return a.kernel == b.kernel && a.insns == b.insns &&
-           a.issuedSlots == b.issuedSlots &&
-           a.stallSlots == b.stallSlots &&
-           a.finishCycle == b.finishCycle &&
-           a.suspendedCycles == b.suspendedCycles &&
-           a.preemptions == b.preemptions;
-}
 
-bool
-operator==(const RunStats &a, const RunStats &b)
+/** Merge visitor: applies each field's rule to one pair of values. */
+struct Merge
 {
-    return a.kernel == b.kernel && a.provider == b.provider &&
-           a.cycles == b.cycles && a.insns == b.insns &&
-           a.metadataInsns == b.metadataInsns &&
-           a.l1Accesses == b.l1Accesses &&
-           a.l2Accesses == b.l2Accesses &&
-           a.dramAccesses == b.dramAccesses && a.rfReads == b.rfReads &&
-           a.rfWrites == b.rfWrites &&
-           a.renameLookups == b.renameLookups &&
-           a.lrfAccesses == b.lrfAccesses &&
-           a.orfAccesses == b.orfAccesses &&
-           a.mrfAccesses == b.mrfAccesses &&
-           a.osuAccesses == b.osuAccesses &&
-           a.osuTagLookups == b.osuTagLookups &&
-           a.osuBankConflicts == b.osuBankConflicts &&
-           a.compressorAccesses == b.compressorAccesses &&
-           a.compressorMatches == b.compressorMatches &&
-           a.compressorIncompressible == b.compressorIncompressible &&
-           a.compressorStaticHits == b.compressorStaticHits &&
-           a.compressorStaticUnsound == b.compressorStaticUnsound &&
-           a.osuGatedBankCycles == b.osuGatedBankCycles &&
-           a.rfCacheHits == b.rfCacheHits &&
-           a.rfCacheMisses == b.rfCacheMisses &&
-           a.spillStores == b.spillStores &&
-           a.fillLoads == b.fillLoads &&
-           a.preloadSrcOsu == b.preloadSrcOsu &&
-           a.preloadSrcCompressor == b.preloadSrcCompressor &&
-           a.preloadSrcL1 == b.preloadSrcL1 &&
-           a.preloadSrcL2Dram == b.preloadSrcL2Dram &&
-           a.l1PreloadReqs == b.l1PreloadReqs &&
-           a.l1StoreReqs == b.l1StoreReqs &&
-           a.l1InvalidateReqs == b.l1InvalidateReqs &&
-           a.issuedSlots == b.issuedSlots &&
-           a.stallSlots == b.stallSlots &&
-           a.skippedCycles == b.skippedCycles &&
-           a.skipEvents == b.skipEvents &&
-           a.meanWorkingSetBytes == b.meanWorkingSetBytes &&
-           a.backingSeries == b.backingSeries &&
-           a.regionPreloadsMean == b.regionPreloadsMean &&
-           a.regionLiveMean == b.regionLiveMean &&
-           a.regionLiveStddev == b.regionLiveStddev &&
-           a.regionCyclesMean == b.regionCyclesMean &&
-           a.regionInsnsMean == b.regionInsnsMean &&
-           a.staticInsnsPerRegion == b.staticInsnsPerRegion &&
-           a.numRegions == b.numRegions && a.tenants == b.tenants &&
-           a.energy.regDynamic == b.energy.regDynamic &&
-           a.energy.regStatic == b.energy.regStatic &&
-           a.energy.compressor == b.energy.compressor &&
-           a.energy.memory == b.energy.memory &&
-           a.energy.rest == b.energy.rest;
+    /** Sum: scalars add, stall arrays element-wise, tenant lanes
+     *  lane by lane under TenantLane's own rules. */
+    template <typename T>
+    static void
+    add(T &into, const T &from)
+    {
+        if constexpr (std::is_arithmetic_v<T>) {
+            into += from;
+        } else if constexpr (std::is_same_v<T, TenantLane>) {
+            forEachField(Merge{}, into, from);
+        } else {
+            if (into.size() != from.size())
+                panic("merging runs with ", into.size(), " and ",
+                      from.size(), " tenant lanes");
+            for (std::size_t i = 0; i < into.size(); ++i)
+                add(into[i], from[i]);
+        }
+    }
+
+    template <field::Rule R>
+    bool
+    operator()(field::Tag<R>, auto &&into, const auto &from) const
+    {
+        if constexpr (R == field::Rule::Sum)
+            add(into, from);
+        else if constexpr (R == field::Rule::Max)
+            into = std::max(into, from);
+        return false; // First keeps @a into's value; Derived is recomputed
+    }
+};
+
+} // namespace
+
+void
+mergeRunStats(RunStats &into, const RunStats &from)
+{
+    forEachField(Merge{}, into, from);
 }
 
 void

@@ -1,10 +1,13 @@
 #include "sim/stats_io.hh"
 
 #include <cctype>
+#include <charconv>
+#include <concepts>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/logging.hh"
 
@@ -39,12 +42,24 @@ class JsonObject
 
     ~JsonObject() { _os << "}"; }
 
-    void
-    field(const char *key, const std::string &value)
+    /** Start the next member, keyed by the concatenation of @a parts;
+     *  its value() follows. */
+    template <typename... Parts>
+    JsonObject &
+    key(const Parts &...parts)
     {
-        sep();
-        _os << "\"" << key << "\":\"";
-        for (char c : value) {
+        _os << (_first ? "\"" : ",\"");
+        _first = false;
+        (_os << ... << parts);
+        _os << "\":";
+        return *this;
+    }
+
+    void
+    value(std::string_view text)
+    {
+        _os << "\"";
+        for (char c : text) {
             if (c == '"' || c == '\\')
                 _os << '\\';
             _os << c;
@@ -52,56 +67,151 @@ class JsonObject
         _os << "\"";
     }
 
-    void
-    field(const char *key, std::uint64_t value)
-    {
-        sep();
-        _os << "\"" << key << "\":" << value;
-    }
+    void value(ProviderKind kind) { value(providerName(kind)); }
+
+    void value(std::unsigned_integral auto count) { _os << count; }
+
+    void value(double number) { _os << number; }
 
     void
-    field(const char *key, double value)
+    value(const std::vector<double> &values)
     {
-        sep();
-        _os << "\"" << key << "\":" << value;
-    }
-
-    void
-    fieldArray(const char *key, const std::vector<double> &values)
-    {
-        sep();
-        _os << "\"" << key << "\":[";
+        _os << "[";
         for (std::size_t i = 0; i < values.size(); ++i)
             _os << (i ? "," : "") << values[i];
         _os << "]";
     }
 
   private:
-    void
-    sep()
-    {
-        if (_first)
-            _first = false;
-        else
-            _os << ",";
-    }
-
     std::ostream &_os;
     bool _first = true;
 };
 
+using StallSlots = std::array<std::uint64_t, arch::kNumStallCauses>;
+
+const char *
+causeName(std::size_t c)
+{
+    return arch::stallCauseName(static_cast<arch::StallCause>(c));
+}
+
+/**
+ * Field-list visitor emitting each field into an open object, keys
+ * prefixed by @a prefix ("" for a run, "tenant<t>_" for a lane).
+ */
+struct FieldWriter
+{
+    JsonObject &obj;
+    std::string_view prefix;
+
+    bool
+    operator()(auto tag, const auto &value) const
+    {
+        obj.key(prefix, tag.key).value(value);
+        return false;
+    }
+
+    bool
+    operator()(auto tag, const StallSlots &slots) const
+    {
+        for (std::size_t c = 0; c < slots.size(); ++c)
+            obj.key(prefix, tag.key, causeName(c)).value(slots[c]);
+        return false;
+    }
+
+    bool
+    operator()(auto tag, const std::vector<TenantLane> &lanes) const
+    {
+        // Lanes are emitted only when present, so single-tenant JSON
+        // stays byte-identical to pre-tenant builds.
+        if (lanes.empty())
+            return false;
+        obj.key(prefix, tag.key, "_count").value(lanes.size());
+        for (std::size_t t = 0; t < lanes.size(); ++t) {
+            const std::string lane_prefix =
+                std::string(tag.key) + std::to_string(t) + "_";
+            forEachField(FieldWriter{obj, lane_prefix}, lanes[t]);
+        }
+        return false;
+    }
+};
+
+/** Parse @a text as a double, failing unless it is all consumed. */
+double
+parseReal(std::string_view text)
+{
+    char *end = nullptr;
+    const double value = std::strtod(text.data(), &end);
+    if (end != text.data() + text.size())
+        parseFail("stats JSON: '", text, "' is not a number");
+    return value;
+}
+
+/** One parsed key-value pair; the typed accessors fail the parse on
+ *  a value of the wrong kind. */
+struct JsonMember
+{
+    enum class Kind
+    {
+        String,
+        Number,
+        Array,
+    } kind = Kind::String;
+    std::string key;
+    std::string str;
+    std::string_view num; ///< a number's text, parsed by its reader
+    std::vector<double> array;
+
+    const std::string &
+    string() const
+    {
+        if (kind != Kind::String)
+            parseFail("stats JSON: '", key, "' must be a string");
+        return str;
+    }
+
+    /** An exact unsigned integer: no sign, fraction, exponent or
+     *  overflow, so a hostile count cannot wrap, truncate, or size a
+     *  container. */
+    template <std::unsigned_integral T>
+    T
+    count() const
+    {
+        T out{};
+        const char *end = num.data() + num.size();
+        const auto [ptr, ec] = std::from_chars(num.data(), end, out);
+        if (kind != Kind::Number || ec != std::errc() || ptr != end)
+            parseFail("stats JSON: '", key,
+                      "' must be an unsigned integer");
+        return out;
+    }
+
+    double
+    real() const
+    {
+        if (kind != Kind::Number)
+            parseFail("stats JSON: '", key, "' must be a number");
+        return parseReal(num);
+    }
+
+    const std::vector<double> &
+    reals() const
+    {
+        if (kind != Kind::Array)
+            parseFail("stats JSON: '", key, "' must be an array");
+        return array;
+    }
+};
+
 /**
  * Single-pass parser for the flat writeJson() schema: one object of
- * string / number / array-of-number values. Dispatches each key-value
- * pair to a callback as it is read.
+ * string / number / array-of-number values. Dispatches each member
+ * to a callback as it is read.
  */
 class JsonReader
 {
   public:
     explicit JsonReader(const std::string &text) : _text(text) {}
-
-    /** Current parse position (after an object: just past its '}'). */
-    std::size_t pos() const { return _pos; }
 
     void
     skipSpace()
@@ -149,17 +259,21 @@ class JsonReader
         return out;
     }
 
-    double
-    parseNumber()
+    /** One number's text; the field it belongs to parses it as an
+     *  exact count or as a double. */
+    std::string_view
+    numberText()
     {
         skipSpace();
-        const char *begin = _text.c_str() + _pos;
-        char *end = nullptr;
-        double value = std::strtod(begin, &end);
-        if (end == begin)
+        const std::size_t begin = _pos;
+        while (_pos < _text.size() &&
+               (std::isalnum(static_cast<unsigned char>(_text[_pos])) ||
+                _text[_pos] == '-' || _text[_pos] == '+' ||
+                _text[_pos] == '.'))
+            ++_pos;
+        if (_pos == begin)
             parseFail("stats JSON: expected a number at offset ", _pos);
-        _pos += static_cast<std::size_t>(end - begin);
-        return value;
+        return std::string_view(_text).substr(begin, _pos - begin);
     }
 
     std::vector<double>
@@ -172,7 +286,7 @@ class JsonReader
             return out;
         }
         for (;;) {
-            out.push_back(parseNumber());
+            out.push_back(parseReal(numberText()));
             char c = peek();
             ++_pos;
             if (c == ']')
@@ -182,23 +296,9 @@ class JsonReader
         }
     }
 
-    /** One JSON value handed to the object callback. */
-    struct Value
-    {
-        enum class Kind
-        {
-            String,
-            Number,
-            Array,
-        } kind;
-        std::string str;
-        double num = 0.0;
-        std::vector<double> array;
-    };
-
     template <typename Fn>
     void
-    parseObject(Fn &&on_field)
+    parseObject(Fn &&on_member)
     {
         expect('{');
         if (peek() == '}') {
@@ -206,21 +306,21 @@ class JsonReader
             return;
         }
         for (;;) {
-            std::string key = parseString();
+            JsonMember m;
+            m.key = parseString();
             expect(':');
-            Value v;
             char c = peek();
             if (c == '"') {
-                v.kind = Value::Kind::String;
-                v.str = parseString();
+                m.kind = JsonMember::Kind::String;
+                m.str = parseString();
             } else if (c == '[') {
-                v.kind = Value::Kind::Array;
-                v.array = parseNumberArray();
+                m.kind = JsonMember::Kind::Array;
+                m.array = parseNumberArray();
             } else {
-                v.kind = Value::Kind::Number;
-                v.num = parseNumber();
+                m.kind = JsonMember::Kind::Number;
+                m.num = numberText();
             }
-            on_field(key, v);
+            on_member(m);
             c = peek();
             ++_pos;
             if (c == '}')
@@ -235,280 +335,119 @@ class JsonReader
     std::size_t _pos = 0;
 };
 
-std::uint64_t
-asCount(const JsonReader::Value &v)
+/**
+ * Field-list visitor reading one member into the field that owns it;
+ * returns true (stopping the walk) once it has. Shared by the plain
+ * RunStats reader and the JobRecord reader.
+ */
+struct FieldReader
 {
-    return static_cast<std::uint64_t>(v.num);
-}
+    const JsonMember &m;
+    std::string_view key; ///< m.key less any lane prefix
+    /** "tenant_count" so far; lanes are checked against it. */
+    std::uint64_t &tenantCount;
 
-/** Apply one parsed key-value pair to @a stats (shared by the plain
- * RunStats reader and the JobRecord reader). Unknown keys are
- * ignored. */
+    void read(std::string &out) const { out = m.string(); }
+
+    void
+    read(ProviderKind &out) const
+    {
+        if (!tryProviderFromName(m.string(), out))
+            parseFail("stats JSON: unknown provider '", m.str, "'");
+    }
+
+    template <std::unsigned_integral T>
+    void
+    read(T &out) const
+    {
+        out = m.count<T>();
+    }
+
+    void read(double &out) const { out = m.real(); }
+
+    void read(std::vector<double> &out) const { out = m.reals(); }
+
+    bool
+    operator()(auto tag, auto &out) const
+    {
+        if (key != tag.key)
+            return false;
+        read(out);
+        return true;
+    }
+
+    /** Derived keys are recomputed, never read. */
+    bool
+    operator()(field::Derived tag, double) const
+    {
+        return key == tag.key;
+    }
+
+    bool
+    operator()(auto tag, StallSlots &slots) const
+    {
+        if (!key.starts_with(tag.key))
+            return false;
+        const std::string_view cause = key.substr(tag.key.size());
+        for (std::size_t c = 0; c < slots.size(); ++c) {
+            if (cause == causeName(c)) {
+                slots[c] = m.count<std::uint64_t>();
+                break;
+            }
+        }
+        return true; // unknown causes are ignored
+    }
+
+    /** "<prefix>_count", then "<prefix><t>_<field>" for t = 0, 1, ...
+     *  in order: lanes are appended one at a time, never sized from
+     *  the (untrusted) count. */
+    bool
+    operator()(auto tag, std::vector<TenantLane> &lanes) const
+    {
+        if (!key.starts_with(tag.key))
+            return false;
+        const std::string_view rest = key.substr(tag.key.size());
+        if (rest == "_count") {
+            tenantCount = m.count<std::uint64_t>();
+            return true;
+        }
+        std::size_t t = 0;
+        const char *end = rest.data() + rest.size();
+        const auto [sep, ec] = std::from_chars(rest.data(), end, t);
+        if (ec != std::errc() || sep == end || *sep != '_')
+            return false; // not a lane key
+        if (t >= tenantCount || t > lanes.size() || t + 1 < lanes.size())
+            parseFail("stats JSON: tenant lane ", t,
+                      " out of order or past tenant_count ",
+                      tenantCount);
+        if (t == lanes.size())
+            lanes.emplace_back();
+        forEachField(FieldReader{m, std::string_view(sep + 1, end),
+                                 tenantCount},
+                     lanes[t]);
+        return true;
+    }
+};
+
+/** Every lane promised by "tenant_count" must have arrived. */
 void
-applyRunField(RunStats &stats, const std::string &key,
-              const JsonReader::Value &v)
+checkLanes(const RunStats &stats, std::uint64_t tenant_count)
 {
-        if (key == "kernel")
-            stats.kernel = v.str;
-        else if (key == "provider") {
-            if (!tryProviderFromName(v.str, stats.provider))
-                parseFail("stats JSON: unknown provider '", v.str,
-                          "'");
-        }
-        else if (key == "cycles")
-            stats.cycles = static_cast<Cycle>(v.num);
-        else if (key == "insns")
-            stats.insns = asCount(v);
-        else if (key == "metadata_insns")
-            stats.metadataInsns = asCount(v);
-        else if (key == "l1_accesses")
-            stats.l1Accesses = asCount(v);
-        else if (key == "l2_accesses")
-            stats.l2Accesses = asCount(v);
-        else if (key == "dram_accesses")
-            stats.dramAccesses = asCount(v);
-        else if (key == "rf_reads")
-            stats.rfReads = asCount(v);
-        else if (key == "rf_writes")
-            stats.rfWrites = asCount(v);
-        else if (key == "rename_lookups")
-            stats.renameLookups = asCount(v);
-        else if (key == "lrf_accesses")
-            stats.lrfAccesses = asCount(v);
-        else if (key == "orf_accesses")
-            stats.orfAccesses = asCount(v);
-        else if (key == "mrf_accesses")
-            stats.mrfAccesses = asCount(v);
-        else if (key == "osu_accesses")
-            stats.osuAccesses = asCount(v);
-        else if (key == "osu_tag_lookups")
-            stats.osuTagLookups = asCount(v);
-        else if (key == "osu_bank_conflicts")
-            stats.osuBankConflicts = asCount(v);
-        else if (key == "compressor_accesses")
-            stats.compressorAccesses = asCount(v);
-        else if (key == "compressor_matches")
-            stats.compressorMatches = asCount(v);
-        else if (key == "compressor_incompressible")
-            stats.compressorIncompressible = asCount(v);
-        else if (key == "compressor_static_hits")
-            stats.compressorStaticHits = asCount(v);
-        else if (key == "compressor_static_unsound")
-            stats.compressorStaticUnsound = asCount(v);
-        else if (key == "osu_gated_bank_cycles")
-            stats.osuGatedBankCycles = asCount(v);
-        else if (key == "rf_cache_hits")
-            stats.rfCacheHits = asCount(v);
-        else if (key == "rf_cache_misses")
-            stats.rfCacheMisses = asCount(v);
-        else if (key == "spill_stores")
-            stats.spillStores = asCount(v);
-        else if (key == "fill_loads")
-            stats.fillLoads = asCount(v);
-        else if (key == "preload_src_osu")
-            stats.preloadSrcOsu = asCount(v);
-        else if (key == "preload_src_compressor")
-            stats.preloadSrcCompressor = asCount(v);
-        else if (key == "preload_src_l1")
-            stats.preloadSrcL1 = asCount(v);
-        else if (key == "preload_src_l2dram")
-            stats.preloadSrcL2Dram = asCount(v);
-        else if (key == "l1_preload_reqs")
-            stats.l1PreloadReqs = asCount(v);
-        else if (key == "l1_store_reqs")
-            stats.l1StoreReqs = asCount(v);
-        else if (key == "l1_invalidate_reqs")
-            stats.l1InvalidateReqs = asCount(v);
-        else if (key == "issued_slots")
-            stats.issuedSlots = asCount(v);
-        else if (key.rfind("stall_", 0) == 0) {
-            for (std::size_t c = 0; c < arch::kNumStallCauses; ++c) {
-                const auto cause = static_cast<arch::StallCause>(c);
-                if (key.compare(6, std::string::npos,
-                                arch::stallCauseName(cause)) == 0) {
-                    stats.stallSlots[c] = asCount(v);
-                    break;
-                }
-            }
-        }
-        else if (key == "skipped_cycles")
-            stats.skippedCycles = asCount(v);
-        else if (key == "skip_events")
-            stats.skipEvents = asCount(v);
-        else if (key == "working_set_bytes")
-            stats.meanWorkingSetBytes = v.num;
-        else if (key == "region_preloads_mean")
-            stats.regionPreloadsMean = v.num;
-        else if (key == "region_live_mean")
-            stats.regionLiveMean = v.num;
-        else if (key == "region_live_stddev")
-            stats.regionLiveStddev = v.num;
-        else if (key == "region_cycles_mean")
-            stats.regionCyclesMean = v.num;
-        else if (key == "region_insns_mean")
-            stats.regionInsnsMean = v.num;
-        else if (key == "static_insns_per_region")
-            stats.staticInsnsPerRegion = v.num;
-        else if (key == "num_regions")
-            stats.numRegions = static_cast<unsigned>(v.num);
-        else if (key == "energy_reg_dynamic")
-            stats.energy.regDynamic = v.num;
-        else if (key == "energy_reg_static")
-            stats.energy.regStatic = v.num;
-        else if (key == "energy_compressor")
-            stats.energy.compressor = v.num;
-        else if (key == "energy_memory")
-            stats.energy.memory = v.num;
-        else if (key == "energy_rest")
-            stats.energy.rest = v.num;
-        else if (key == "backing_series")
-            stats.backingSeries = v.array;
-        else if (key == "tenant_count")
-            stats.tenants.resize(static_cast<std::size_t>(v.num));
-        else if (key.rfind("tenant", 0) == 0) {
-            // "tenant<t>_<field>"; tenant_count precedes the lanes in
-            // writeRunFields' emission order, so the vector is sized.
-            const std::size_t sep = key.find('_');
-            if (sep == std::string::npos || sep <= 6)
-                return;
-            char *end = nullptr;
-            const unsigned long t =
-                std::strtoul(key.c_str() + 6, &end, 10);
-            if (end != key.c_str() + sep || t >= stats.tenants.size())
-                return;
-            TenantLane &lane = stats.tenants[t];
-            const std::string field = key.substr(sep + 1);
-            if (field == "kernel")
-                lane.kernel = v.str;
-            else if (field == "insns")
-                lane.insns = asCount(v);
-            else if (field == "issued_slots")
-                lane.issuedSlots = asCount(v);
-            else if (field == "finish_cycle")
-                lane.finishCycle = static_cast<Cycle>(v.num);
-            else if (field == "suspended_cycles")
-                lane.suspendedCycles = asCount(v);
-            else if (field == "preemptions")
-                lane.preemptions = asCount(v);
-            else if (field.rfind("stall_", 0) == 0) {
-                for (std::size_t c = 0; c < arch::kNumStallCauses;
-                     ++c) {
-                    const auto cause =
-                        static_cast<arch::StallCause>(c);
-                    if (field.compare(6, std::string::npos,
-                                      arch::stallCauseName(cause)) ==
-                        0) {
-                        lane.stallSlots[c] = asCount(v);
-                        break;
-                    }
-                }
-            }
-        }
-        // Unknown keys (e.g. derived "energy_total") are ignored.
+    if (stats.tenants.size() != tenant_count)
+        parseFail("stats JSON: tenant_count ", tenant_count, " but ",
+                  stats.tenants.size(), " lanes");
 }
 
 RunStats
 parseRun(JsonReader &reader)
 {
     RunStats stats;
-    reader.parseObject([&](const std::string &key,
-                           const JsonReader::Value &v) {
-        applyRunField(stats, key, v);
+    std::uint64_t tenant_count = 0;
+    reader.parseObject([&](const JsonMember &m) {
+        forEachField(FieldReader{m, m.key, tenant_count}, stats);
     });
+    checkLanes(stats, tenant_count);
     return stats;
-}
-
-/** Emit the RunStats fields into an open object (shared by the plain
- * writer and the JobRecord writer). */
-void
-writeRunFields(JsonObject &obj, const RunStats &stats)
-{
-    obj.field("kernel", stats.kernel);
-    obj.field("provider", std::string(providerName(stats.provider)));
-    obj.field("cycles", static_cast<std::uint64_t>(stats.cycles));
-    obj.field("insns", stats.insns);
-    obj.field("metadata_insns", stats.metadataInsns);
-    obj.field("l1_accesses", stats.l1Accesses);
-    obj.field("l2_accesses", stats.l2Accesses);
-    obj.field("dram_accesses", stats.dramAccesses);
-    obj.field("rf_reads", stats.rfReads);
-    obj.field("rf_writes", stats.rfWrites);
-    obj.field("rename_lookups", stats.renameLookups);
-    obj.field("lrf_accesses", stats.lrfAccesses);
-    obj.field("orf_accesses", stats.orfAccesses);
-    obj.field("mrf_accesses", stats.mrfAccesses);
-    obj.field("osu_accesses", stats.osuAccesses);
-    obj.field("osu_tag_lookups", stats.osuTagLookups);
-    obj.field("osu_bank_conflicts", stats.osuBankConflicts);
-    obj.field("compressor_accesses", stats.compressorAccesses);
-    obj.field("compressor_matches", stats.compressorMatches);
-    obj.field("compressor_incompressible",
-              stats.compressorIncompressible);
-    obj.field("compressor_static_hits", stats.compressorStaticHits);
-    obj.field("compressor_static_unsound",
-              stats.compressorStaticUnsound);
-    obj.field("osu_gated_bank_cycles", stats.osuGatedBankCycles);
-    obj.field("rf_cache_hits", stats.rfCacheHits);
-    obj.field("rf_cache_misses", stats.rfCacheMisses);
-    obj.field("spill_stores", stats.spillStores);
-    obj.field("fill_loads", stats.fillLoads);
-    obj.field("preload_src_osu", stats.preloadSrcOsu);
-    obj.field("preload_src_compressor", stats.preloadSrcCompressor);
-    obj.field("preload_src_l1", stats.preloadSrcL1);
-    obj.field("preload_src_l2dram", stats.preloadSrcL2Dram);
-    obj.field("l1_preload_reqs", stats.l1PreloadReqs);
-    obj.field("l1_store_reqs", stats.l1StoreReqs);
-    obj.field("l1_invalidate_reqs", stats.l1InvalidateReqs);
-    obj.field("issued_slots", stats.issuedSlots);
-    for (std::size_t c = 0; c < arch::kNumStallCauses; ++c) {
-        const std::string key =
-            std::string("stall_") +
-            arch::stallCauseName(static_cast<arch::StallCause>(c));
-        obj.field(key.c_str(), stats.stallSlots[c]);
-    }
-    obj.field("skipped_cycles", stats.skippedCycles);
-    obj.field("skip_events", stats.skipEvents);
-    obj.field("working_set_bytes", stats.meanWorkingSetBytes);
-    obj.field("region_preloads_mean", stats.regionPreloadsMean);
-    obj.field("region_live_mean", stats.regionLiveMean);
-    obj.field("region_live_stddev", stats.regionLiveStddev);
-    obj.field("region_cycles_mean", stats.regionCyclesMean);
-    obj.field("region_insns_mean", stats.regionInsnsMean);
-    obj.field("static_insns_per_region", stats.staticInsnsPerRegion);
-    obj.field("num_regions",
-              static_cast<std::uint64_t>(stats.numRegions));
-    obj.field("energy_reg_dynamic", stats.energy.regDynamic);
-    obj.field("energy_reg_static", stats.energy.regStatic);
-    obj.field("energy_compressor", stats.energy.compressor);
-    obj.field("energy_memory", stats.energy.memory);
-    obj.field("energy_rest", stats.energy.rest);
-    obj.field("energy_total", stats.energy.total());
-    obj.fieldArray("backing_series", stats.backingSeries);
-    // Tenant lanes are emitted only when present, so single-tenant
-    // JSON stays byte-identical to pre-tenant builds.
-    if (!stats.tenants.empty()) {
-        obj.field("tenant_count",
-                  static_cast<std::uint64_t>(stats.tenants.size()));
-        for (std::size_t t = 0; t < stats.tenants.size(); ++t) {
-            const TenantLane &lane = stats.tenants[t];
-            const std::string p = "tenant" + std::to_string(t) + "_";
-            obj.field((p + "kernel").c_str(), lane.kernel);
-            obj.field((p + "insns").c_str(), lane.insns);
-            obj.field((p + "issued_slots").c_str(), lane.issuedSlots);
-            for (std::size_t c = 0; c < arch::kNumStallCauses; ++c) {
-                const std::string key =
-                    p + "stall_" +
-                    arch::stallCauseName(
-                        static_cast<arch::StallCause>(c));
-                obj.field(key.c_str(), lane.stallSlots[c]);
-            }
-            obj.field((p + "finish_cycle").c_str(),
-                      static_cast<std::uint64_t>(lane.finishCycle));
-            obj.field((p + "suspended_cycles").c_str(),
-                      lane.suspendedCycles);
-            obj.field((p + "preemptions").c_str(), lane.preemptions);
-        }
-    }
 }
 
 } // namespace
@@ -551,7 +490,7 @@ writeJson(std::ostream &os, const RunStats &stats)
 
     {
         JsonObject obj(os);
-        writeRunFields(obj, stats);
+        forEachField(FieldWriter{obj, ""}, stats);
     }
 
     os.precision(saved);
@@ -612,15 +551,12 @@ writeJson(std::ostream &os, const JobRecord &record)
         // our reader accepts raw newlines inside strings (this is a
         // private round-trip format, not interchange JSON).
         JsonObject obj(os);
-        obj.field("record_schema",
-                  static_cast<std::uint64_t>(record.schema));
-        obj.field("record_status",
-                  std::string(jobStatusName(record.status)));
-        obj.field("record_error", record.error);
-        obj.field("record_deadlock", record.deadlock);
-        obj.field("record_attempts",
-                  static_cast<std::uint64_t>(record.attempts));
-        writeRunFields(obj, record.stats);
+        obj.key("record_schema").value(record.schema);
+        obj.key("record_status").value(jobStatusName(record.status));
+        obj.key("record_error").value(record.error);
+        obj.key("record_deadlock").value(record.deadlock);
+        obj.key("record_attempts").value(record.attempts);
+        forEachField(FieldWriter{obj, ""}, record.stats);
     }
     os.precision(saved);
 }
@@ -632,27 +568,29 @@ tryRecordFromJson(const std::string &json, JobRecord &out,
     try {
         JobRecord record;
         bool saw_schema = false, saw_status = false;
+        std::uint64_t tenant_count = 0;
         JsonReader reader(json);
-        reader.parseObject([&](const std::string &key,
-                               const JsonReader::Value &v) {
-            if (key == "record_schema") {
-                record.schema = static_cast<unsigned>(v.num);
+        reader.parseObject([&](const JsonMember &m) {
+            if (m.key == "record_schema") {
+                record.schema = m.count<unsigned>();
                 saw_schema = true;
-            } else if (key == "record_status") {
-                if (!tryJobStatusFromName(v.str, record.status))
+            } else if (m.key == "record_status") {
+                if (!tryJobStatusFromName(m.string(), record.status))
                     parseFail("stats JSON: unknown record status '",
-                              v.str, "'");
+                              m.str, "'");
                 saw_status = true;
-            } else if (key == "record_error") {
-                record.error = v.str;
-            } else if (key == "record_deadlock") {
-                record.deadlock = v.str;
-            } else if (key == "record_attempts") {
-                record.attempts = static_cast<unsigned>(v.num);
+            } else if (m.key == "record_error") {
+                record.error = m.string();
+            } else if (m.key == "record_deadlock") {
+                record.deadlock = m.string();
+            } else if (m.key == "record_attempts") {
+                record.attempts = m.count<unsigned>();
             } else {
-                applyRunField(record.stats, key, v);
+                forEachField(FieldReader{m, m.key, tenant_count},
+                             record.stats);
             }
         });
+        checkLanes(record.stats, tenant_count);
         if (!saw_schema || !saw_status) {
             parseFail("stats JSON: not a job record (pre-watchdog "
                       "cache entry?)");

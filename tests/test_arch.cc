@@ -342,7 +342,7 @@ TEST(SmTest, DivergentKernelReconverges)
         EXPECT_EQ(run.mem.readWord(a), i % 2 ? 2000u : 1000u);
         EXPECT_EQ(run.mem.readWord(a + 16384), 5000 + i);
     }
-    EXPECT_GT(run.sm.stats().counter("divergent_branches").value(), 0u);
+    EXPECT_GT(run.sm.stats().value("divergent_branches"), 0u);
 }
 
 TEST(SmTest, LoopKernelComputesSum)
@@ -461,8 +461,8 @@ TEST(SmTest, WorkingSetTrackedByBaselineRf)
     SmRun run(b.build());
     run.sm.run();
     EXPECT_GT(run.rf.meanWorkingSetBytes(), 0.0);
-    EXPECT_GT(run.rf.stats().counter("reads").value(), 0u);
-    EXPECT_GT(run.rf.stats().counter("writes").value(), 0u);
+    EXPECT_GT(run.rf.stats().value("reads"), 0u);
+    EXPECT_GT(run.rf.stats().value("writes"), 0u);
 }
 
 } // namespace

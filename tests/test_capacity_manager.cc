@@ -181,10 +181,9 @@ TEST(CmStateTest, MetadataCountedPerActivation)
     run.sm.run();
     std::uint64_t meta = 0, activations = 0;
     for (unsigned s = 0; s < 4; ++s) {
-        meta += run.provider.cm(s).stats().counter("metadata_insns")
-                    .value();
+        meta += run.provider.cm(s).stats().value("metadata_insns");
         activations +=
-            run.provider.cm(s).stats().counter("activations").value();
+            run.provider.cm(s).stats().value("activations");
     }
     EXPECT_GT(meta, 0u);
     EXPECT_GE(meta, activations); // >= 1 metadata insn per region

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "common/rng.hh"
+#include "common/sim_error.hh"
 #include "common/stats.hh"
 
 namespace regless
@@ -128,7 +129,20 @@ TEST(StatGroupTest, CounterIsStableAcrossLookups)
     StatGroup group("g");
     Counter &a = group.counter("x");
     ++a;
-    EXPECT_EQ(group.counter("x").value(), 1u);
+    EXPECT_EQ(&group.counter("x"), &a);
+    EXPECT_EQ(group.value("x"), 1u);
+}
+
+TEST(StatGroupTest, MisspelledReadThrows)
+{
+    // Reads never create: a typo is an error, not a silent zero.
+    StatGroup group("cm");
+    group.counter("metadata_insns") += 2;
+    EXPECT_EQ(group.value("metadata_insns"), 2u);
+    EXPECT_THROW(group.value("metadata_insn"), sim::SimError);
+    std::ostringstream oss;
+    group.dump(oss);
+    EXPECT_EQ(oss.str(), "cm.metadata_insns 2\n");
 }
 
 TEST(GeomeanTest, KnownValues)

@@ -305,6 +305,64 @@ TEST(JobCacheLoad, EngineResimulatesPastAForeignSchemaEntry)
     EXPECT_EQ(warm.cacheHits(), 1u);
 }
 
+TEST(JobCacheLoad, EngineHealsADamagedCountToTheReferenceBytes)
+{
+    // One damaged count -- a tenant_count that would size a huge lane
+    // vector, a negative or a fractional count -- is a corrupt entry:
+    // verify names it, the engine re-simulates the point, and the
+    // entry is rewritten to exactly the bytes a clean run stores.
+    const fs::path dir = freshDir("engine-damaged");
+    sim::ExperimentEngine::Options options;
+    options.cacheDir = dir.string();
+    sim::SimJob job{"nn+nn",
+                    sim::GpuConfig::forProvider(sim::ProviderKind::Regless),
+                    0, {}};
+    job.config.tenants.workloads = {{"nn", 1}, {"nn", 0}};
+    sim::RunStats reference;
+    {
+        sim::ExperimentEngine engine(options);
+        reference = engine.stats(engine.submit(job));
+    }
+    ASSERT_EQ(reference.tenants.size(), 2u);
+    const fs::path path =
+        dir / sim::ExperimentEngine::cacheEntryPath(job);
+    auto read_entry = [&path] {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream buffer;
+        buffer << in.rdbuf();
+        return buffer.str();
+    };
+    const std::string good = read_entry();
+
+    const std::string cycles =
+        "\"cycles\":" + std::to_string(reference.cycles);
+    const std::string insns =
+        "\"insns\":" + std::to_string(reference.insns);
+    const std::pair<std::string, std::string> damages[] = {
+        {"\"tenant_count\":2", "\"tenant_count\":1e18"},
+        {cycles, "\"cycles\":-5"},
+        {insns, "\"insns\":12.75"},
+    };
+    for (const auto &[from, to] : damages) {
+        std::string text = good;
+        const std::size_t at = text.find(from);
+        ASSERT_NE(at, std::string::npos) << from;
+        text.replace(at, from.size(), to);
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+
+        const sim::CacheSurvey survey = sim::cacheSurveyDir(dir);
+        EXPECT_EQ(survey.corrupt, 1u) << to;
+        EXPECT_EQ(survey.suspects.size(), 1u) << to;
+
+        sim::ExperimentEngine engine(options);
+        const sim::RunStats &stats = engine.stats(engine.submit(job));
+        EXPECT_EQ(engine.cache().counters().corrupt, 1u) << to;
+        EXPECT_EQ(engine.simulated(), 1u) << to;
+        EXPECT_TRUE(stats == reference) << to;
+        EXPECT_EQ(read_entry(), good) << to;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Store paths: coalescing, cleanup, degradation.
 // ---------------------------------------------------------------------

@@ -53,8 +53,8 @@ TEST(CacheTest, MissThenHit)
     CacheResult second = cache.access(0x1000, false, false, 10);
     EXPECT_TRUE(second.hit);
     EXPECT_TRUE(cache.contains(0x1000));
-    EXPECT_EQ(cache.stats().counter("hits").value(), 1u);
-    EXPECT_EQ(cache.stats().counter("misses").value(), 1u);
+    EXPECT_EQ(cache.stats().value("hits"), 1u);
+    EXPECT_EQ(cache.stats().value("misses"), 1u);
 }
 
 TEST(CacheTest, SameLineDifferentWordsHit)
@@ -76,7 +76,7 @@ TEST(CacheTest, LruEviction)
     // The first line was LRU and must be gone.
     EXPECT_FALSE(cache.contains(0x1000));
     EXPECT_TRUE(cache.contains(0x1000 + 4 * sets * 128));
-    EXPECT_EQ(cache.stats().counter("evictions").value(), 1u);
+    EXPECT_EQ(cache.stats().value("evictions"), 1u);
 }
 
 TEST(CacheTest, DirtyVictimReportsWriteback)
@@ -203,7 +203,7 @@ TEST(MemorySystemTest, DataBypassSkipsL1)
     mem.access(0x100, false, MemSpace::Data, 0);
     EXPECT_FALSE(mem.l1().contains(0x100));
     // The L2 saw it.
-    EXPECT_GT(mem.l2().stats().counter("misses").value(), 0u);
+    EXPECT_GT(mem.l2().stats().value("misses"), 0u);
 }
 
 TEST(MemorySystemTest, RegisterLinesCacheInL1)
@@ -224,11 +224,11 @@ TEST(MemorySystemTest, RegisterWriteAllocatesWithoutFetch)
 {
     MemorySystem mem;
     std::uint64_t dram_before =
-        mem.dram().stats().counter("accesses").value();
+        mem.dram().stats().value("accesses");
     MemAccessResult w = mem.access(0x300, true, MemSpace::Register, 0);
     EXPECT_TRUE(w.accepted);
     EXPECT_EQ(w.source, MemSource::L1);
-    EXPECT_EQ(mem.dram().stats().counter("accesses").value(),
+    EXPECT_EQ(mem.dram().stats().value("accesses"),
               dram_before);
     EXPECT_TRUE(mem.l1().contains(0x300));
 }
@@ -307,12 +307,12 @@ TEST(MemorySystemTest, NonBypassWritesAreWriteThrough)
     cfg.bypassL1Data = false;
     MemorySystem mem(cfg);
     std::uint64_t l2_before =
-        mem.l2().stats().counter("hits").value() +
-        mem.l2().stats().counter("misses").value();
+        mem.l2().stats().value("hits") +
+        mem.l2().stats().value("misses");
     mem.access(0xa00, true, MemSpace::Data, 0);
     std::uint64_t l2_after =
-        mem.l2().stats().counter("hits").value() +
-        mem.l2().stats().counter("misses").value();
+        mem.l2().stats().value("hits") +
+        mem.l2().stats().value("misses");
     EXPECT_GT(l2_after, l2_before); // the write propagated downstream
     EXPECT_FALSE(mem.l1().contains(0xa00)); // write-no-allocate
 }
@@ -330,7 +330,7 @@ TEST(MemorySystemTest, SharedDramContention)
     MemAccessResult ra = a.access(0x0, false, MemSpace::Data, 0);
     MemAccessResult rb = b.access(0x0, false, MemSpace::Data, 0);
     EXPECT_GT(rb.readyCycle, ra.readyCycle);
-    EXPECT_EQ(dram->stats().counter("accesses").value(), 2u);
+    EXPECT_EQ(dram->stats().value("accesses"), 2u);
 }
 
 } // namespace

@@ -245,8 +245,8 @@ TEST(CompilerRfCacheTest, TinyCacheEvictsAndMisses)
         if (!insn.isExit())
             warp.stack().advance();
     }
-    EXPECT_GT(cache.stats().counter("evictions").value(), 0u);
-    EXPECT_GT(cache.stats().counter("cache_misses").value(), 0u);
+    EXPECT_GT(cache.stats().value("evictions"), 0u);
+    EXPECT_GT(cache.stats().value("cache_misses"), 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -375,7 +375,7 @@ TEST(CompressorTest, CacheOverflowFlushesDirtyLines)
     // Drain the flush queue.
     for (Cycle t = 100; t < 200; ++t)
         comp.tick(t);
-    EXPECT_GT(comp.stats().counter("line_flushes").value(), 0u);
+    EXPECT_GT(comp.stats().value("line_flushes"), 0u);
 }
 
 /** Harness running one kernel under RegLess. */
@@ -511,12 +511,12 @@ TEST(ReglessEndToEnd, PreloadsAreCounted)
 {
     ReglessRun rl(loadChainKernel());
     rl.sm.run();
-    std::uint64_t from_osu = rl.provider.preloadsFrom("preload_src_osu");
-    std::uint64_t from_l1 = rl.provider.preloadsFrom("preload_src_l1");
+    std::uint64_t from_osu = rl.provider.cmCounter("preload_src_osu");
+    std::uint64_t from_l1 = rl.provider.cmCounter("preload_src_l1");
     std::uint64_t from_comp =
-        rl.provider.preloadsFrom("preload_src_compressor");
+        rl.provider.cmCounter("preload_src_compressor");
     std::uint64_t from_far =
-        rl.provider.preloadsFrom("preload_src_l2dram");
+        rl.provider.cmCounter("preload_src_l2dram");
     // The chain kernel crosses region boundaries (load/use split), so
     // preloads must happen, and most should hit in the OSU.
     EXPECT_GT(from_osu + from_l1 + from_comp + from_far, 0u);
@@ -527,10 +527,11 @@ TEST(ReglessEndToEnd, ActivationsAndRegionStats)
 {
     ReglessRun rl(computeKernel());
     rl.sm.run();
-    EXPECT_GT(rl.provider.preloadsFrom("activations"), 0u);
+    EXPECT_GT(rl.provider.cmCounter("activations"), 0u);
     EXPECT_GT(rl.provider.meanRegionInsns(), 0.0);
     EXPECT_GT(rl.provider.meanRegionLive(), 0.0);
-    EXPECT_GT(rl.provider.osuAccesses(), 0u);
+    const StatGroup &osu = rl.provider.osu(0).stats();
+    EXPECT_GT(osu.value("reads") + osu.value("writes"), 0u);
 }
 
 TEST(ReglessEndToEnd, TinyOsuStillCorrect)

@@ -257,7 +257,7 @@ TEST(MultiSmTest, SharedDramSeesAllTraffic)
         sim::GpuConfig::forProvider(sim::ProviderKind::Baseline), 2);
     sim::RunStats total = multi.run();
     EXPECT_EQ(total.dramAccesses,
-              multi.dram().stats().counter("accesses").value());
+              multi.dram().stats().value("accesses"));
     EXPECT_GT(total.dramAccesses, 0u);
 }
 

@@ -2,14 +2,19 @@
  * @file
  * Serialization round-trip coverage for stats_io: a RunStats written
  * as JSON and read back must compare exactly equal, including doubles
- * (written at full precision) and the backing-store time series.
+ * (written at full precision) and the backing-store time series. Also
+ * the RunStats/TenantLane field lists (every member listed, compared,
+ * round-tripped and merged by its rule) and hostile records.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "arch/stall.hh"
+#include "common/sim_error.hh"
 #include "sim/experiment.hh"
 #include "sim/job_cache.hh"
 #include "sim/stats_io.hh"
@@ -156,6 +161,428 @@ TEST(JobRecordForwardCompat, SkippedStatusRoundTrips)
     ASSERT_TRUE(sim::tryJobStatusFromName("skipped", status));
     EXPECT_EQ(status, sim::JobStatus::Skipped);
     EXPECT_FALSE(sim::tryJobStatusFromName("postponed", status));
+}
+
+// ---------------------------------------------------------------------
+// Field lists: one entry per member drives JSON and merging.
+// ---------------------------------------------------------------------
+
+/** Every count is odd and above 2^53, so a reader that went through
+ *  double would round it. */
+constexpr std::uint64_t kBig = (std::uint64_t{1} << 53) + 1;
+
+/** Gives every listed field a distinct, non-default value. */
+struct Distinct
+{
+    std::uint64_t n = 0;
+
+    bool operator()(sim::field::Derived, double) { return false; }
+
+    bool
+    operator()(auto, std::string &v)
+    {
+        v = "s" + std::to_string(++n);
+        return false;
+    }
+
+    bool
+    operator()(auto, sim::ProviderKind &v)
+    {
+        v = sim::allProviderKinds()[1 + ++n % 6];
+        return false;
+    }
+
+    bool
+    operator()(auto, std::uint64_t &v)
+    {
+        v = kBig + 2 * ++n;
+        return false;
+    }
+
+    bool
+    operator()(auto, unsigned &v)
+    {
+        v = 1000 + static_cast<unsigned>(++n);
+        return false;
+    }
+
+    bool
+    operator()(auto, double &v)
+    {
+        v = static_cast<double>(++n) + 1.0 / 3.0;
+        return false;
+    }
+
+    bool
+    operator()(auto, std::vector<double> &v)
+    {
+        v = {static_cast<double>(++n), 0.1, 1e-300};
+        return false;
+    }
+
+    bool
+    operator()(auto, std::array<std::uint64_t, arch::kNumStallCauses> &v)
+    {
+        for (std::uint64_t &slot : v)
+            slot = kBig + 2 * ++n;
+        return false;
+    }
+
+    bool
+    operator()(auto, std::vector<sim::TenantLane> &lanes)
+    {
+        lanes.resize(2);
+        for (sim::TenantLane &lane : lanes)
+            sim::forEachField(*this, lane);
+        return false;
+    }
+};
+
+sim::RunStats
+distinctRun(std::uint64_t first_value)
+{
+    sim::RunStats stats;
+    Distinct distinct{first_value};
+    sim::forEachField(distinct, stats);
+    return stats;
+}
+
+/** Changes only the @a target'th listed field (counting from 0). */
+struct Perturb
+{
+    explicit Perturb(std::size_t target) : target(target) {}
+
+    std::size_t target;
+    std::size_t index = 0;
+    std::string key;
+    bool derived = false;
+
+    static void bump(std::string &v) { v += "!"; }
+    static void
+    bump(sim::ProviderKind &v)
+    {
+        v = v == sim::ProviderKind::Rfh ? sim::ProviderKind::Rfv
+                                        : sim::ProviderKind::Rfh;
+    }
+    static void bump(std::uint64_t &v) { v ^= 1; }
+    static void bump(unsigned &v) { v ^= 1; }
+    static void bump(double &v) { v += 0.5; }
+    static void bump(std::vector<double> &v) { v.back() = -v.back(); }
+    static void
+    bump(std::array<std::uint64_t, arch::kNumStallCauses> &v)
+    {
+        v.back() ^= 1;
+    }
+    static void bump(std::vector<sim::TenantLane> &v) { v.pop_back(); }
+
+    bool
+    operator()(auto tag, auto &&value)
+    {
+        if (index++ != target)
+            return false;
+        key = tag.key;
+        derived = std::is_same_v<decltype(tag), sim::field::Derived>;
+        bump(value);
+        return true;
+    }
+};
+
+/** Number of entries in @a s's field list. */
+template <typename S>
+std::size_t
+fieldCount(const S &s)
+{
+    std::size_t n = 0;
+    sim::forEachField(
+        [&n](auto, auto &&) {
+            ++n;
+            return false;
+        },
+        s);
+    return n;
+}
+
+/** Records the address of every listed member. */
+struct CollectAddresses
+{
+    std::set<const void *> &out;
+
+    bool operator()(sim::field::Derived, double) { return false; }
+
+    bool
+    operator()(auto, auto &member)
+    {
+        out.insert(&member);
+        return false;
+    }
+};
+
+/** Checks @a merged == @a a merged with @a b under each field's rule. */
+struct CheckMerge
+{
+    template <typename T>
+    static T
+    sum(const T &a, const T &b)
+    {
+        return a + b;
+    }
+
+    template <std::size_t N>
+    static std::array<std::uint64_t, N>
+    sum(const std::array<std::uint64_t, N> &a,
+        const std::array<std::uint64_t, N> &b)
+    {
+        std::array<std::uint64_t, N> out{};
+        for (std::size_t i = 0; i < N; ++i)
+            out[i] = a[i] + b[i];
+        return out;
+    }
+
+    bool
+    operator()(sim::field::Sum tag, const auto &merged, const auto &a,
+               const auto &b) const
+    {
+        EXPECT_TRUE(merged == sum(a, b)) << tag.key;
+        return false;
+    }
+
+    bool
+    operator()(sim::field::Sum tag,
+               const std::vector<sim::TenantLane> &merged,
+               const std::vector<sim::TenantLane> &a,
+               const std::vector<sim::TenantLane> &b) const
+    {
+        EXPECT_EQ(merged.size(), a.size()) << tag.key;
+        for (std::size_t t = 0; t < std::min(merged.size(), a.size());
+             ++t)
+            sim::forEachField(*this, merged[t], a[t], b[t]);
+        return false;
+    }
+
+    bool
+    operator()(sim::field::Max tag, const auto &merged, const auto &a,
+               const auto &b) const
+    {
+        EXPECT_EQ(merged, std::max(a, b)) << tag.key;
+        return false;
+    }
+
+    bool
+    operator()(sim::field::First tag, const auto &merged,
+               const auto &a, const auto &) const
+    {
+        EXPECT_TRUE(merged == a) << tag.key;
+        return false;
+    }
+
+    bool
+    operator()(sim::field::Derived, double, double, double) const
+    {
+        return false;
+    }
+};
+
+TEST(RunStatsFields, EveryMemberIsListed)
+{
+    sim::RunStats s;
+    s.tenants.resize(1);
+    std::set<const void *> listed;
+    CollectAddresses collect{listed};
+    sim::forEachField(collect, s);
+    sim::forEachField(collect, s.tenants[0]);
+
+    // Field-count tripwires (the config-dump idiom of gpu_config.cc):
+    // each binding names every member, so a new member breaks this
+    // build until it is bound here -- and then fails the check below
+    // until it is listed in run_stats.hh.
+    auto &[kernel, provider, cycles, insns, metadata_insns, l1_accesses,
+           l2_accesses, dram_accesses, rf_reads, rf_writes,
+           rename_lookups, lrf_accesses, orf_accesses, mrf_accesses,
+           osu_accesses, osu_tag_lookups, osu_bank_conflicts,
+           compressor_accesses, compressor_matches,
+           compressor_incompressible, compressor_static_hits,
+           compressor_static_unsound, osu_gated_bank_cycles,
+           rf_cache_hits, rf_cache_misses, spill_stores, fill_loads,
+           preload_src_osu, preload_src_compressor, preload_src_l1,
+           preload_src_l2dram, l1_preload_reqs, l1_store_reqs,
+           l1_invalidate_reqs, issued_slots, stall_slots,
+           skipped_cycles, skip_events, working_set_bytes,
+           backing_series, region_preloads_mean, region_live_mean,
+           region_live_stddev, region_cycles_mean, region_insns_mean,
+           static_insns_per_region, num_regions, tenants, energy] = s;
+    auto &[reg_dynamic, reg_static, compressor, memory, rest] = energy;
+    auto &[lane_kernel, lane_insns, lane_issued_slots, lane_stall_slots,
+           lane_finish_cycle, lane_suspended_cycles, lane_preemptions] =
+        tenants[0];
+    const void *members[] = {
+        &kernel, &provider, &cycles, &insns, &metadata_insns,
+        &l1_accesses, &l2_accesses, &dram_accesses, &rf_reads,
+        &rf_writes, &rename_lookups, &lrf_accesses, &orf_accesses,
+        &mrf_accesses, &osu_accesses, &osu_tag_lookups,
+        &osu_bank_conflicts, &compressor_accesses, &compressor_matches,
+        &compressor_incompressible, &compressor_static_hits,
+        &compressor_static_unsound, &osu_gated_bank_cycles,
+        &rf_cache_hits, &rf_cache_misses, &spill_stores, &fill_loads,
+        &preload_src_osu, &preload_src_compressor, &preload_src_l1,
+        &preload_src_l2dram, &l1_preload_reqs, &l1_store_reqs,
+        &l1_invalidate_reqs, &issued_slots, &stall_slots,
+        &skipped_cycles, &skip_events, &working_set_bytes,
+        &backing_series, &region_preloads_mean, &region_live_mean,
+        &region_live_stddev, &region_cycles_mean, &region_insns_mean,
+        &static_insns_per_region, &num_regions, &tenants,
+        &reg_dynamic, &reg_static, &compressor, &memory, &rest,
+        &lane_kernel, &lane_insns, &lane_issued_slots,
+        &lane_stall_slots, &lane_finish_cycle, &lane_suspended_cycles,
+        &lane_preemptions};
+    for (std::size_t i = 0; i < std::size(members); ++i)
+        EXPECT_EQ(listed.count(members[i]), 1u) << "member " << i;
+    EXPECT_EQ(listed.size(), std::size(members));
+}
+
+TEST(RunStatsFields, DistinctValuesRoundTripExactly)
+{
+    const sim::RunStats stats = distinctRun(0);
+    ASSERT_EQ(stats.tenants.size(), 2u);
+    ASSERT_GT(stats.insns, std::uint64_t{1} << 53);
+    const sim::RunStats back = sim::fromJson(sim::toJson(stats));
+    EXPECT_TRUE(back == stats);
+    // A double-based reader rounds odd counts above 2^53.
+    EXPECT_EQ(back.insns, stats.insns);
+    EXPECT_EQ(back.tenants[1].preemptions, stats.tenants[1].preemptions);
+    EXPECT_EQ(back.stallSlots.back(), stats.stallSlots.back());
+
+    sim::JobRecord record;
+    record.schema = sim::kJobCacheSchemaVersion;
+    record.stats = stats;
+    std::ostringstream oss;
+    sim::writeJson(oss, record);
+    sim::JobRecord parsed;
+    std::string error;
+    ASSERT_TRUE(sim::tryRecordFromJson(oss.str(), parsed, &error))
+        << error;
+    EXPECT_TRUE(parsed.stats == stats);
+}
+
+TEST(RunStatsFields, EveryFieldTakesPartInEquality)
+{
+    const sim::RunStats base = distinctRun(0);
+    for (std::size_t i = 0; i < fieldCount(base); ++i) {
+        sim::RunStats changed = base;
+        Perturb perturb(i);
+        sim::forEachField(perturb, changed);
+        if (perturb.derived)
+            continue;
+        EXPECT_FALSE(changed == base) << perturb.key;
+    }
+
+    const sim::TenantLane lane = base.tenants[0];
+    for (std::size_t i = 0; i < fieldCount(lane); ++i) {
+        sim::TenantLane changed = lane;
+        Perturb perturb(i);
+        sim::forEachField(perturb, changed);
+        EXPECT_FALSE(changed == lane) << "tenant lane " << perturb.key;
+    }
+}
+
+TEST(RunStatsFields, MergeAppliesEachFieldsRule)
+{
+    // b's values all exceed a's: Max must pick b, First must keep
+    // whichever run was merged into, in both merge orders.
+    const sim::RunStats a = distinctRun(0);
+    const sim::RunStats b = distinctRun(1000);
+    sim::RunStats ab = a;
+    sim::mergeRunStats(ab, b);
+    sim::forEachField(CheckMerge{}, ab, a, b);
+    sim::RunStats ba = b;
+    sim::mergeRunStats(ba, a);
+    sim::forEachField(CheckMerge{}, ba, b, a);
+
+    // The rules themselves: wall clock and finish cycles are the
+    // slowest SM's, counters sum, names and means stay the first's.
+    EXPECT_EQ(ab.cycles, b.cycles);
+    EXPECT_EQ(ab.tenants[1].finishCycle, b.tenants[1].finishCycle);
+    EXPECT_EQ(ab.insns, a.insns + b.insns);
+    EXPECT_EQ(ab.tenants[0].insns, a.tenants[0].insns + b.tenants[0].insns);
+    EXPECT_EQ(ab.energy.rest, a.energy.rest + b.energy.rest);
+    EXPECT_EQ(ab.kernel, a.kernel);
+    EXPECT_EQ(ab.tenants[0].kernel, a.tenants[0].kernel);
+    EXPECT_EQ(ab.regionLiveMean, a.regionLiveMean);
+    EXPECT_EQ(ab.backingSeries, a.backingSeries);
+
+    sim::RunStats single = a;
+    single.tenants.clear();
+    EXPECT_THROW(sim::mergeRunStats(single, b), sim::SimError);
+}
+
+// ---------------------------------------------------------------------
+// Hostile records: every damaged count is a parse failure, never a
+// crash, a wrapped value or a giant allocation.
+// ---------------------------------------------------------------------
+
+/** A two-tenant record with small, findable values. */
+std::string
+tenantRecordJson()
+{
+    sim::JobRecord record;
+    record.schema = sim::kJobCacheSchemaVersion;
+    record.stats.kernel = "nn+srad_v1";
+    record.stats.cycles = 4321;
+    record.stats.insns = 777;
+    record.stats.numRegions = 12;
+    record.stats.tenants.resize(2);
+    record.stats.tenants[0].kernel = "nn";
+    record.stats.tenants[0].insns = 300;
+    record.stats.tenants[1].kernel = "srad_v1";
+    record.stats.tenants[1].insns = 477;
+    std::ostringstream oss;
+    sim::writeJson(oss, record);
+    return oss.str();
+}
+
+TEST(StatsIoHostile, DamagedCountsFailTheParse)
+{
+    const std::string good = tenantRecordJson();
+    sim::JobRecord record;
+    ASSERT_TRUE(sim::tryRecordFromJson(good, record));
+    ASSERT_EQ(record.stats.tenants.size(), 2u);
+
+    const std::pair<std::string, std::string> damages[] = {
+        {"\"tenant_count\":2", "\"tenant_count\":1e18"},
+        {"\"tenant_count\":2", "\"tenant_count\":3"},
+        {"\"tenant_count\":2", "\"tenant_count\":1"},
+        {"\"tenant_count\":2", "\"tenant_count\":-2"},
+        {"\"tenant1_kernel\"", "\"tenant7_kernel\""},
+        {"\"tenant1_insns\":477", "\"tenant1_insns\":477,"
+                                  "\"tenant0_insns\":1"},
+        {"\"cycles\":4321", "\"cycles\":-5"},
+        {"\"insns\":777", "\"insns\":12.75"},
+        {"\"insns\":777", "\"insns\":7e2"},
+        {"\"insns\":777", "\"insns\":+777"},
+        {"\"insns\":777", "\"insns\":18446744073709551616"},
+        {"\"insns\":777", "\"insns\":\"777\""},
+        {"\"num_regions\":12", "\"num_regions\":4294967296"},
+        {"\"stall_no_warp\":0", "\"stall_no_warp\":0.5"},
+        {"\"tenant0_insns\":300", "\"tenant0_insns\":-300"},
+        {"\"record_attempts\":1", "\"record_attempts\":-1"},
+        {"\"record_schema\":", "\"record_schema\":-"},
+        {"\"kernel\":\"nn+srad_v1\"", "\"kernel\":5"},
+        {"\"working_set_bytes\":0", "\"working_set_bytes\":\"0\""},
+        {"\"backing_series\":[]", "\"backing_series\":3"},
+    };
+    for (const auto &[from, to] : damages) {
+        std::string text = good;
+        const std::size_t at = text.find(from);
+        ASSERT_NE(at, std::string::npos) << from;
+        text.replace(at, from.size(), to);
+        std::string error;
+        EXPECT_FALSE(sim::tryRecordFromJson(text, record, &error)) << to;
+        EXPECT_FALSE(error.empty()) << to;
+        // The plain RunStats reader skips record_* keys.
+        sim::RunStats stats;
+        if (from.rfind("\"record_", 0) != 0) {
+            EXPECT_FALSE(sim::tryFromJson(text, stats)) << to;
+        }
+    }
 }
 
 } // namespace

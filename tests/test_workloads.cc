@@ -184,7 +184,7 @@ TEST(RodiniaCharacterTest, DivergentKernelsDiverge)
         sim::GpuSimulator g(workloads::makeRodinia(name), cfg);
         g.run();
         EXPECT_GT(
-            g.sm().stats().counter("divergent_branches").value(), 0u)
+            g.sm().stats().value("divergent_branches"), 0u)
             << name;
     }
 }
