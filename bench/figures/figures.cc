@@ -1,13 +1,12 @@
 #include "figures/figures.hh"
 
+#include <charconv>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 
 #include "common/logging.hh"
 #include "common/sim_error.hh"
 #include "sim/experiment.hh"
-#include "sim/stats_io.hh"
 
 namespace regless::figures
 {
@@ -132,8 +131,27 @@ runFigure(const Figure &figure, FigureContext &ctx)
     }
 }
 
+namespace
+{
+
+/** The whole of @a text as a non-negative T; fatal() naming @a flag
+ *  otherwise. */
+template <typename T>
+T
+flagNumber(const std::string &flag, const std::string &text)
+{
+    T out{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    if (ec != std::errc() || ptr != end || !(out >= T{}))
+        fatal(flag, " wants a non-negative number, got '", text, "'");
+    return out;
+}
+
+} // namespace
+
 ReportOptions
-parseReportOptions(int argc, char **argv, bool allow_filter)
+parseReportOptions(int argc, char **argv)
 {
     ReportOptions options;
     for (int i = 1; i < argc; ++i) {
@@ -143,13 +161,12 @@ parseReportOptions(int argc, char **argv, bool allow_filter)
                 fatal("missing value for ", arg);
             return argv[++i];
         };
-        if (allow_filter && arg == "--filter") {
+        if (arg == "--filter") {
             options.filters.push_back(value());
-        } else if (allow_filter && arg == "--list") {
+        } else if (arg == "--list") {
             options.list = true;
         } else if (arg == "--jobs") {
-            options.jobs = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            options.jobs = flagNumber<unsigned>(arg, value());
         } else if (arg == "--json") {
             options.jsonPath = value();
         } else if (arg == "--no-cache") {
@@ -159,11 +176,9 @@ parseReportOptions(int argc, char **argv, bool allow_filter)
         } else if (arg == "--lint") {
             options.lint = true;
         } else if (arg == "--max-cycles") {
-            options.maxCycles = static_cast<Cycle>(
-                std::strtoull(value().c_str(), nullptr, 10));
+            options.maxCycles = flagNumber<Cycle>(arg, value());
         } else if (arg == "--job-timeout") {
-            options.jobTimeoutSec =
-                std::strtod(value().c_str(), nullptr);
+            options.jobTimeoutSec = flagNumber<double>(arg, value());
         } else if (arg == "--shard") {
             const std::string spec = value();
             char *end = nullptr;
@@ -179,17 +194,14 @@ parseReportOptions(int argc, char **argv, bool allow_filter)
                 options.shardIndex > options.shardCount)
                 fatal("--shard wants I/N with 1 <= I <= N, got '",
                       spec, "'");
-        } else if (allow_filter && arg == "--inject-deadlock") {
+        } else if (arg == "--inject-deadlock") {
             options.injectDeadlock = true;
         } else {
-            std::cerr
-                << "usage: " << argv[0]
-                << (allow_filter ? " [--filter SUBSTR] [--list]"
-                                   " [--inject-deadlock]"
-                                 : "")
-                << " [--jobs N] [--json PATH] [--no-cache]"
-                   " [--cache-dir DIR] [--lint] [--max-cycles N]"
-                   " [--job-timeout SEC] [--shard I/N]\n";
+            std::cerr << "usage: " << argv[0]
+                      << " [--filter SUBSTR] [--list] [--inject-deadlock]"
+                         " [--jobs N] [--json PATH] [--no-cache]"
+                         " [--cache-dir DIR] [--lint] [--max-cycles N]"
+                         " [--job-timeout SEC] [--shard I/N]\n";
             std::exit(arg == "--help" ? 0 : 1);
         }
     }
@@ -211,33 +223,6 @@ engineOptions(const ReportOptions &options)
     engine.shardIndex = options.shardIndex;
     engine.shardCount = options.shardCount;
     return engine;
-}
-
-int
-figureMain(const std::string &name, int argc, char **argv)
-{
-    // The library throws; this is the process-exit boundary.
-    try {
-        const Figure *figure = findFigure(name);
-        if (!figure)
-            fatal("unknown figure '", name, "'");
-        const ReportOptions options =
-            parseReportOptions(argc, argv, /*allow_filter=*/false);
-        sim::ExperimentEngine engine(engineOptions(options));
-        FigureContext ctx{engine, std::cout};
-        runFigure(*figure, ctx);
-        if (!options.jsonPath.empty()) {
-            std::ofstream out(options.jsonPath,
-                              std::ios::binary | std::ios::trunc);
-            if (!out)
-                fatal("cannot write '", options.jsonPath, "'");
-            sim::writeJson(out, engine.allStats());
-        }
-        return 0;
-    } catch (const std::exception &e) {
-        std::cerr << "fatal: " << e.what() << "\n";
-        return 1;
-    }
 }
 
 } // namespace regless::figures

@@ -5,8 +5,7 @@
  * needs on a shared ExperimentEngine and then formats the results, so
  * the common Rodinia × provider grid is simulated once per report run
  * (and zero times on a warm cache). The `regless_report` driver runs
- * every generator; the per-figure bench binaries are thin wrappers
- * around the same functions.
+ * every generator, or one with `--filter <name>`.
  */
 
 #ifndef REGLESS_BENCH_FIGURES_FIGURES_HH
@@ -31,7 +30,7 @@ struct FigureContext
 /** One registered table/figure generator. */
 struct Figure
 {
-    /** Registry key and wrapper-binary name, e.g. "fig16_runtime". */
+    /** Registry key and --filter name, e.g. "fig16_runtime". */
     const char *name;
     /** Banner title. */
     const char *title;
@@ -47,14 +46,14 @@ const std::vector<Figure> &allFigures();
 const Figure *findFigure(const std::string &name);
 
 /**
- * Print the banner and run the generator (driver and wrappers). A
- * SimError escaping the generator — a failed job whose stats() a
- * figure insists on, or a config error — is caught and rendered as a
- * "# figure skipped" line, so one bad figure never aborts the report.
+ * Print the banner and run the generator. A SimError escaping the
+ * generator — a failed job whose stats() a figure insists on, or a
+ * config error — is caught and rendered as a "# figure skipped" line,
+ * so one bad figure never aborts the report.
  */
 void runFigure(const Figure &figure, FigureContext &ctx);
 
-/** @name Shared CLI for regless_report and the wrapper binaries. */
+/** @name The regless_report command line. */
 /// @{
 struct ReportOptions
 {
@@ -66,7 +65,7 @@ struct ReportOptions
     std::string jsonPath;
     /** On-disk memoization of simulation points. */
     bool cache = true;
-    std::string cacheDir = ".regless-cache";
+    std::string cacheDir = sim::kDefaultCacheDir;
     /** Strict gate: lint every kernel once before simulating it. */
     bool lint = false;
     /** List figure names and exit. */
@@ -84,32 +83,25 @@ struct ReportOptions
     unsigned shardIndex = 0;
     unsigned shardCount = 0;
     /**
-     * Fault drill (regless_report only): submit one doomed job with an
-     * injected OSU-slot leak so the watchdog, the failure footer, and
-     * the isolation of healthy jobs can be exercised end to end.
+     * Fault drill: submit one doomed job with an injected OSU-slot
+     * leak so the watchdog, the failure footer, and the isolation of
+     * healthy jobs can be exercised end to end.
      */
     bool injectDeadlock = false;
 };
 
 /**
- * Parse the shared flags (--filter, --jobs, --json, --no-cache,
- * --cache-dir, --lint, --list, --max-cycles, --job-timeout,
- * --inject-deadlock); fatal() with usage on anything unknown.
- * @param allow_filter False for wrapper binaries, which are already
- *        a single figure (also gates --list and --inject-deadlock).
+ * Parse the flags (--filter, --jobs, --json, --no-cache, --cache-dir,
+ * --lint, --list, --max-cycles, --job-timeout, --shard,
+ * --inject-deadlock); exit with usage on anything unknown. A numeric
+ * value must be one whole non-negative number token; fatal() names the
+ * flag and the value otherwise.
  */
-ReportOptions parseReportOptions(int argc, char **argv,
-                                 bool allow_filter);
+ReportOptions parseReportOptions(int argc, char **argv);
 
 /** Engine configured from @a options. */
 sim::ExperimentEngine::Options engineOptions(
     const ReportOptions &options);
-
-/**
- * Wrapper-binary entry point: run the named figure to stdout with the
- * shared CLI (minus --filter). Returns the process exit code.
- */
-int figureMain(const std::string &name, int argc, char **argv);
 /// @}
 
 } // namespace regless::figures

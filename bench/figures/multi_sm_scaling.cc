@@ -6,9 +6,9 @@
  * baseline and RegLess — operand staging adds no shared-resource
  * pressure.
  *
- * The wall-clock throughput column of the pre-engine binary is not
- * reproducible from cached results and lives on in the wrapper's
- * --threads timed mode only.
+ * Host wall-clock throughput is not a cacheable simulation result and
+ * is not printed here; perfbench's chip64 workload times the 64-SM run
+ * (perfbench/README.md).
  */
 
 #include "figures/figures.hh"

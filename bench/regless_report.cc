@@ -140,8 +140,8 @@ main(int argc, char **argv)
     // Library code throws SimError; this main is the process-exit
     // boundary.
     try {
-        figures::ReportOptions options = figures::parseReportOptions(
-            argc, argv, /*allow_filter=*/true);
+        figures::ReportOptions options =
+            figures::parseReportOptions(argc, argv);
 
         if (options.list) {
             for (const figures::Figure &figure : figures::allFigures())

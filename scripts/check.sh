@@ -16,7 +16,10 @@
 #   5. the multi-tenant suite (ctest label "tenants"): single-tenant
 #      byte parity, per-tenant closed accounts, the preemption chaos
 #      test, starved-tenant reporting, and QoS (DESIGN.md §16);
-#   6. ASan and TSan passes over the skip-enabled determinism subset
+#   6. the benchmark's own tests (perfbench/test_perfbench.py): the
+#      metric names match BENCHMARK.json, and the figure text and
+#      result digests match perfbench/reference.json byte for byte;
+#   7. ASan and TSan passes over the skip-enabled determinism subset
 #      (the SoA warp state and bulk stall-charging touch hot arrays;
 #      the multi-SM epoch loop skips under worker threads).
 set -euo pipefail
@@ -77,6 +80,11 @@ cmake --build "$BUILD_DIR" -j
 (cd "$BUILD_DIR" && ctest --output-on-failure -L cache -j "$(nproc)")
 (cd "$BUILD_DIR" && ctest --output-on-failure -L tenants -j "$(nproc)")
 
+# perfbench is the only tool that measures host time, and its digests
+# are the report's byte-parity oracle. It builds its own Release tree
+# under .bench_build/.
+python3 perfbench/test_perfbench.py
+
 # Skip-enabled determinism subset under AddressSanitizer: the oracle
 # sweep plus the property fuzzer (random kernels + fault plans).
 ASAN_DIR=${ASAN_BUILD_DIR:-build-asan}
@@ -95,4 +103,4 @@ cmake --build "$TSAN_DIR" -j --target regless_oracle_tests
 "$TSAN_DIR"/tests/regless_oracle_tests \
     --gtest_filter='*MultiSmCycleSkipOracle*'
 
-echo "check: tier-1, oracle, asan, and tsan subsets all passed"
+echo "check: tier-1, oracle, perfbench, asan, and tsan subsets all passed"

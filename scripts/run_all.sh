@@ -10,5 +10,7 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 # deduplicated and cached in .regless-cache/ (DESIGN.md section 7).
 ./build/bench/regless_report 2>&1 | tee bench_output.txt
 ./build/bench/micro_components 2>&1 | tee -a bench_output.txt
+# results.md is served from the same cache: after the report above,
+# generate_report simulates nothing.
 ./build/examples/generate_report results.md
 echo "done: test_output.txt, bench_output.txt, results.md"

@@ -269,13 +269,4 @@ verifyStructure(const CompiledKernel &ck, bool check_load_use)
     return findings.take();
 }
 
-std::vector<std::string>
-verifyCompiledKernel(const CompiledKernel &ck, bool check_load_use)
-{
-    std::vector<std::string> messages;
-    for (const Finding &f : verifyStructure(ck, check_load_use))
-        messages.push_back(f.message);
-    return messages;
-}
-
 } // namespace regless::compiler

@@ -14,7 +14,6 @@
 #ifndef REGLESS_COMPILER_VERIFIER_HH
 #define REGLESS_COMPILER_VERIFIER_HH
 
-#include <string>
 #include <vector>
 
 #include "compiler/compiler.hh"
@@ -33,15 +32,6 @@ namespace regless::compiler
  */
 std::vector<Finding> verifyStructure(const CompiledKernel &ck,
                                      bool check_load_use = true);
-
-/**
- * String shim over verifyStructure() for callers predating the
- * structured Finding type.
- *
- * @return one message per violated invariant; empty when sound.
- */
-std::vector<std::string> verifyCompiledKernel(const CompiledKernel &ck,
-                                              bool check_load_use = true);
 
 } // namespace regless::compiler
 

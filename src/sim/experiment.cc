@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <iomanip>
-#include <iostream>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -26,12 +25,9 @@ runKernel(const ir::Kernel &kernel, const GpuConfig &config)
 }
 
 RunStats
-runRegless(const ir::Kernel &kernel, unsigned osu_entries,
-           bool compressor)
+runRegless(const ir::Kernel &kernel, unsigned osu_entries)
 {
-    GpuConfig config = GpuConfig::forProvider(
-        compressor ? ProviderKind::Regless
-                   : ProviderKind::ReglessNoCompressor);
+    GpuConfig config = GpuConfig::forProvider(ProviderKind::Regless);
     config.setOsuCapacity(osu_entries);
     return runKernel(kernel, config);
 }
@@ -61,12 +57,6 @@ banner(std::ostream &os, const std::string &title,
     os << "# Reproduces: " << paper_ref
        << " (RegLess, MICRO-50 2017)\n";
     os << "#" << std::string(70, '-') << "\n";
-}
-
-void
-banner(const std::string &title, const std::string &paper_ref)
-{
-    banner(std::cout, title, paper_ref);
 }
 
 TableWriter::TableWriter(std::ostream &os,

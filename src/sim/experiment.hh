@@ -1,7 +1,8 @@
 /**
  * @file
- * Shared experiment drivers and table formatting for the benchmark
- * harnesses (one binary per paper figure/table; see DESIGN.md §4).
+ * Direct, uncached experiment drivers for examples and tests, and the
+ * table formatting shared by the figure generators behind
+ * regless_report (see DESIGN.md §4).
  */
 
 #ifndef REGLESS_SIM_EXPERIMENT_HH
@@ -30,8 +31,7 @@ RunStats runKernel(const ir::Kernel &kernel, const GpuConfig &config);
  * Run @a kernel under RegLess with a specific OSU capacity (derives
  * matching compiler constraints).
  */
-RunStats runRegless(const ir::Kernel &kernel, unsigned osu_entries,
-                    bool compressor = true);
+RunStats runRegless(const ir::Kernel &kernel, unsigned osu_entries);
 
 /** Fixed-width left-aligned cell. */
 std::string cell(const std::string &text, unsigned width);
@@ -39,10 +39,7 @@ std::string cell(const std::string &text, unsigned width);
 /** Fixed-width numeric cell with @a digits decimals. */
 std::string cell(double value, unsigned width, unsigned digits = 3);
 
-/** Print a standard bench banner with the figure/table reference. */
-void banner(const std::string &title, const std::string &paper_ref);
-
-/** Banner variant writing to an arbitrary stream. */
+/** Print a standard figure banner with the figure/table reference. */
 void banner(std::ostream &os, const std::string &title,
             const std::string &paper_ref);
 

@@ -59,6 +59,10 @@ namespace regless::sim
 //     config fingerprint gained the tenants.* block.
 constexpr unsigned kJobCacheSchemaVersion = 9;
 
+/** Cache root of regless_report, generate_report and regless_cache
+ * when none is given. */
+constexpr const char *kDefaultCacheDir = ".regless-cache";
+
 /**
  * Deterministic failure injection for the cache layer, mirroring the
  * simulator's FaultPlan (DESIGN.md §9): one environmental fault,

@@ -100,9 +100,6 @@ class MultiSmSimulator
         return static_cast<unsigned>(_sms.size());
     }
 
-    /** Worker threads run() will use. */
-    unsigned threads() const { return _threads; }
-
     /** The shared DRAM model (for queueing statistics). */
     mem::DramModel &dram() { return *_dram; }
 

@@ -4,7 +4,7 @@
  * top-level GpuConfig field, duplicate submissions collapse onto one
  * job, the on-disk cache hits on identical configs and misses on any
  * change or corruption, and results are identical for every worker
- * count.
+ * count. Also the report's numeric flags, which must parse whole.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,10 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/sim_error.hh"
 #include "figures/figures.hh"
 #include "sim/experiment_engine.hh"
 #include "workloads/kernel_builder.hh"
@@ -287,10 +290,8 @@ TEST(ExperimentEngine, LintGateRunsBeforeServingCachedResults)
 
 TEST(FigureGenerators, ColdAndWarmRunsEmitIdenticalBytes)
 {
-    // The wrapper binary and the report driver both call runFigure on
-    // the same generator, so wrapper parity reduces to this: the same
-    // figure rendered from fresh simulations and from the cache must
-    // be byte-identical.
+    // The same figure rendered from fresh simulations and from the
+    // cache must be byte-identical.
     const figures::Figure *figure =
         figures::findFigure("fig03_backing_store");
     ASSERT_NE(figure, nullptr);
@@ -314,6 +315,57 @@ TEST(FigureGenerators, ColdAndWarmRunsEmitIdenticalBytes)
 
     EXPECT_EQ(cold_out.str(), warm_out.str());
     EXPECT_FALSE(cold_out.str().empty());
+}
+
+/** parseReportOptions over a regless_report command line. */
+figures::ReportOptions
+parseFlags(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "regless_report");
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    return figures::parseReportOptions(static_cast<int>(argv.size()),
+                                       argv.data());
+}
+
+/** `@a flag @a value` must throw a SimError naming both. */
+void
+expectRejected(const std::string &flag, const std::string &value)
+{
+    try {
+        parseFlags({flag, value});
+        ADD_FAILURE() << flag << " " << value << " was accepted";
+    } catch (const sim::SimError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(flag), std::string::npos) << what;
+        EXPECT_NE(what.find("'" + value + "'"), std::string::npos)
+            << what;
+    }
+}
+
+TEST(ReportFlags, JobsMustBeOneWholeNumber)
+{
+    EXPECT_EQ(parseFlags({"--jobs", "4"}).jobs, 4u);
+    expectRejected("--jobs", "four");
+    expectRejected("--jobs", "-1");
+    expectRejected("--jobs", "4x");
+}
+
+TEST(ReportFlags, MaxCyclesMustBeOneWholeNumber)
+{
+    EXPECT_EQ(parseFlags({"--max-cycles", "1000000"}).maxCycles,
+              1'000'000u);
+    expectRejected("--max-cycles", "1e6");
+    expectRejected("--max-cycles", "-5");
+}
+
+TEST(ReportFlags, JobTimeoutMustBeOneNonNegativeNumber)
+{
+    EXPECT_EQ(parseFlags({"--job-timeout", "2.5"}).jobTimeoutSec, 2.5);
+    expectRejected("--job-timeout", "5s");
+    expectRejected("--job-timeout", "-1");
+    expectRejected("--job-timeout", "nan");
 }
 
 } // namespace

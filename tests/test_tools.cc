@@ -205,10 +205,10 @@ TEST_P(VerifierTest, BenchmarkKernelsVerifyClean)
 {
     compiler::CompiledKernel ck =
         compiler::compile(workloads::makeRodinia(GetParam()));
-    std::vector<std::string> findings =
-        compiler::verifyCompiledKernel(ck);
+    std::vector<compiler::Finding> findings =
+        compiler::verifyStructure(ck);
     EXPECT_TRUE(findings.empty())
-        << GetParam() << ": " << findings.front();
+        << GetParam() << ": " << findings.front().message;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -233,10 +233,11 @@ TEST(VerifierTest, DetectsCorruptedRegion)
     compiler::CompiledKernel broken(ck.kernel(), std::move(regions),
                                     ck.lifetimeStats(),
                                     ck.metadataInsns());
-    std::vector<std::string> findings =
-        compiler::verifyCompiledKernel(broken);
+    std::vector<compiler::Finding> findings =
+        compiler::verifyStructure(broken);
     ASSERT_FALSE(findings.empty());
-    EXPECT_NE(findings.front().find("maxLive"), std::string::npos);
+    EXPECT_NE(findings.front().message.find("maxLive"),
+              std::string::npos);
 }
 
 TEST(VerifierTest, NoLoadUseCheckWhenSplitDisabled)
@@ -247,9 +248,9 @@ TEST(VerifierTest, NoLoadUseCheckWhenSplitDisabled)
         compiler::compile(workloads::makeRodinia("kmeans"), cfg);
     // With the split disabled, load/use pairs are expected; verify
     // everything else still holds.
-    std::vector<std::string> findings =
-        compiler::verifyCompiledKernel(ck, /*check_load_use=*/false);
-    EXPECT_TRUE(findings.empty()) << findings.front();
+    std::vector<compiler::Finding> findings =
+        compiler::verifyStructure(ck, /*check_load_use=*/false);
+    EXPECT_TRUE(findings.empty()) << findings.front().message;
 }
 
 TEST(StatsDumpTest, ProviderAndSimulatorDumpStats)

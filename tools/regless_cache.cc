@@ -34,8 +34,6 @@ using namespace regless;
 namespace
 {
 
-constexpr const char *kDefaultDir = ".regless-cache";
-
 [[noreturn]] void
 usage(int code)
 {
@@ -122,7 +120,7 @@ main(int argc, char **argv)
         if (command == "--help" || command == "-h")
             usage(0);
 
-        std::string dir = kDefaultDir;
+        std::string dir = sim::kDefaultCacheDir;
         bool strict = false;
         sim::CacheGcOptions gc;
         for (int i = 2; i < argc; ++i) {
