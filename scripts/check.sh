@@ -20,8 +20,9 @@
 #      metric names match BENCHMARK.json, and the figure text and
 #      result digests match perfbench/reference.json byte for byte;
 #   7. ASan and TSan passes over the skip-enabled determinism subset
-#      (the SoA warp state and bulk stall-charging touch hot arrays;
-#      the multi-SM epoch loop skips under worker threads).
+#      (the per-warp stall-verdict memo and bulk stall charging index
+#      hot per-warp arrays; the pinned digests run under ASan too; the
+#      multi-SM epoch loop skips under worker threads).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

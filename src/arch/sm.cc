@@ -1,6 +1,7 @@
 #include "arch/sm.hh"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "common/logging.hh"
@@ -44,7 +45,8 @@ Sm::Sm(std::vector<SmTenantSpec> tenants, mem::MemorySystem &mem,
       _memTransactions(_stats.counter("global_mem_transactions")),
       _skippedCycles(_stats.counter("skipped_cycles")),
       _skipEvents(_stats.counter("skip_events")),
-      _warpStalls(config.numWarps)
+      _warpStalls(config.numWarps),
+      _stallMemo(config.numWarps)
 {
     for (std::size_t c = 0; c < kNumStallCauses; ++c) {
         _stallSlots[c] = &_stats.counter(
@@ -249,19 +251,33 @@ Sm::eligible(Tenant &tn, const Warp &warp, Cycle now, bool *long_stall,
         return blocked(StallCause::SyncBarrier);
     if (warp.status() != WarpStatus::Running)
         return blocked(StallCause::NoWarp);
+    StallMemo &memo = _stallMemo[warp.id()];
+    if (now < memo.until) {
+        *long_stall = memo.longStall;
+        bound(memo.nextReady);
+        return blocked(memo.cause);
+    }
     const ir::Instruction &insn = tn.kernel->insn(warp.pc());
     if (!tn.scoreboard.ready(warp.id(), insn, now)) {
-        // Long-latency source? (feeds the two-level demotion)
+        // Long-latency source? (feeds the two-level demotion) A source
+        // stops counting as long at readyAt - threshold: the flip.
+        Cycle flip = std::numeric_limits<Cycle>::max();
         for (RegId src : insn.srcs()) {
-            if (tn.scoreboard.readyAt(warp.id(), src) >
-                now + _cfg.longStallThreshold) {
+            const Cycle at = tn.scoreboard.readyAt(warp.id(), src);
+            if (at > now + _cfg.longStallThreshold) {
                 *long_stall = true;
+                flip = std::min(flip, at - _cfg.longStallThreshold);
             }
         }
-        bound(tn.scoreboard.nextReadyChange(warp.id(), insn, now));
-        return blocked(tn.scoreboard.blockedOnMem(warp.id(), insn, now)
-                           ? StallCause::MemPending
-                           : StallCause::ScoreboardDep);
+        memo.nextReady =
+            tn.scoreboard.nextReadyChange(warp.id(), insn, now);
+        memo.until = std::min(memo.nextReady, flip);
+        memo.cause = tn.scoreboard.blockedOnMem(warp.id(), insn, now)
+                         ? StallCause::MemPending
+                         : StallCause::ScoreboardDep;
+        memo.longStall = *long_stall;
+        bound(memo.nextReady);
+        return blocked(memo.cause);
     }
     if (insn.isGlobalLoad() || insn.isGlobalStore()) {
         if (!_mem.l1PortFree(now)) {
@@ -494,6 +510,9 @@ Sm::execExit(Tenant &tn, Warp &warp, Cycle now)
 void
 Sm::issue(Tenant &tn, Warp &warp, Cycle now)
 {
+    // Issuing moves the PC and writes scoreboard rows: the warp's
+    // replayed verdict no longer holds.
+    _stallMemo[warp.id()].until = 0;
     const Pc pc = warp.pc();
     const ir::Instruction &insn = tn.kernel->insn(pc);
     if (_issueHook)

@@ -321,6 +321,23 @@ class Sm
         Cycle nextEvent = regfile::kNoProviderEvent;
     };
 
+    /**
+     * A Running warp's last failed scoreboard verdict, replayed by
+     * eligible() while now < until (DESIGN.md §12). Only issue()
+     * changes a warp's scoreboard rows or PC, and it clears the memo.
+     * Without an issue, time alone changes the verdict only when a
+     * pending register becomes ready (nextReady) or a source stops
+     * counting as a long stall, so until is the earlier of the two.
+     */
+    struct StallMemo
+    {
+        Cycle until = 0;
+        /** Scoreboard::nextReadyChange at the fill. */
+        Cycle nextReady = 0;
+        StallCause cause = StallCause::ScoreboardDep;
+        bool longStall = false;
+    };
+
     Tenant &tenant(unsigned t) { return *_tenants.at(t); }
     const Tenant &tenant(unsigned t) const { return *_tenants.at(t); }
     Tenant &tenantOf(const Warp &warp)
@@ -410,6 +427,8 @@ class Sm
     Counter &_skippedCycles;
     Counter &_skipEvents;
     std::vector<std::array<std::uint64_t, kNumStallCauses>> _warpStalls;
+    /** Per-warp replayed scoreboard verdicts, indexed by warp id. */
+    std::vector<StallMemo> _stallMemo;
     /** All schedulers safe to skip over? (precomputed at build) */
     bool _schedulersQuiescent = true;
     /** @name Preallocated per-group scan buffers (no per-cycle heap). */

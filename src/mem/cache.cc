@@ -1,5 +1,7 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace regless::mem
@@ -55,12 +57,25 @@ Cache::findLine(Addr addr) const
 void
 Cache::expireMshrs(Cycle now)
 {
+    if (now < _mshrMinReady)
+        return;
+    _mshrMinReady = std::numeric_limits<Cycle>::max();
     for (auto it = _mshrMap.begin(); it != _mshrMap.end();) {
-        if (it->second <= now)
+        if (it->second <= now) {
             it = _mshrMap.erase(it);
-        else
+        } else {
+            _mshrMinReady = std::min(_mshrMinReady, it->second);
             ++it;
+        }
     }
+}
+
+std::size_t
+Cache::mshrsInUse(Cycle now) const
+{
+    return static_cast<std::size_t>(
+        std::count_if(_mshrMap.begin(), _mshrMap.end(),
+                      [now](const auto &m) { return m.second > now; }));
 }
 
 CacheResult
@@ -136,6 +151,7 @@ void
 Cache::fillComplete(Addr addr, Cycle ready)
 {
     _mshrMap[lineAddr(addr)] = ready;
+    _mshrMinReady = std::min(_mshrMinReady, ready);
 }
 
 bool

@@ -13,6 +13,7 @@
 #define REGLESS_MEM_CACHE_HH
 
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -97,11 +98,14 @@ class Cache
     /** Ready cycle of the outstanding miss covering @a addr. */
     Cycle outstandingReady(Addr addr) const;
 
-    /** Retire MSHRs whose fills completed at or before @a now. */
+    /**
+     * Retire MSHRs whose fills completed at or before @a now. Returns
+     * at once while @a now is below every outstanding ready cycle.
+     */
     void expireMshrs(Cycle now);
 
-    /** Outstanding-miss registers currently allocated. */
-    std::size_t mshrsInUse() const { return _mshrMap.size(); }
+    /** Outstanding misses whose fills land after @a now. */
+    std::size_t mshrsInUse(Cycle now) const;
 
     StatGroup &stats() { return _stats; }
     const StatGroup &stats() const { return _stats; }
@@ -129,6 +133,9 @@ class Cache
     std::vector<std::vector<Line>> _sets;
     /** Outstanding miss lines -> fill-ready cycle. */
     std::unordered_map<Addr, Cycle> _mshrMap;
+    /** Lower bound on the ready cycles in _mshrMap: fillComplete
+     *  lowers it, and each walk in expireMshrs recomputes it. */
+    Cycle _mshrMinReady = std::numeric_limits<Cycle>::max();
     std::uint64_t _lruCounter = 0;
     StatGroup _stats;
     Counter &_hits;

@@ -58,6 +58,8 @@ CapacityManager::CapacityManager(std::string name,
         _supervised[w] = 1;
         _stack.push_back(w); // lowest id activates first
     }
+    _stateCount[static_cast<std::size_t>(CmState::Inactive)] =
+        static_cast<unsigned>(_shardWarps.size());
 }
 
 CapacityManager::WarpCtx &
@@ -294,13 +296,12 @@ CapacityManager::processPreloads(WarpCtx &wc, WarpId warp, Cycle now,
                         : arch::StallCause::MemPending;
 }
 
-unsigned
-CapacityManager::preloadingWarps() const
+void
+CapacityManager::setState(WarpCtx &wc, CmState state)
 {
-    unsigned n = 0;
-    for (WarpId w : _shardWarps)
-        n += (_ctx[w].state == CmState::Preloading);
-    return n;
+    --_stateCount[static_cast<std::size_t>(wc.state)];
+    ++_stateCount[static_cast<std::size_t>(state)];
+    wc.state = state;
 }
 
 void
@@ -341,7 +342,7 @@ CapacityManager::finishDrain(WarpCtx &wc, WarpId warp, Cycle now)
     }
 
     sampleRegionStats(wc, now);
-    wc.state = CmState::Inactive;
+    setState(wc, CmState::Inactive);
     wc.blockCause = arch::StallCause::CmNotStaged;
     wc.region = compiler::invalidRegion;
     wc.preloadCount = 0;
@@ -360,7 +361,7 @@ CapacityManager::tryActivate(Cycle now)
         panic("CapacityManager warp source not bound");
     if (_suspended)
         return; // region-boundary preemption: no new activations
-    while (preloadingWarps() < _cfg.preloadSlotsPerShard &&
+    while (warpsIn(CmState::Preloading) < _cfg.preloadSlotsPerShard &&
            !_stack.empty()) {
         // Top-of-stack activation; warps parked at a barrier are
         // skipped so they cannot hoard staging space.
@@ -471,7 +472,7 @@ CapacityManager::tryActivate(Cycle now)
         // are fetched and decoded as the region enters the pipeline.
         _metadataInsns += region.metadataInsns;
         _stack.erase(pick);
-        wc.state = CmState::Preloading;
+        setState(wc, CmState::Preloading);
         wc.blockCause = arch::StallCause::MemPending;
         wc.region = rid;
         wc.preloadReady = now;
@@ -505,7 +506,7 @@ CapacityManager::tryActivate(Cycle now)
             wc.invalidations.push_back(reg);
 
         if (wc.preloads.empty() && wc.invalidations.empty()) {
-            wc.state = CmState::Active;
+            setState(wc, CmState::Active);
             wc.blockCause = arch::StallCause::CmNotStaged;
             wc.activatedAt = now;
             ++_activations;
@@ -534,28 +535,32 @@ CapacityManager::tick(Cycle now)
         _compressor->tick(now);
 
     // Retire draining warps first so their lines are reusable.
-    for (WarpId w : _shardWarps) {
-        WarpCtx &wc = ctx(w);
-        if (wc.state == CmState::Draining && now >= wc.drainUntil)
-            finishDrain(wc, w, now);
+    if (warpsIn(CmState::Draining) != 0) {
+        for (WarpId w : _shardWarps) {
+            WarpCtx &wc = ctx(w);
+            if (wc.state == CmState::Draining && now >= wc.drainUntil)
+                finishDrain(wc, w, now);
+        }
     }
 
     // Progress preloading warps (one preload per bank per cycle).
-    std::array<bool, osuBanks> bank_busy{};
-    for (WarpId w : _shardWarps) {
-        WarpCtx &wc = ctx(w);
-        if (wc.state != CmState::Preloading)
-            continue;
-        processInvalidations(wc, w, now);
-        processPreloads(wc, w, now, bank_busy);
-        if (wc.preloads.empty() && wc.invalidations.empty() &&
-            now >= wc.preloadReady) {
-            wc.state = CmState::Active;
-            wc.blockCause = arch::StallCause::CmNotStaged;
-            wc.activatedAt = now;
-            ++_activations;
-            if (_onActivate)
-                _onActivate(w, wc.region, now);
+    if (warpsIn(CmState::Preloading) != 0) {
+        std::array<bool, osuBanks> bank_busy{};
+        for (WarpId w : _shardWarps) {
+            WarpCtx &wc = ctx(w);
+            if (wc.state != CmState::Preloading)
+                continue;
+            processInvalidations(wc, w, now);
+            processPreloads(wc, w, now, bank_busy);
+            if (wc.preloads.empty() && wc.invalidations.empty() &&
+                now >= wc.preloadReady) {
+                setState(wc, CmState::Active);
+                wc.blockCause = arch::StallCause::CmNotStaged;
+                wc.activatedAt = now;
+                ++_activations;
+                if (_onActivate)
+                    _onActivate(w, wc.region, now);
+            }
         }
     }
 
@@ -721,7 +726,7 @@ CapacityManager::onIssue(const arch::Warp &warp, Pc pc,
             }
         }
         wc.drainUntil = std::max({wc.drainUntil, now + 1, writeback});
-        wc.state = CmState::Draining;
+        setState(wc, CmState::Draining);
         wc.blockCause = arch::StallCause::CmNotStaged;
     }
 }
@@ -844,7 +849,7 @@ CapacityManager::onWarpFinished(const arch::Warp &warp, Cycle now)
     wc.invalidations.clear();
     if (wc.region != compiler::invalidRegion)
         sampleRegionStats(wc, now);
-    wc.state = CmState::Done;
+    setState(wc, CmState::Done);
     wc.region = compiler::invalidRegion;
     for (auto it = _stack.begin(); it != _stack.end();) {
         if (*it == warp.id())

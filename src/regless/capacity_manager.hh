@@ -45,6 +45,9 @@ enum class CmState : std::uint8_t
     Done,
 };
 
+constexpr std::size_t kNumCmStates =
+    static_cast<std::size_t>(CmState::Done) + 1;
+
 /** One warp scheduler's capacity manager. */
 class CapacityManager
 {
@@ -269,7 +272,14 @@ class CapacityManager
     void finishDrain(WarpCtx &wc, WarpId warp, Cycle now);
     void sampleRegionStats(const WarpCtx &wc, Cycle now);
     void tryActivate(Cycle now);
-    unsigned preloadingWarps() const;
+
+    /** Every state transition goes through here to keep the counts. */
+    void setState(WarpCtx &wc, CmState state);
+    /** Shard warps currently in @a state. */
+    unsigned warpsIn(CmState state) const
+    {
+        return _stateCount[static_cast<std::size_t>(state)];
+    }
 
     std::vector<WarpId> _shardWarps;
     const compiler::CompiledKernel &_ck;
@@ -291,6 +301,8 @@ class CapacityManager
      */
     std::vector<WarpCtx> _ctx;
     std::vector<std::uint8_t> _supervised;
+    /** Shard warps in each CmState (tick skips empty passes). */
+    std::array<unsigned, kNumCmStates> _stateCount{};
     /** Did the last tick charge a blocked activation? (skip replay) */
     bool _activationWasBlocked = false;
     /**

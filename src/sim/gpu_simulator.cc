@@ -517,8 +517,10 @@ GpuSimulator::deadlockSnapshot(const ProgressMonitor &monitor,
         provider->describeStorage(report.banks);
 
     std::ostringstream mem;
-    mem << "L1 MSHRs in use: " << _mem->l1().mshrsInUse()
-        << ", L2 MSHRs in use: " << _mem->l2().mshrsInUse();
+    // Only misses still in flight at the SM's cycle: an expired entry
+    // stays in the map until a later access retires it.
+    mem << "L1 MSHRs in use: " << _mem->l1().mshrsInUse(_sm->now())
+        << ", L2 MSHRs in use: " << _mem->l2().mshrsInUse(_sm->now());
     report.memState = mem.str();
 
     // Slot attribution over the no-progress window (or the whole run

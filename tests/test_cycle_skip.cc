@@ -16,7 +16,9 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -395,6 +397,158 @@ TEST(CycleSkipConfig, SkipModeIsPartOfTheConfigFingerprint)
                   referenceConfig(sim::ProviderKind::Regless)),
               sim::configCanonicalText(
                   skippingConfig(sim::ProviderKind::Regless)));
+}
+
+/*
+ * Pinned results. The oracle above compares skip-on against skip-off,
+ * so it cannot see a change both stepping modes share, such as a stale
+ * replayed stall verdict in the eligibility scan (DESIGN.md §12). These
+ * tests pin the simulated results themselves: FNV-1a digests of toJson
+ * for fixed runs. A deliberate change to simulated behaviour updates
+ * the tables; every mismatch prints the entry's new digest.
+ */
+
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t hash = 1469598103934665603ULL;
+    for (unsigned char c : text) {
+        hash ^= c;
+        hash *= 1099511628211ULL;
+    }
+    return hash;
+}
+
+/** Checks every run's digest against @a pinned, both ways. */
+void
+expectPinned(const std::map<std::string, std::uint64_t> &pinned,
+             const std::map<std::string, std::string> &runs)
+{
+    for (const auto &[name, json] : runs) {
+        const std::uint64_t digest = fnv1a(json);
+        auto it = pinned.find(name);
+        EXPECT_TRUE(it != pinned.end() && it->second == digest)
+            << "new digest: {\"" << name << "\", 0x" << std::hex
+            << digest << "ULL},";
+    }
+    for (const auto &[name, digest] : pinned)
+        EXPECT_EQ(runs.count(name), 1u) << "stale entry " << name;
+}
+
+TEST(CycleSkipPinned, SingleSmRunsMatchTheirDigests)
+{
+    // Every provider under its own scheduler and forced to two_level
+    // (the only policy that consumes the long-stall bit) and to rr.
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"backprop/baseline/canonical", 0x271dfd9dd914561eULL},
+        {"backprop/baseline/rr", 0x307f101c4bd105b5ULL},
+        {"backprop/baseline/two_level", 0xd747571935052f54ULL},
+        {"backprop/regdem/canonical", 0xa1c09b40aef072c1ULL},
+        {"backprop/regdem/rr", 0x5a9da173e651d781ULL},
+        {"backprop/regdem/two_level", 0x275e3cebade22835ULL},
+        {"backprop/regless/canonical", 0x66f8806a6ab832dULL},
+        {"backprop/regless/rr", 0x1cc6d85946b30a04ULL},
+        {"backprop/regless/two_level", 0xff86737e7f1fc477ULL},
+        {"backprop/regless_nocomp/canonical", 0xf42980ccf818c7e8ULL},
+        {"backprop/regless_nocomp/rr", 0x8d30bcef9f2fdf2ULL},
+        {"backprop/regless_nocomp/two_level", 0x599cb48e9a8e4103ULL},
+        {"backprop/rfcache/canonical", 0xff8362653a626390ULL},
+        {"backprop/rfcache/rr", 0x618dcccb2739566eULL},
+        {"backprop/rfcache/two_level", 0x31763a7f94b611a2ULL},
+        {"backprop/rfh/canonical", 0xbe5dad76effaa4bdULL},
+        {"backprop/rfh/rr", 0xece6914f41e1e1c5ULL},
+        {"backprop/rfh/two_level", 0xbe5dad76effaa4bdULL},
+        {"backprop/rfv/canonical", 0x17ed9b20e06e99f4ULL},
+        {"backprop/rfv/rr", 0x32acb49494aa361dULL},
+        {"backprop/rfv/two_level", 0x17ed9b20e06e99f4ULL},
+        {"heartwall/baseline/canonical", 0x9a277136cba0aa51ULL},
+        {"heartwall/baseline/rr", 0x739153041860644fULL},
+        {"heartwall/baseline/two_level", 0x4559b8844440495aULL},
+        {"heartwall/regdem/canonical", 0x36e54b13da9b719cULL},
+        {"heartwall/regdem/rr", 0xfe1d83c45bec0764ULL},
+        {"heartwall/regdem/two_level", 0x301ece7884e1f9f7ULL},
+        {"heartwall/regless/canonical", 0x9a5f35a3c30224d0ULL},
+        {"heartwall/regless/rr", 0x499a8d0478adcc7eULL},
+        {"heartwall/regless/two_level", 0x17a1de054349eb06ULL},
+        {"heartwall/regless_nocomp/canonical", 0x993a69ea7c74700bULL},
+        {"heartwall/regless_nocomp/rr", 0x5e4af27bbf0e454aULL},
+        {"heartwall/regless_nocomp/two_level", 0x7e37516d760f2f42ULL},
+        {"heartwall/rfcache/canonical", 0x214ab8183e3a173eULL},
+        {"heartwall/rfcache/rr", 0xee42cc7fc0b985bcULL},
+        {"heartwall/rfcache/two_level", 0x77fe7d416e245bbdULL},
+        {"heartwall/rfh/canonical", 0x9074035be5c93fe0ULL},
+        {"heartwall/rfh/rr", 0x23cc446473f2b1daULL},
+        {"heartwall/rfh/two_level", 0x9074035be5c93fe0ULL},
+        {"heartwall/rfv/canonical", 0xa6706717f8765dfdULL},
+        {"heartwall/rfv/rr", 0x85506820311b24a0ULL},
+        {"heartwall/rfv/two_level", 0xa6706717f8765dfdULL},
+        {"srad_v1/baseline/canonical", 0x8c7588f924d9420aULL},
+        {"srad_v1/baseline/rr", 0x8720f9cdc8fb6506ULL},
+        {"srad_v1/baseline/two_level", 0xa8512d6a89f6f882ULL},
+        {"srad_v1/regdem/canonical", 0xabdd6aa2bca084c3ULL},
+        {"srad_v1/regdem/rr", 0x548f4adb88193adaULL},
+        {"srad_v1/regdem/two_level", 0xa3dd81752c3fd963ULL},
+        {"srad_v1/regless/canonical", 0x655db2cba3154f6dULL},
+        {"srad_v1/regless/rr", 0x4a728518249cdadbULL},
+        {"srad_v1/regless/two_level", 0xab3a9fcfcb39f665ULL},
+        {"srad_v1/regless_nocomp/canonical", 0x697cad999f807af3ULL},
+        {"srad_v1/regless_nocomp/rr", 0xc956678bb2f1a015ULL},
+        {"srad_v1/regless_nocomp/two_level", 0x3f18c694108dc5fcULL},
+        {"srad_v1/rfcache/canonical", 0x28e5c538e1311acfULL},
+        {"srad_v1/rfcache/rr", 0x4239b93ab6325059ULL},
+        {"srad_v1/rfcache/two_level", 0xeff2c46b2a7f3677ULL},
+        {"srad_v1/rfh/canonical", 0x35af2f6e3483691bULL},
+        {"srad_v1/rfh/rr", 0x9c28a52fb5544596ULL},
+        {"srad_v1/rfh/two_level", 0x35af2f6e3483691bULL},
+        {"srad_v1/rfv/canonical", 0x83c9315a1a54a907ULL},
+        {"srad_v1/rfv/rr", 0x9a01a017c74977a0ULL},
+        {"srad_v1/rfv/two_level", 0x83c9315a1a54a907ULL},
+    };
+    const std::vector<std::pair<std::string,
+                                std::optional<arch::SchedulerPolicy>>>
+        schedulers = {{"canonical", std::nullopt},
+                      {"two_level", arch::SchedulerPolicy::TwoLevel},
+                      {"rr", arch::SchedulerPolicy::Rr}};
+    std::map<std::string, std::string> runs;
+    for (const std::string kernel : {"srad_v1", "backprop", "heartwall"}) {
+        const ir::Kernel k = workloads::makeRodinia(kernel);
+        for (sim::ProviderKind kind : sim::allProviderKinds()) {
+            for (const auto &[sched, policy] : schedulers) {
+                sim::GpuConfig cfg = skippingConfig(kind);
+                if (policy)
+                    cfg.sm.scheduler = *policy;
+                runs[kernel + "/" + sim::providerName(kind) + "/" +
+                     sched] = sim::toJson(sim::runKernel(k, cfg));
+            }
+        }
+    }
+    expectPinned(pinned, runs);
+}
+
+TEST(CycleSkipPinned, MultiSmAndCoRunsMatchTheirDigests)
+{
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"hotspot/4sm/t1", 0xc904df382aa7f936ULL},
+        {"hotspot/4sm/t4", 0xc904df382aa7f936ULL},
+        {"nn+srad_v1", 0x743d0c1faed41fe3ULL},
+    };
+    std::map<std::string, std::string> runs;
+    const sim::GpuConfig cfg = skippingConfig(sim::ProviderKind::Regless);
+    for (unsigned threads : {1u, 4u}) {
+        sim::MultiSmSimulator multi(workloads::makeRodinia("hotspot"),
+                                    cfg, /*num_sms=*/4, threads);
+        std::string json = sim::toJson(multi.run());
+        for (const sim::RunStats &sm : multi.perSm())
+            json += sim::toJson(sm);
+        runs["hotspot/4sm/t" + std::to_string(threads)] = json;
+    }
+    sim::GpuConfig co = cfg;
+    co.tenants.workloads = {{"nn", 1}, {"srad_v1", 0}};
+    sim::GpuSimulator gpu({workloads::makeRodinia("nn"),
+                           workloads::makeRodinia("srad_v1")},
+                          co);
+    runs["nn+srad_v1"] = sim::toJson(gpu.run());
+    expectPinned(pinned, runs);
 }
 
 } // namespace

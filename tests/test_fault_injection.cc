@@ -21,6 +21,7 @@
 #include "sim/stats_io.hh"
 #include "workloads/kernel_builder.hh"
 #include "workloads/random_kernel.hh"
+#include "workloads/rodinia.hh"
 
 namespace regless
 {
@@ -125,6 +126,32 @@ TEST(Watchdog, DroppedDramResponseWedgesTheRun)
                   sim::ProgressMonitor::reason(
                       sim::ProgressMonitor::Verdict::Stalled));
         EXPECT_FALSE(e.report().warps.empty());
+    }
+}
+
+TEST(Watchdog, DeadlockReportCountsOnlyMshrsStillInFlight)
+{
+    // A dropped DRAM response holds no MSHR: MemorySystem::access only
+    // changes the ready cycle it returns. Every miss issued before the
+    // wedge has filled long before the watchdog fires, even though its
+    // map entry stays until a later access would retire it.
+    const std::pair<const char *, sim::ProviderKind> runs[] = {
+        {"srad_v1", sim::ProviderKind::Regless},
+        {"hotspot", sim::ProviderKind::Baseline}};
+    for (const auto &[kernel, kind] : runs) {
+        sim::GpuConfig cfg = sim::GpuConfig::forProvider(kind);
+        cfg.faults.kind = FaultPlan::Kind::DropDramResponse;
+        cfg.faults.triggerCycle = 2000;
+        cfg.sm.watchdogWindow = 50'000;
+        sim::GpuSimulator gpu(workloads::makeRodinia(kernel), cfg);
+        try {
+            gpu.run();
+            ADD_FAILURE() << kernel << ": dropped response did not wedge";
+        } catch (const sim::DeadlockError &e) {
+            EXPECT_EQ(e.report().memState,
+                      "L1 MSHRs in use: 0, L2 MSHRs in use: 0")
+                << kernel;
+        }
     }
 }
 

@@ -133,6 +133,28 @@ TEST(CacheTest, MshrMergeOnOutstandingFill)
     EXPECT_FALSE(later.mshrMerged);
 }
 
+TEST(CacheTest, MshrBoundIsTheEarliestFill)
+{
+    // expireMshrs skips its walk while now is below a lower bound on
+    // the outstanding fills. A bound that the later fill overwrote
+    // (100 instead of 50) would keep A's MSHR busy at cycle 60.
+    CacheConfig cfg = smallCache();
+    cfg.mshrs = 2;
+    Cache cache("t", cfg);
+    cache.access(0x1000, false, false, 0);
+    cache.fillComplete(0x1000, 50);
+    cache.access(0x2000, false, false, 0);
+    cache.fillComplete(0x2000, 100);
+    CacheResult c = cache.access(0x3000, false, false, 60);
+    EXPECT_FALSE(c.rejected);
+    cache.fillComplete(0x3000, 160);
+    // B and C still hold both MSHRs.
+    CacheResult d = cache.access(0x4000, false, false, 60);
+    EXPECT_TRUE(d.rejected);
+    EXPECT_EQ(cache.mshrsInUse(60), 2u);
+    EXPECT_EQ(cache.mshrsInUse(100), 1u);
+}
+
 TEST(CacheTest, InvalidateDropsLine)
 {
     Cache cache("t", smallCache());
