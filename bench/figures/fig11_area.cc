@@ -17,8 +17,7 @@ namespace regless::figures
 void
 genFig11Area(FigureContext &ctx)
 {
-    energy::AreaConfig area;
-    const double baseline = area.plainRf(2048).total();
+    const double baseline = energy::plainRfArea(2048).total();
 
     sim::TableWriter table(ctx.out, {{"capacity", 10, 0},
                                      {"logic", 9},
@@ -27,7 +26,7 @@ genFig11Area(FigureContext &ctx)
                                      {"total", 9}});
     table.header();
     for (unsigned cap : {128u, 192u, 256u, 384u, 512u, 1024u, 2048u}) {
-        energy::AreaBreakdown b = area.regless(cap);
+        energy::AreaBreakdown b = energy::reglessArea(cap);
         table.row({static_cast<double>(cap), b.logic / baseline,
                    b.storage / baseline, b.compressor / baseline,
                    b.total() / baseline});

@@ -1,9 +1,9 @@
 #include "figures/figures.hh"
 
-#include <charconv>
 #include <cstdlib>
 #include <iostream>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/sim_error.hh"
 #include "sim/experiment.hh"
@@ -131,25 +131,6 @@ runFigure(const Figure &figure, FigureContext &ctx)
     }
 }
 
-namespace
-{
-
-/** The whole of @a text as a non-negative T; fatal() naming @a flag
- *  otherwise. */
-template <typename T>
-T
-flagNumber(const std::string &flag, const std::string &text)
-{
-    T out{};
-    const char *end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-    if (ec != std::errc() || ptr != end || !(out >= T{}))
-        fatal(flag, " wants a non-negative number, got '", text, "'");
-    return out;
-}
-
-} // namespace
-
 ReportOptions
 parseReportOptions(int argc, char **argv)
 {
@@ -181,19 +162,17 @@ parseReportOptions(int argc, char **argv)
             options.jobTimeoutSec = flagNumber<double>(arg, value());
         } else if (arg == "--shard") {
             const std::string spec = value();
-            char *end = nullptr;
-            options.shardIndex = static_cast<unsigned>(
-                std::strtoul(spec.c_str(), &end, 10));
-            if (!end || *end != '/')
-                fatal("--shard wants I/N (e.g. 2/4), got '", spec,
-                      "'");
-            options.shardCount = static_cast<unsigned>(
-                std::strtoul(end + 1, &end, 10));
-            if ((end && *end) || options.shardCount < 1 ||
+            const std::string_view whole = spec;
+            const std::size_t slash = whole.find('/');
+            if (slash == std::string_view::npos ||
+                !parseNumber(whole.substr(0, slash),
+                             options.shardIndex) ||
+                !parseNumber(whole.substr(slash + 1),
+                             options.shardCount) ||
                 options.shardIndex < 1 ||
                 options.shardIndex > options.shardCount)
-                fatal("--shard wants I/N with 1 <= I <= N, got '",
-                      spec, "'");
+                throw FlagError("--shard wants I/N with 1 <= I <= N "
+                                "(e.g. 2/4), got '" + spec + "'");
         } else if (arg == "--inject-deadlock") {
             options.injectDeadlock = true;
         } else {

@@ -22,7 +22,7 @@ genTable1Config(FigureContext &ctx)
                "bandwidth scaled per 16-SM GPU)\n";
     ctx.out << "Warps per SM        " << cfg.sm.numWarps << ", "
             << cfg.sm.numSchedulers << " schedulers, issue width "
-            << cfg.sm.issueWidth << "\n";
+            << arch::kIssueWidth << "\n";
     ctx.out << "Warp scheduler      GTO\n";
     ctx.out << "L1 cache            " << cfg.mem.l1.sizeBytes / 1024
             << "KB, " << cfg.mem.l1.mshrs
@@ -38,12 +38,12 @@ genTable1Config(FigureContext &ctx)
             << " entries ("
             << cfg.baselineRfEntries * regBytes / 1024 << "KB)\n";
     ctx.out << "RegLess OSU         " << cfg.regless.osuEntriesPerSm
-            << " entries across " << cfg.regless.numShards
+            << " entries across " << staging::kNumShards
             << " shards of 8 banks\n";
     ctx.out << "Compressor          one read or write per cycle, "
             << cfg.regless.compressor.cacheLines
             << " lines internal storage per shard ("
-            << cfg.regless.compressor.cacheLines * cfg.regless.numShards
+            << cfg.regless.compressor.cacheLines * staging::kNumShards
             << " per SM)\n";
 }
 

@@ -26,7 +26,8 @@
  * A failed or deadlocked job never aborts the report: its figures
  * annotate the gap, the footer counts failures, and each one is
  * rendered (with its DeadlockReport when the watchdog fired) after
- * the footer. The exit status is 0 whenever the report completed.
+ * the footer. The exit status is 0 whenever the report completed,
+ * and 2 when a numeric flag is malformed (nothing runs then).
  */
 
 #include <fstream>
@@ -34,6 +35,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "figures/figures.hh"
 #include "sim/stats_io.hh"
@@ -196,6 +198,9 @@ main(int argc, char **argv)
         printCacheFooter(engine, std::cout);
         printFailures(engine, std::cout);
         return 0;
+    } catch (const FlagError &e) {
+        std::cerr << "fatal: " << e.what() << "\n";
+        return 2;
     } catch (const std::exception &e) {
         std::cerr << "fatal: " << e.what() << "\n";
         return 1;

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "regless/regless_provider.hh"
 #include "sim/gpu_simulator.hh"
 #include "workloads/rodinia.hh"
@@ -41,9 +42,8 @@ int
 runExample(int argc, char **argv)
 {
     std::string name = argc > 1 ? argv[1] : "srad_v1";
-    unsigned sample = argc > 2
-                          ? static_cast<unsigned>(std::stoul(argv[2]))
-                          : 64;
+    unsigned sample =
+        argc > 2 ? flagNumber<unsigned>("sample_cycles", argv[2]) : 64;
 
     sim::GpuConfig cfg =
         sim::GpuConfig::forProvider(sim::ProviderKind::Regless);
@@ -57,9 +57,10 @@ runExample(int argc, char **argv)
         for (unsigned i = 0; i < sample && !sm.done(); ++i)
             sm.step();
         for (WarpId w = 0; w < cfg.sm.numWarps; ++w)
-            rows[w].push_back(glyph(rp.cm(w % 4).state(w)));
+            rows[w].push_back(
+                glyph(rp.cm(w % staging::kNumShards).state(w)));
         unsigned lines = 0;
-        for (unsigned s = 0; s < rp.numShards(); ++s)
+        for (unsigned s = 0; s < staging::kNumShards; ++s)
             lines += rp.osu(s).occupiedLines();
         occupancy.push_back(
             100.0 * lines /
@@ -90,6 +91,9 @@ main(int argc, char **argv)
     // process-exit boundary.
     try {
         return runExample(argc, argv);
+    } catch (const FlagError &e) {
+        std::cerr << "fatal: " << e.what() << "\n";
+        return 2;
     } catch (const std::exception &e) {
         std::cerr << "fatal: " << e.what() << "\n";
         return 1;

@@ -63,7 +63,7 @@ runExample()
     rl_sim.run();
     unsigned mismatches = 0;
     for (unsigned t = 0; t < 2048; ++t) {
-        Addr a = base_cfg.sm.dataBase + 4 * t + 65536;
+        Addr a = arch::kDataBase + 4 * t + 65536;
         if (base_sim.memory().readWord(a) != rl_sim.memory().readWord(a))
             ++mismatches;
     }

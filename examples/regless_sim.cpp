@@ -14,6 +14,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "compiler/name_compactor.hh"
 #include "ir/assembler.hh"
@@ -101,9 +102,9 @@ runExample(int argc, char **argv)
         else if (arg == "--provider")
             provider = parseProvider(next());
         else if (arg == "--capacity")
-            capacity = static_cast<unsigned>(std::stoul(next()));
+            capacity = flagNumber<unsigned>(arg, next());
         else if (arg == "--scale")
-            scale = static_cast<unsigned>(std::stoul(next()));
+            scale = flagNumber<unsigned>(arg, next());
         else if (arg == "--limit-occupancy")
             limit_occupancy = true;
         else if (arg == "--compact")
@@ -204,6 +205,9 @@ main(int argc, char **argv)
     // process-exit boundary.
     try {
         return runExample(argc, argv);
+    } catch (const FlagError &e) {
+        std::cerr << "fatal: " << e.what() << "\n";
+        return 2;
     } catch (const std::exception &e) {
         std::cerr << "fatal: " << e.what() << "\n";
         return 1;

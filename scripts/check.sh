@@ -49,6 +49,17 @@ if grep -rlzP '\.counter\([^()]*\)\s*\.value\(\)' \
     exit 1
 fi
 
+# Number-parsing guard: strtoul and its kin read a prefix ("512abc"
+# is 512), stop at an exponent ("1e6" is 1) and wrap negatives ("-1"
+# is 4294967295), so a mistyped flag runs the wrong job instead of
+# failing. CLI numbers go through flagNumber() in common/flags.hh.
+if grep -rnE '\b(strto[a-z]*|sto(i|l|ll|ul|ull|f|d|ld)|ato(i|l|ll|f))\s*\(' \
+        tools bench examples; then
+    echo "check: lax number parsing; use flagNumber() from" \
+         "common/flags.hh" >&2
+    exit 1
+fi
+
 # Finding-code guard: every compiler::Finding code declared in
 # finding.hh must be exercised by at least one test, so a code can't
 # silently decay into dead diagnostics nothing would catch regressing.

@@ -17,31 +17,30 @@
 namespace regless::arch
 {
 
-/** Pipeline latencies per functional-unit class. */
-struct ExecLatencies
-{
-    Cycle alu = 6;
-    Cycle sfu = 20;
-    Cycle sharedMem = 28;
-    Cycle control = 1;
+/** @name Pipeline latencies per functional-unit class (Table 1). */
+/// @{
+inline constexpr Cycle kAluLatency = 6;
+inline constexpr Cycle kSfuLatency = 20;
+inline constexpr Cycle kSharedMemLatency = 28;
+inline constexpr Cycle kControlLatency = 1;
+/// @}
 
-    /** Latency for @a insn, excluding global-memory time. */
-    Cycle
-    latency(const ir::Instruction &insn) const
-    {
-        switch (insn.fuClass()) {
-          case ir::FuClass::Alu:
-            return alu;
-          case ir::FuClass::Sfu:
-            return sfu;
-          case ir::FuClass::Mem:
-            return insn.isSharedAccess() ? sharedMem : 0;
-          case ir::FuClass::Control:
-            return control;
-        }
-        return alu;
+/** Latency for @a insn, excluding global-memory time. */
+inline Cycle
+execLatency(const ir::Instruction &insn)
+{
+    switch (insn.fuClass()) {
+      case ir::FuClass::Alu:
+        return kAluLatency;
+      case ir::FuClass::Sfu:
+        return kSfuLatency;
+      case ir::FuClass::Mem:
+        return insn.isSharedAccess() ? kSharedMemLatency : 0;
+      case ir::FuClass::Control:
+        return kControlLatency;
     }
-};
+    return kAluLatency;
+}
 
 } // namespace regless::arch
 

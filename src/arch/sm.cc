@@ -9,6 +9,14 @@
 namespace regless::arch
 {
 
+namespace
+{
+
+/** Pending-source latency that counts as a "long" stall. */
+constexpr Cycle kLongStallThreshold = 40;
+
+} // namespace
+
 Sm::Tenant::Tenant(const SmTenantSpec &spec, WarpId warp_base,
                    unsigned warp_count, unsigned sched_base,
                    unsigned sched_count)
@@ -28,8 +36,8 @@ Sm::Tenant::Tenant(const SmTenantSpec &spec, WarpId warp_base,
 
 Sm::Sm(const compiler::CompiledKernel &ck, mem::MemorySystem &mem,
        regfile::RegisterProvider &provider, const SmConfig &config)
-    : Sm(std::vector<SmTenantSpec>{SmTenantSpec{
-             &ck, &provider, config.dataBase, config.sharedBase}},
+    : Sm(std::vector<SmTenantSpec>{
+             SmTenantSpec{&ck, &provider, kDataBase, kSharedBase}},
          mem, config)
 {
 }
@@ -264,9 +272,9 @@ Sm::eligible(Tenant &tn, const Warp &warp, Cycle now, bool *long_stall,
         Cycle flip = std::numeric_limits<Cycle>::max();
         for (RegId src : insn.srcs()) {
             const Cycle at = tn.scoreboard.readyAt(warp.id(), src);
-            if (at > now + _cfg.longStallThreshold) {
+            if (at > now + kLongStallThreshold) {
                 *long_stall = true;
-                flip = std::min(flip, at - _cfg.longStallThreshold);
+                flip = std::min(flip, at - kLongStallThreshold);
             }
         }
         memo.nextReady =
@@ -343,8 +351,7 @@ Sm::execAlu(Tenant &tn, Warp &warp, const ir::Instruction &insn,
         result = insn.evaluate(srcs);
     }
     warp.writeReg(insn.dst(), result, warp.activeMask());
-    tn.scoreboard.recordWrite(warp.id(), insn,
-                              now + _cfg.latencies.latency(insn));
+    tn.scoreboard.recordWrite(warp.id(), insn, now + execLatency(insn));
     warp.stack().advance();
 }
 
@@ -408,8 +415,7 @@ Sm::execShared(Tenant &tn, Warp &warp, const ir::Instruction &insn,
                 result[lane] = _mem.readWord(addrs[lane]);
         }
         warp.writeReg(insn.dst(), result, mask);
-        tn.scoreboard.recordWrite(warp.id(), insn,
-                                  now + _cfg.latencies.sharedMem);
+        tn.scoreboard.recordWrite(warp.id(), insn, now + kSharedMemLatency);
     } else {
         const ir::LaneValues &data = warp.regValue(insn.srcs().at(0));
         for (unsigned lane = 0; lane < warpSize; ++lane) {
@@ -650,7 +656,7 @@ Sm::stepImpl(SkipProbe *probe)
         // Dual issue: a second independent instruction from the same
         // warp, re-checked against the updated scoreboard. The extra
         // issue shares the slot already counted above.
-        for (unsigned extra = 1; extra < _cfg.issueWidth; ++extra) {
+        for (unsigned extra = 1; extra < kIssueWidth; ++extra) {
             bool long_stall = false;
             if (warp.status() != WarpStatus::Running ||
                 !eligible(tn, warp, _now, &long_stall)) {

@@ -40,14 +40,19 @@
 namespace regless::arch
 {
 
+/** Instructions a scheduler group may issue per cycle (dual issue). */
+inline constexpr unsigned kIssueWidth = 2;
+/** Base of the program-data segment in the flat address space. */
+inline constexpr Addr kDataBase = 0x1000'0000;
+/** Base of the per-block shared-memory segments. */
+inline constexpr Addr kSharedBase = 0x8000'0000;
+
 /** SM configuration (Table 1 defaults). */
 struct SmConfig
 {
     unsigned numWarps = 64;
     unsigned numSchedulers = 4;
-    unsigned issueWidth = 2;
     SchedulerPolicy scheduler = SchedulerPolicy::Gto;
-    ExecLatencies latencies;
     /** Abort threshold for runaway kernels. */
     Cycle maxCycles = 200'000'000;
     /**
@@ -57,12 +62,6 @@ struct SmConfig
      * still applies.
      */
     Cycle watchdogWindow = 1'000'000;
-    /** Base of the program-data segment in the flat address space. */
-    Addr dataBase = 0x1000'0000;
-    /** Base of the per-block shared-memory segments. */
-    Addr sharedBase = 0x8000'0000;
-    /** Pending-source latency that counts as a "long" stall. */
-    Cycle longStallThreshold = 40;
 
     /**
      * Maximum concurrently resident warps (0 = all). Non-resident

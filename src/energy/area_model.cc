@@ -6,23 +6,23 @@ namespace regless::energy
 {
 
 AreaBreakdown
-AreaConfig::regless(unsigned entries, bool with_compressor) const
+reglessArea(unsigned entries, bool with_compressor)
 {
     const double ratio = static_cast<double>(entries) / 2048.0;
     AreaBreakdown area;
-    area.storage = storageFraction * ratio * reglessStorageOverhead;
-    area.logic = logicFraction * std::pow(ratio, logicExponent);
-    area.compressor = with_compressor ? compressorArea : 0.0;
+    area.storage = kStorageFraction * ratio * kReglessStorageOverhead;
+    area.logic = kLogicFraction * std::pow(ratio, kLogicExponent);
+    area.compressor = with_compressor ? kCompressorArea : 0.0;
     return area;
 }
 
 AreaBreakdown
-AreaConfig::plainRf(unsigned entries) const
+plainRfArea(unsigned entries)
 {
     const double ratio = static_cast<double>(entries) / 2048.0;
     AreaBreakdown area;
-    area.storage = storageFraction * ratio;
-    area.logic = logicFraction * std::pow(ratio, logicExponent);
+    area.storage = kStorageFraction * ratio;
+    area.logic = kLogicFraction * std::pow(ratio, kLogicExponent);
     area.compressor = 0.0;
     return area;
 }

@@ -21,26 +21,24 @@ struct AreaBreakdown
     double total() const { return storage + logic + compressor; }
 };
 
-/** Analytical area model. */
-struct AreaConfig
-{
-    /** Baseline RF area split (normalized to total = 1.0). */
-    double storageFraction = 0.78;
-    double logicFraction = 0.22;
-    /** Tag/queue logic scales sublinearly with capacity. */
-    double logicExponent = 0.9;
-    /** Fixed compressor area (all four shards), normalized. */
-    double compressorArea = 0.02;
-    /** Extra tag storage RegLess needs vs a plain RF of equal size. */
-    double reglessStorageOverhead = 1.08;
+/** @name Analytical area model constants */
+/// @{
+/** Baseline RF area split (normalized to total = 1.0). */
+inline constexpr double kStorageFraction = 0.78;
+inline constexpr double kLogicFraction = 0.22;
+/** Tag/queue logic scales sublinearly with capacity. */
+inline constexpr double kLogicExponent = 0.9;
+/** Fixed compressor area (all four shards), normalized. */
+inline constexpr double kCompressorArea = 0.02;
+/** Extra tag storage RegLess needs vs a plain RF of equal size. */
+inline constexpr double kReglessStorageOverhead = 1.08;
+/// @}
 
-    /** Area of a RegLess design with @a entries OSU registers. */
-    AreaBreakdown regless(unsigned entries,
-                          bool with_compressor = true) const;
+/** Area of a RegLess design with @a entries OSU registers. */
+AreaBreakdown reglessArea(unsigned entries, bool with_compressor = true);
 
-    /** Area of a plain register file with @a entries registers. */
-    AreaBreakdown plainRf(unsigned entries) const;
-};
+/** Area of a plain register file with @a entries registers. */
+AreaBreakdown plainRfArea(unsigned entries);
 
 } // namespace regless::energy
 

@@ -6,17 +6,17 @@ namespace regless::energy
 {
 
 double
-EnergyConfig::accessEnergy(unsigned entries) const
+accessEnergy(unsigned entries)
 {
-    return rfAccess2048 *
+    return kRfAccess2048 *
            std::pow(static_cast<double>(entries) / 2048.0,
-                    capacityExponent);
+                    kCapacityExponent);
 }
 
 double
-EnergyConfig::staticPower(unsigned entries) const
+staticPower(unsigned entries)
 {
-    return rfStatic2048PerCycle * static_cast<double>(entries) / 2048.0;
+    return kRfStatic2048PerCycle * static_cast<double>(entries) / 2048.0;
 }
 
 } // namespace regless::energy

@@ -21,49 +21,50 @@
 namespace regless::energy
 {
 
-/** Model constants. Units: pJ for energy, pJ/cycle for static power. */
-struct EnergyConfig
-{
-    /** Per-access energy of a 2048-entry (256 KB) register file. */
-    double rfAccess2048 = 80.0;
+/*
+ * Model constants: the one fixed calibration every figure reads.
+ * Units: pJ for energy, pJ/cycle for static power.
+ */
 
-    /**
-     * Capacity scaling: E(n) = rfAccess2048 * (n / 2048)^k. Wire-
-     * dominated arrays scale slightly superlinearly with capacity.
-     */
-    double capacityExponent = 1.15;
+/** Per-access energy of a 2048-entry (256 KB) register file. */
+inline constexpr double kRfAccess2048 = 80.0;
 
-    /** Small CAM/SRAM side structures. */
-    double tagAccess = 2.0;
-    double renameAccess = 12.0;
-    double lrfAccess = 1.5;
-    double orfAccess = 4.0;
-    double compressorAccess = 3.0;
+/**
+ * Capacity scaling: E(n) = kRfAccess2048 * (n / 2048)^k. Wire-
+ * dominated arrays scale slightly superlinearly with capacity.
+ */
+inline constexpr double kCapacityExponent = 1.15;
 
-    /** OSU tag/decode overhead vs a bare SRAM of equal capacity. */
-    double osuOverheadFactor = 1.15;
+/** Small CAM/SRAM side structures. */
+inline constexpr double kTagAccess = 2.0;
+inline constexpr double kRenameAccess = 12.0;
+inline constexpr double kLrfAccess = 1.5;
+inline constexpr double kOrfAccess = 4.0;
+inline constexpr double kCompressorAccess = 3.0;
 
-    /** Memory-hierarchy access energies (per 128 B line). */
-    double l1Access = 60.0;
-    double l2Access = 240.0;
-    double dramAccess = 2400.0;
+/** OSU tag/decode overhead vs a bare SRAM of equal capacity. */
+inline constexpr double kOsuOverheadFactor = 1.15;
 
-    /** Static (leakage + clock) power of the 2048-entry RF. */
-    double rfStatic2048PerCycle = 20.0;
-    double compressorStaticPerCycle = 0.3;
+/** Memory-hierarchy access energies (per 128 B line). */
+inline constexpr double kL1Access = 60.0;
+inline constexpr double kL2Access = 240.0;
+inline constexpr double kDramAccess = 2400.0;
 
-    /** Rest of the GPU: execution units, fetch/decode, networks. */
-    double restPerInsn = 480.0;
-    /** Fetch/decode-only cost of a RegLess metadata instruction. */
-    double metadataInsnEnergy = 120.0;
-    double restStaticPerCycle = 400.0;
+/** Static (leakage + clock) power of the 2048-entry RF. */
+inline constexpr double kRfStatic2048PerCycle = 20.0;
+inline constexpr double kCompressorStaticPerCycle = 0.3;
 
-    /** Scaled per-access energy for an n-entry register structure. */
-    double accessEnergy(unsigned entries) const;
+/** Rest of the GPU: execution units, fetch/decode, networks. */
+inline constexpr double kRestPerInsn = 480.0;
+/** Fetch/decode-only cost of a RegLess metadata instruction. */
+inline constexpr double kMetadataInsnEnergy = 120.0;
+inline constexpr double kRestStaticPerCycle = 400.0;
 
-    /** Scaled static power for an n-entry register structure. */
-    double staticPower(unsigned entries) const;
-};
+/** Scaled per-access energy for an n-entry register structure. */
+double accessEnergy(unsigned entries);
+
+/** Scaled static power for an n-entry register structure. */
+double staticPower(unsigned entries);
 
 /** Energy totals for one simulated kernel run. */
 struct EnergyBreakdown

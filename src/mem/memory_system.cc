@@ -55,7 +55,7 @@ MemAccessResult
 MemorySystem::accessL2(Addr addr, bool is_write, Cycle t)
 {
     double start = std::max(static_cast<double>(t), _l2NextFree);
-    _l2NextFree = start + _cfg.l2CyclesPerLine;
+    _l2NextFree = start + kL2CyclesPerLine;
     Cycle start_cycle = static_cast<Cycle>(start);
 
     MemAccessResult result;
@@ -64,15 +64,14 @@ MemorySystem::accessL2(Addr addr, bool is_write, Cycle t)
     if (cr.rejected) {
         // Treat a full L2 MSHR file as extra DRAM latency rather than
         // propagating back-pressure two levels up.
-        result.readyCycle = dramAccess(addr, start_cycle) +
-                            _cfg.l2Latency;
+        result.readyCycle = dramAccess(addr, start_cycle) + kL2Latency;
         result.source = MemSource::Dram;
         return result;
     }
     if (cr.writeback)
         dramAccess(cr.writebackAddr, start_cycle);
     if (cr.hit) {
-        Cycle ready = start_cycle + _cfg.l2Latency;
+        Cycle ready = start_cycle + kL2Latency;
         if (cr.mshrMerged)
             ready = std::max(ready, _l2.outstandingReady(addr));
         result.readyCycle = ready;
@@ -80,7 +79,7 @@ MemorySystem::accessL2(Addr addr, bool is_write, Cycle t)
         return result;
     }
     // Miss: fetch the line from DRAM.
-    Cycle dram_ready = dramAccess(addr, start_cycle + _cfg.l2Latency);
+    Cycle dram_ready = dramAccess(addr, start_cycle + kL2Latency);
     _l2.fillComplete(addr, dram_ready);
     result.readyCycle = dram_ready;
     result.source = MemSource::Dram;
@@ -117,7 +116,7 @@ MemorySystem::accessImpl(Addr addr, bool is_write, MemSpace space,
     if (space == MemSpace::Data) {
         ++_dataAccesses;
         if (_cfg.bypassL1Data)
-            return accessL2(addr, is_write, now + _cfg.l1Latency);
+            return accessL2(addr, is_write, now + kL1Latency);
         // Non-bypass mode: write-through, write-no-allocate L1.
         CacheResult cr = _l1.access(addr, is_write,
                                     /*write_back_line=*/false, now);
@@ -126,13 +125,12 @@ MemorySystem::accessImpl(Addr addr, bool is_write, MemSpace space,
             return result;
         }
         if (is_write || !cr.hit) {
-            MemAccessResult down =
-                accessL2(addr, is_write, now + _cfg.l1Latency);
+            MemAccessResult down = accessL2(addr, is_write, now + kL1Latency);
             if (!cr.hit)
                 _l1.fillComplete(addr, down.readyCycle);
             return down;
         }
-        Cycle ready = now + _cfg.l1Latency;
+        Cycle ready = now + kL1Latency;
         if (cr.mshrMerged)
             ready = std::max(ready, _l1.outstandingReady(addr));
         result.readyCycle = ready;
@@ -151,11 +149,10 @@ MemorySystem::accessImpl(Addr addr, bool is_write, MemSpace space,
     }
     if (cr.writeback) {
         // Dirty register victim drains to L2.
-        accessL2(cr.writebackAddr, /*is_write=*/true,
-                 now + _cfg.l1Latency);
+        accessL2(cr.writebackAddr, /*is_write=*/true, now + kL1Latency);
     }
     if (cr.hit) {
-        Cycle ready = now + _cfg.l1Latency;
+        Cycle ready = now + kL1Latency;
         if (cr.mshrMerged)
             ready = std::max(ready, _l1.outstandingReady(addr));
         result.readyCycle = ready;
@@ -164,12 +161,12 @@ MemorySystem::accessImpl(Addr addr, bool is_write, MemSpace space,
     }
     if (is_write) {
         // Allocate-on-write without fetching the stale line.
-        result.readyCycle = now + _cfg.l1Latency;
+        result.readyCycle = now + kL1Latency;
         result.source = MemSource::L1;
         return result;
     }
     MemAccessResult down = accessL2(addr, /*is_write=*/false,
-                                    now + _cfg.l1Latency);
+                                    now + kL1Latency);
     _l1.fillComplete(addr, down.readyCycle);
     result.readyCycle = down.readyCycle;
     result.source = down.source;

@@ -55,6 +55,14 @@ struct MemAccessResult
     MemSource source = MemSource::L1;
 };
 
+/** @name Fixed hierarchy timing (Table 1). */
+/// @{
+inline constexpr Cycle kL1Latency = 24;
+inline constexpr Cycle kL2Latency = 120;
+/** Core cycles per L2 line for this SM's bandwidth share. */
+inline constexpr double kL2CyclesPerLine = 4.0;
+/// @}
+
 /** Hierarchy-wide configuration. */
 struct MemConfig
 {
@@ -63,10 +71,6 @@ struct MemConfig
     CacheConfig l2{2 * 1024 * 1024, 16, 128, /*writeBack=*/true,
                    /*writeAllocate=*/true};
     DramConfig dram;
-    Cycle l1Latency = 24;
-    Cycle l2Latency = 120;
-    /** Core cycles per L2 line for this SM's bandwidth share. */
-    double l2CyclesPerLine = 4.0;
     /** Program data accesses skip the L1 cache (Table 1). */
     bool bypassL1Data = true;
 };

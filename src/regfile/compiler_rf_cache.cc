@@ -7,6 +7,14 @@
 namespace regless::regfile
 {
 
+namespace
+{
+
+/** Extra issue latency when a marked source missed. */
+constexpr Cycle kMissPenalty = 3;
+
+} // namespace
+
 CompilerRfCache::CompilerRfCache(const compiler::CompiledKernel &ck,
                                  const Params &params)
     : RegisterProvider("rfcache"),
@@ -102,7 +110,7 @@ CompilerRfCache::operandDelay(const arch::Warp &warp,
     Cycle delay = 0;
     for (RegId src : insn.srcs()) {
         if (_cacheable[src] && !_resident.count(key(warp.id(), src)))
-            delay += _params.missPenalty;
+            delay += kMissPenalty;
     }
     return delay;
 }

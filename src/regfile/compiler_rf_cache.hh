@@ -31,8 +31,6 @@ class CompilerRfCache : public RegisterProvider
     {
         /** Cache entries per warp (each holds one 128 B register). */
         unsigned cacheEntriesPerWarp = 8;
-        /** Extra issue latency when a marked source missed. */
-        Cycle missPenalty = 3;
         /** Compiler pass knob: max def-to-last-use distance. */
         unsigned maxDefUseDistance = 12;
     };

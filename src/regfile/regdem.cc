@@ -8,13 +8,19 @@
 namespace regless::regfile
 {
 
+namespace
+{
+
+/** Base address of the per-warp spill space. */
+constexpr Addr kSpillBase = 0x5000'0000;
+
+} // namespace
+
 RegDemProvider::RegDemProvider(const compiler::CompiledKernel &ck,
-                               mem::MemorySystem &mem,
-                               const Params &params)
+                               mem::MemorySystem &mem)
     : RegisterProvider("regdem"),
       _kernel(ck.kernel()),
       _mem(mem),
-      _params(params),
       _demoted(ck.kernel().numRegs(), false),
       _rfReads(_stats.counter("rf_reads")),
       _rfWrites(_stats.counter("rf_writes")),
@@ -39,15 +45,15 @@ RegDemProvider::RegDemProvider(const compiler::CompiledKernel &ck,
     std::stable_sort(order.begin(), order.end(),
                      [&uses](RegId a, RegId b)
                      { return uses[a] > uses[b]; });
-    for (unsigned i = _params.hotRegsPerWarp; i < num_regs; ++i)
+    for (unsigned i = kHotRegsPerWarp; i < num_regs; ++i)
         _demoted[order[i]] = true;
-    _hotRegs = std::min<unsigned>(num_regs, _params.hotRegsPerWarp);
+    _hotRegs = std::min<unsigned>(num_regs, kHotRegsPerWarp);
 }
 
 Addr
 RegDemProvider::spillAddr(WarpId warp, RegId reg) const
 {
-    return _params.spillBase +
+    return kSpillBase +
            (static_cast<Addr>(warp) * _kernel.numRegs() + reg) *
                regBytes;
 }

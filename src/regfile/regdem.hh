@@ -26,17 +26,10 @@ namespace regless::regfile
 class RegDemProvider : public RegisterProvider
 {
   public:
-    /** Hardware parameters (part of the config fingerprint). */
-    struct Params
-    {
-        /** Registers per warp retained in the shrunken RF. */
-        unsigned hotRegsPerWarp = 16;
-        /** Base address of the per-warp spill space. */
-        Addr spillBase = 0x5000'0000;
-    };
+    /** Registers per warp retained in the shrunken RF. */
+    static constexpr unsigned kHotRegsPerWarp = 16;
 
-    RegDemProvider(const compiler::CompiledKernel &ck,
-                   mem::MemorySystem &mem, const Params &params);
+    RegDemProvider(const compiler::CompiledKernel &ck, mem::MemorySystem &mem);
 
     void tick(Cycle now) override;
     Cycle nextEventCycle(Cycle from) const override;
@@ -68,7 +61,6 @@ class RegDemProvider : public RegisterProvider
 
     const ir::Kernel &_kernel;
     mem::MemorySystem &_mem;
-    Params _params;
     std::vector<bool> _demoted;
     unsigned _hotRegs = 0;
     FaultInjector *_faults = nullptr;

@@ -6,6 +6,16 @@
 namespace regless::regfile
 {
 
+namespace
+{
+
+/** Max def-to-use distance for the LRF (single use). */
+constexpr unsigned kLrfMaxDistance = 3;
+/** Max def-to-last-use distance for the ORF. */
+constexpr unsigned kOrfMaxDistance = 20;
+
+} // namespace
+
 RfHierarchy::RfHierarchy(const compiler::CompiledKernel &ck)
     : RfHierarchy(ck, Params())
 {
@@ -85,7 +95,7 @@ RfHierarchy::assignLevels(const Params &params)
     for (RegId r = 0; r < num_regs; ++r) {
         const Facts &f = facts[r];
         if (f.hasDef && !f.crossesBlocks && f.uses == 1 &&
-            f.maxDistance <= params.lrfMaxDistance) {
+            f.maxDistance <= kLrfMaxDistance) {
             _level[r] = RfLevel::Lrf;
         }
     }
@@ -97,7 +107,7 @@ RfHierarchy::assignLevels(const Params &params)
     for (RegId r = 0; r < num_regs; ++r) {
         const Facts &f = facts[r];
         if (_level[r] == RfLevel::Mrf && f.hasDef && !f.crossesBlocks &&
-            f.maxDistance <= params.orfMaxDistance) {
+            f.maxDistance <= kOrfMaxDistance) {
             candidates.push_back(r);
         }
     }

@@ -40,10 +40,6 @@ class RfHierarchy : public RegisterProvider
     /** Static level-assignment knobs. */
     struct Params
     {
-        /** Max def-to-use distance for the LRF (single use). */
-        unsigned lrfMaxDistance = 3;
-        /** Max def-to-last-use distance for the ORF. */
-        unsigned orfMaxDistance = 20;
         /** ORF entries per warp (capacity of the middle level). */
         unsigned orfEntriesPerWarp = 6;
     };

@@ -93,10 +93,7 @@ TenantArbiter::mayReserve(unsigned id, unsigned lines) const
         return true;
       case CapacityPolicy::StaticQuota: {
         const unsigned quota =
-            _quotaLines
-                ? _quotaLines
-                : _totalLines /
-                      std::max<std::size_t>(1, _tenants.size());
+            _totalLines / std::max<std::size_t>(1, _tenants.size());
         return mine + lines <= quota;
       }
       case CapacityPolicy::PriorityReserve: {

@@ -11,9 +11,9 @@
  *
  *  - FreeForAll: first come, first served — the only constraint is the
  *    SM-wide total. A throughput hog can squeeze everyone else out.
- *  - StaticQuota: each tenant owns a fixed slice of the pool (an
- *    explicit per-tenant line quota, or total / tenants by default).
- *    Isolation is perfect; utilization can be poor.
+ *  - StaticQuota: each tenant owns a fixed slice of the pool
+ *    (total / tenants). Isolation is perfect; utilization can be
+ *    poor.
  *  - PriorityReserve: a fraction of the pool is reserved for tenants
  *    with priority > 0 (latency-sensitive); best-effort tenants
  *    allocate only from the remainder, priority tenants from the whole
@@ -62,9 +62,6 @@ class TenantArbiter
      */
     TenantArbiter(CapacityPolicy policy, unsigned total_lines);
 
-    /** StaticQuota: per-tenant cap (0 = total / tenants at query). */
-    void setQuotaLines(unsigned lines) { _quotaLines = lines; }
-
     /** PriorityReserve: pool fraction held for priority tenants. */
     void setReserveFraction(double frac) { _reserveFrac = frac; }
 
@@ -104,7 +101,6 @@ class TenantArbiter
 
     CapacityPolicy _policy;
     unsigned _totalLines;
-    unsigned _quotaLines = 0;
     double _reserveFrac = 0.25;
     std::vector<Tenant> _tenants;
 };

@@ -12,6 +12,11 @@ namespace regless::staging
 namespace
 {
 
+/** Warps a shard may hold in the preloading state at once. */
+constexpr unsigned kPreloadSlotsPerShard = 2;
+/** Base of the uncompressed register backing space. */
+constexpr Addr kRegBase = 0x4000'0000;
+
 std::uint32_t
 backingKey(WarpId warp, RegId reg)
 {
@@ -81,7 +86,7 @@ CapacityManager::ctx(WarpId warp) const
 Addr
 CapacityManager::regAddr(WarpId warp, RegId reg) const
 {
-    return _cfg.regBase +
+    return kRegBase +
            (static_cast<Addr>(reg) * _numWarps + warp) * regBytes;
 }
 
@@ -361,7 +366,7 @@ CapacityManager::tryActivate(Cycle now)
         panic("CapacityManager warp source not bound");
     if (_suspended)
         return; // region-boundary preemption: no new activations
-    while (warpsIn(CmState::Preloading) < _cfg.preloadSlotsPerShard &&
+    while (warpsIn(CmState::Preloading) < kPreloadSlotsPerShard &&
            !_stack.empty()) {
         // Top-of-stack activation; warps parked at a barrier are
         // skipped so they cannot hoard staging space.

@@ -172,7 +172,7 @@ Compressor::preload(WarpId warp, RegId reg, Cycle now)
         ++_cacheHits;
         it->second.lruStamp = ++_lruCounter;
         result.cacheHit = true;
-        result.ready = now + _cfg.checkLatency + _cfg.hitLatency;
+        result.ready = now + _cfg.checkLatency + kCompressorHitLatency;
         return result;
     }
     // Fetch the compressed line from the memory system.
@@ -192,7 +192,7 @@ Compressor::preload(WarpId warp, RegId reg, Cycle now)
     // The bit-vector check precedes the fetch, so a miss pays
     // checkLatency just like the hit and not-compressed paths (it was
     // formerly dropped here, modelling misses as cheaper than hits).
-    result.ready = mr.readyCycle + _cfg.checkLatency + _cfg.hitLatency;
+    result.ready = mr.readyCycle + _cfg.checkLatency + kCompressorHitLatency;
     result.source = mr.source;
     return result;
 }

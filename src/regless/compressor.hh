@@ -41,6 +41,11 @@ enum class Pattern : std::uint8_t
     HalfStride4, ///< independent stride-4 per half warp
 };
 
+/** Compressed registers per 128-byte backing line. */
+inline constexpr unsigned kCompressedRegsPerLine = 15;
+/** Extra preload latency when the value decompresses from cache. */
+inline constexpr Cycle kCompressorHitLatency = 2;
+
 /** One shard's compressor. */
 class Compressor
 {
@@ -131,9 +136,6 @@ class Compressor
      */
     bool flushPending() const { return !_flushQueue.empty(); }
 
-    /** Extra latency charged on top of a compressed preload. */
-    Cycle hitLatency() const { return _cfg.hitLatency; }
-
     StatGroup &stats() { return _stats; }
     const StatGroup &stats() const { return _stats; }
 
@@ -147,7 +149,7 @@ class Compressor
     std::uint32_t
     lineOf(WarpId warp, RegId reg) const
     {
-        return regIndex(warp, reg) / _cfg.regsPerLine;
+        return regIndex(warp, reg) / kCompressedRegsPerLine;
     }
 
     Addr

@@ -34,15 +34,19 @@ enum class CompressionMode : std::uint8_t
     Hybrid,      ///< proven encoding first, matcher as fallback
 };
 
+/**
+ * OSU shards per SM, each with its own capacity manager and
+ * compressor. Warp w goes to shard w % kNumShards whatever the
+ * scheduler count: a half-SM run with 2 schedulers still spreads its
+ * warps over all 4 shards.
+ */
+inline constexpr unsigned kNumShards = 4;
+
 /** Compressor parameters (§5.3). */
 struct CompressorConfig
 {
     /** Internal compressed-line cache entries per shard. */
     unsigned cacheLines = 12;
-    /** Compressed registers per 128-byte backing line. */
-    unsigned regsPerLine = 15;
-    /** Extra preload latency when the value decompresses from cache. */
-    Cycle hitLatency = 2;
     /** Bit-vector check latency on every non-compressed preload. */
     Cycle checkLatency = 1;
 
@@ -59,10 +63,6 @@ struct ReglessConfig
 {
     /** OSU entries (128B registers) across the whole SM. */
     unsigned osuEntriesPerSm = 512;
-    /** One shard per warp scheduler. */
-    unsigned numShards = 4;
-    /** Warps a shard may hold in the preloading state at once. */
-    unsigned preloadSlotsPerShard = 2;
     /** Enable the eviction compressor. */
     bool compressorEnabled = true;
     CompressorConfig compressor;
@@ -78,10 +78,6 @@ struct ReglessConfig
     /** Activation order: LIFO warp stack (paper) vs FIFO (ablation). */
     bool fifoActivation = false;
     VictimOrder victimOrder = VictimOrder::FreeCleanDirty;
-    /** Base of the uncompressed register backing space. */
-    Addr regBase = 0x4000'0000;
-    /** Base of the compressed register backing space. */
-    Addr compressedBase = 0x6000'0000;
     /**
      * Enable the dynamic staging-state shadow checker (DESIGN.md §8).
      * Off by default: it is a verification aid, not modelled hardware.

@@ -10,6 +10,14 @@
 namespace regless::staging
 {
 
+namespace
+{
+
+/** Base of the compressed register backing space. */
+constexpr Addr kCompressedBase = 0x6000'0000;
+
+} // namespace
+
 ReglessProvider::ReglessProvider(const compiler::CompiledKernel &ck,
                                  mem::MemorySystem &mem,
                                  const ReglessConfig &cfg,
@@ -29,32 +37,32 @@ ReglessProvider::ReglessProvider(const compiler::CompiledKernel &ck,
       _cfg(cfg),
       _bankConflicts(_stats.counter("osu_bank_conflicts"))
 {
-    if (cfg.osuEntriesPerSm % cfg.numShards != 0)
+    if (cfg.osuEntriesPerSm % kNumShards != 0)
         fatal("OSU entries (", cfg.osuEntriesPerSm,
-              ") must divide across ", cfg.numShards, " shards");
+              ") must divide across ", kNumShards, " shards");
     if (warp_base + warp_count > num_warps)
         fatal("provider warp range [", warp_base, ", ",
               warp_base + warp_count, ") exceeds ", num_warps,
               " SM warp slots");
-    const unsigned lines_per_shard = cfg.osuEntriesPerSm / cfg.numShards;
+    const unsigned lines_per_shard = cfg.osuEntriesPerSm / kNumShards;
 
-    for (unsigned s = 0; s < cfg.numShards; ++s) {
+    for (unsigned s = 0; s < kNumShards; ++s) {
         _osus.push_back(std::make_unique<OperandStagingUnit>(
             "osu" + std::to_string(s), lines_per_shard, cfg.victimOrder));
     }
     if (cfg.compressorEnabled) {
-        for (unsigned s = 0; s < cfg.numShards; ++s) {
+        for (unsigned s = 0; s < kNumShards; ++s) {
             _compressors.push_back(std::make_unique<Compressor>(
                 "compressor" + std::to_string(s), cfg.compressor, mem,
-                cfg.compressedBase, num_warps));
+                kCompressedBase, num_warps));
             _compressors.back()->setStaticEncodings(
                 cfg.compressionMode, &ck.staticEncodings());
         }
     }
-    for (unsigned s = 0; s < cfg.numShards; ++s) {
+    for (unsigned s = 0; s < kNumShards; ++s) {
         std::vector<WarpId> shard_warps;
         for (WarpId w = warp_base; w < warp_base + warp_count; ++w) {
-            if (w % cfg.numShards == s)
+            if (w % kNumShards == s)
                 shard_warps.push_back(w);
         }
         _cms.push_back(std::make_unique<CapacityManager>(
@@ -88,9 +96,8 @@ ReglessProvider::tick(Cycle now)
         panic("injected provider fault at cycle ", now);
 
     // Rotate which shard gets first crack at the shared L1 port.
-    const unsigned n = _cfg.numShards;
-    for (unsigned i = 0; i < n; ++i)
-        _cms[(i + _tickRotation) % n]->tick(now);
+    for (unsigned i = 0; i < kNumShards; ++i)
+        _cms[(i + _tickRotation) % kNumShards]->tick(now);
     ++_tickRotation;
 }
 
@@ -375,7 +382,7 @@ void
 ReglessProvider::describeStorage(std::vector<std::string> &out) const
 {
     auto &self = const_cast<ReglessProvider &>(*this);
-    for (unsigned s = 0; s < numShards(); ++s) {
+    for (unsigned s = 0; s < kNumShards; ++s) {
         auto &osu = self.osu(s);
         auto &cm = self.cm(s);
         for (unsigned b = 0; b < osuBanks; ++b) {

@@ -109,7 +109,6 @@ class ReglessProvider : public regfile::RegisterProvider
     std::uint64_t stagedLinesInUse() const override;
     /// @}
 
-    unsigned numShards() const { return _cfg.numShards; }
     CapacityManager &cm(unsigned shard) { return *_cms.at(shard); }
     OperandStagingUnit &osu(unsigned shard) { return *_osus.at(shard); }
     Compressor *compressor(unsigned shard)
@@ -152,7 +151,7 @@ class ReglessProvider : public regfile::RegisterProvider
     /// @}
 
   private:
-    unsigned shardOf(WarpId warp) const { return warp % _cfg.numShards; }
+    unsigned shardOf(WarpId warp) const { return warp % kNumShards; }
 
     const compiler::CompiledKernel &_ck;
     ReglessConfig _cfg;

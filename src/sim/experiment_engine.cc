@@ -32,6 +32,27 @@ sanitize(const std::string &name)
     return out;
 }
 
+/**
+ * The kernels @a job simulates, which are also the ones the lint gate
+ * checks. Multi-tenant jobs name their co-resident kernels in
+ * config.tenants.workloads; job.kernel stays the display and cache
+ * name (the workloads are part of the config fingerprint). Any other
+ * job runs its builder's kernel or the Rodinia kernel it names.
+ */
+std::vector<ir::Kernel>
+jobKernels(const SimJob &job)
+{
+    std::vector<ir::Kernel> kernels;
+    if (job.config.tenants.workloads.size() >= 2) {
+        for (const TenantWorkload &w : job.config.tenants.workloads)
+            kernels.push_back(workloads::makeRodinia(w.kernel));
+    } else {
+        kernels.push_back(job.builder ? job.builder()
+                                      : workloads::makeRodinia(job.kernel));
+    }
+    return kernels;
+}
+
 } // namespace
 
 /** Fingerprint of everything that determines a job's results. */
@@ -163,32 +184,15 @@ ExperimentEngine::tryStats(JobId id)
 RunStats
 ExperimentEngine::execute(const SimJob &job, double timeout_sec)
 {
-    // Multi-tenant jobs name their co-resident kernels in
-    // config.tenants.workloads; job.kernel stays the display and cache
-    // name (the workloads are part of the config fingerprint).
-    if (job.config.tenants.workloads.size() >= 2) {
-        std::vector<ir::Kernel> kernels;
-        for (const TenantWorkload &w : job.config.tenants.workloads)
-            kernels.push_back(workloads::makeRodinia(w.kernel));
-        if (job.sms >= 1) {
-            MultiSmSimulator multi(kernels, job.config, job.sms,
-                                   /*threads=*/1);
-            return multi.run(timeout_sec);
-        }
-        GpuSimulator simulator(kernels, job.config);
-        return simulator.run(timeout_sec);
-    }
-    ir::Kernel kernel = job.builder
-                            ? job.builder()
-                            : workloads::makeRodinia(job.kernel);
+    const std::vector<ir::Kernel> kernels = jobKernels(job);
     if (job.sms >= 1) {
         // Single-threaded inside: the engine already parallelizes
         // across jobs, and results are thread-invariant anyway.
-        MultiSmSimulator multi(kernel, job.config, job.sms,
+        MultiSmSimulator multi(kernels, job.config, job.sms,
                                /*threads=*/1);
         return multi.run(timeout_sec);
     }
-    GpuSimulator simulator(kernel, job.config);
+    GpuSimulator simulator(kernels, job.config);
     return simulator.run(timeout_sec);
 }
 
@@ -292,20 +296,7 @@ ExperimentEngine::lintPending()
             compilerConfigText(entry.job.config.compiler);
         if (!_linted.insert(key).second)
             continue;
-        // Multi-tenant jobs lint every co-resident kernel; otherwise
-        // exactly the job's own kernel.
-        std::vector<ir::Kernel> kernels;
-        if (entry.job.config.tenants.workloads.size() >= 2) {
-            for (const TenantWorkload &w :
-                 entry.job.config.tenants.workloads)
-                kernels.push_back(workloads::makeRodinia(w.kernel));
-        } else {
-            kernels.push_back(
-                entry.job.builder
-                    ? entry.job.builder()
-                    : workloads::makeRodinia(entry.job.kernel));
-        }
-        for (const ir::Kernel &kernel : kernels) {
+        for (const ir::Kernel &kernel : jobKernels(entry.job)) {
             const compiler::CompiledKernel ck =
                 compiler::compile(kernel, entry.job.config.compiler);
             compiler::LintOptions opts;

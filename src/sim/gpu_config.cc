@@ -21,7 +21,7 @@ void
 GpuConfig::setOsuCapacity(unsigned entries)
 {
     regless.osuEntriesPerSm = entries;
-    const unsigned shards = regless.numShards;
+    const unsigned shards = staging::kNumShards;
     if (entries % (shards * 8) != 0)
         fatal("OSU capacity ", entries, " must divide into ", shards,
               " shards of 8 banks");
@@ -80,33 +80,15 @@ class KeyValueSink
  */
 
 void
-dump(KeyValueSink &kv, const std::string &p,
-     const arch::ExecLatencies &c)
-{
-    const auto &[alu, sfu, shared_mem, control] = c;
-    kv.add(p + "alu", alu);
-    kv.add(p + "sfu", sfu);
-    kv.add(p + "shared_mem", shared_mem);
-    kv.add(p + "control", control);
-}
-
-void
 dump(KeyValueSink &kv, const std::string &p, const arch::SmConfig &c)
 {
-    const auto &[num_warps, num_schedulers, issue_width, scheduler,
-                 latencies, max_cycles, watchdog_window, data_base,
-                 shared_base, long_stall_threshold, max_resident_warps,
-                 cycle_skip] = c;
+    const auto &[num_warps, num_schedulers, scheduler, max_cycles,
+                 watchdog_window, max_resident_warps, cycle_skip] = c;
     kv.add(p + "num_warps", num_warps);
     kv.add(p + "num_schedulers", num_schedulers);
-    kv.add(p + "issue_width", issue_width);
     kv.add(p + "scheduler", scheduler);
-    dump(kv, p + "latencies.", latencies);
     kv.add(p + "max_cycles", max_cycles);
     kv.add(p + "watchdog_window", watchdog_window);
-    kv.add(p + "data_base", data_base);
-    kv.add(p + "shared_base", shared_base);
-    kv.add(p + "long_stall_threshold", long_stall_threshold);
     kv.add(p + "max_resident_warps", max_resident_warps);
     kv.add(p + "cycle_skip", cycle_skip);
 }
@@ -137,14 +119,10 @@ dump(KeyValueSink &kv, const std::string &p, const mem::DramConfig &c)
 void
 dump(KeyValueSink &kv, const std::string &p, const mem::MemConfig &c)
 {
-    const auto &[l1, l2, dram, l1_latency, l2_latency,
-                 l2_cycles_per_line, bypass_l1_data] = c;
+    const auto &[l1, l2, dram, bypass_l1_data] = c;
     dump(kv, p + "l1.", l1);
     dump(kv, p + "l2.", l2);
     dump(kv, p + "dram.", dram);
-    kv.add(p + "l1_latency", l1_latency);
-    kv.add(p + "l2_latency", l2_latency);
-    kv.add(p + "l2_cycles_per_line", l2_cycles_per_line);
     kv.add(p + "bypass_l1_data", bypass_l1_data);
 }
 
@@ -165,11 +143,8 @@ void
 dump(KeyValueSink &kv, const std::string &p,
      const staging::CompressorConfig &c)
 {
-    const auto &[cache_lines, regs_per_line, hit_latency,
-                 check_latency, pattern_mask] = c;
+    const auto &[cache_lines, check_latency, pattern_mask] = c;
     kv.add(p + "cache_lines", cache_lines);
-    kv.add(p + "regs_per_line", regs_per_line);
-    kv.add(p + "hit_latency", hit_latency);
     kv.add(p + "check_latency", check_latency);
     kv.add(p + "pattern_mask", pattern_mask);
 }
@@ -178,63 +153,17 @@ void
 dump(KeyValueSink &kv, const std::string &p,
      const staging::ReglessConfig &c)
 {
-    const auto &[osu_entries, num_shards, preload_slots,
-                 compressor_enabled, compressor, compression_mode,
-                 bank_gating, fifo_activation, victim_order, reg_base,
-                 compressed_base, runtime_check] = c;
+    const auto &[osu_entries, compressor_enabled, compressor,
+                 compression_mode, bank_gating, fifo_activation,
+                 victim_order, runtime_check] = c;
     kv.add(p + "osu_entries_per_sm", osu_entries);
-    kv.add(p + "num_shards", num_shards);
-    kv.add(p + "preload_slots_per_shard", preload_slots);
     kv.add(p + "compressor_enabled", compressor_enabled);
     dump(kv, p + "compressor.", compressor);
     kv.add(p + "compression_mode", compression_mode);
     kv.add(p + "bank_gating", bank_gating);
     kv.add(p + "fifo_activation", fifo_activation);
     kv.add(p + "victim_order", victim_order);
-    kv.add(p + "reg_base", reg_base);
-    kv.add(p + "compressed_base", compressed_base);
     kv.add(p + "runtime_check", runtime_check);
-}
-
-void
-dump(KeyValueSink &kv, const std::string &p,
-     const energy::EnergyConfig &c)
-{
-    const auto &[rf_access_2048, capacity_exponent, tag_access,
-                 rename_access, lrf_access, orf_access,
-                 compressor_access, osu_overhead_factor, l1_access,
-                 l2_access, dram_access, rf_static_2048,
-                 compressor_static, rest_per_insn,
-                 metadata_insn_energy, rest_static] = c;
-    kv.add(p + "rf_access_2048", rf_access_2048);
-    kv.add(p + "capacity_exponent", capacity_exponent);
-    kv.add(p + "tag_access", tag_access);
-    kv.add(p + "rename_access", rename_access);
-    kv.add(p + "lrf_access", lrf_access);
-    kv.add(p + "orf_access", orf_access);
-    kv.add(p + "compressor_access", compressor_access);
-    kv.add(p + "osu_overhead_factor", osu_overhead_factor);
-    kv.add(p + "l1_access", l1_access);
-    kv.add(p + "l2_access", l2_access);
-    kv.add(p + "dram_access", dram_access);
-    kv.add(p + "rf_static_2048_per_cycle", rf_static_2048);
-    kv.add(p + "compressor_static_per_cycle", compressor_static);
-    kv.add(p + "rest_per_insn", rest_per_insn);
-    kv.add(p + "metadata_insn_energy", metadata_insn_energy);
-    kv.add(p + "rest_static_per_cycle", rest_static);
-}
-
-void
-dump(KeyValueSink &kv, const std::string &p,
-     const energy::AreaConfig &c)
-{
-    const auto &[storage_fraction, logic_fraction, logic_exponent,
-                 compressor_area, regless_storage_overhead] = c;
-    kv.add(p + "storage_fraction", storage_fraction);
-    kv.add(p + "logic_fraction", logic_fraction);
-    kv.add(p + "logic_exponent", logic_exponent);
-    kv.add(p + "compressor_area", compressor_area);
-    kv.add(p + "regless_storage_overhead", regless_storage_overhead);
 }
 
 void
@@ -257,9 +186,8 @@ dump(KeyValueSink &kv, const std::string &p, const TraceConfig &c)
 void
 dump(KeyValueSink &kv, const std::string &p, const TenantConfig &c)
 {
-    const auto &[workloads, policy, quota_lines, reserve_frac,
-                 qos_preemption, qos_interval, qos_share, data_stride,
-                 shared_stride] = c;
+    const auto &[workloads, policy, reserve_frac, qos_preemption,
+                 qos_interval, qos_share] = c;
     kv.add(p + "count", workloads.size());
     for (std::size_t t = 0; t < workloads.size(); ++t) {
         const auto &[kernel, priority] = workloads[t];
@@ -269,23 +197,17 @@ dump(KeyValueSink &kv, const std::string &p, const TenantConfig &c)
     }
     kv.add(p + "policy",
            std::string(regfile::capacityPolicyName(policy)));
-    kv.add(p + "quota_lines", quota_lines);
     kv.add(p + "reserve_frac", reserve_frac);
     kv.add(p + "qos_preemption", qos_preemption);
     kv.add(p + "qos_interval", qos_interval);
     kv.add(p + "qos_share", qos_share);
-    kv.add(p + "data_stride", data_stride);
-    kv.add(p + "shared_stride", shared_stride);
 }
 
 void
 dump(KeyValueSink &kv, const std::string &p,
      const regfile::RfHierarchy::Params &c)
 {
-    const auto &[lrf_max_distance, orf_max_distance,
-                 orf_entries_per_warp] = c;
-    kv.add(p + "lrf_max_distance", lrf_max_distance);
-    kv.add(p + "orf_max_distance", orf_max_distance);
+    const auto &[orf_entries_per_warp] = c;
     kv.add(p + "orf_entries_per_warp", orf_entries_per_warp);
 }
 
@@ -293,20 +215,9 @@ void
 dump(KeyValueSink &kv, const std::string &p,
      const regfile::CompilerRfCache::Params &c)
 {
-    const auto &[cache_entries_per_warp, miss_penalty,
-                 max_def_use_distance] = c;
+    const auto &[cache_entries_per_warp, max_def_use_distance] = c;
     kv.add(p + "cache_entries_per_warp", cache_entries_per_warp);
-    kv.add(p + "miss_penalty", miss_penalty);
     kv.add(p + "max_def_use_distance", max_def_use_distance);
-}
-
-void
-dump(KeyValueSink &kv, const std::string &p,
-     const regfile::RegDemProvider::Params &c)
-{
-    const auto &[hot_regs_per_warp, spill_base] = c;
-    kv.add(p + "hot_regs_per_warp", hot_regs_per_warp);
-    kv.add(p + "spill_base", spill_base);
 }
 
 } // namespace
@@ -314,10 +225,10 @@ dump(KeyValueSink &kv, const std::string &p,
 std::vector<std::pair<std::string, std::string>>
 configKeyValues(const GpuConfig &config)
 {
-    const auto &[provider, sm, mem, compiler_cfg, regless, energy,
-                 area, baseline_rf_entries, limit_occupancy_by_rf,
-                 rfv_phys_entries, rfh, rf_cache, regdem, faults,
-                 trace, tenants] = config;
+    const auto &[provider, sm, mem, compiler_cfg, regless,
+                 baseline_rf_entries, limit_occupancy_by_rf,
+                 rfv_phys_entries, rfh, rf_cache, faults, trace,
+                 tenants] = config;
 
     std::vector<std::pair<std::string, std::string>> out;
     KeyValueSink kv(out);
@@ -326,14 +237,11 @@ configKeyValues(const GpuConfig &config)
     dump(kv, "mem.", mem);
     dump(kv, "compiler.", compiler_cfg);
     dump(kv, "regless.", regless);
-    dump(kv, "energy.", energy);
-    dump(kv, "area.", area);
     kv.add("baseline_rf_entries", baseline_rf_entries);
     kv.add("limit_occupancy_by_rf", limit_occupancy_by_rf);
     kv.add("rfv_phys_entries", rfv_phys_entries);
     dump(kv, "rfh.", rfh);
     dump(kv, "rf_cache.", rf_cache);
-    dump(kv, "regdem.", regdem);
     dump(kv, "faults.", faults);
     dump(kv, "trace.", trace);
     dump(kv, "tenants.", tenants);

@@ -17,11 +17,8 @@
 #include "arch/sm.hh"
 #include "common/fault_injector.hh"
 #include "compiler/config.hh"
-#include "energy/area_model.hh"
-#include "energy/energy_model.hh"
 #include "mem/memory_system.hh"
 #include "regfile/compiler_rf_cache.hh"
-#include "regfile/regdem.hh"
 #include "regfile/rf_hierarchy.hh"
 #include "regfile/tenant_arbiter.hh"
 #include "regless/regless_config.hh"
@@ -99,9 +96,6 @@ struct TenantConfig
     regfile::CapacityPolicy policy =
         regfile::CapacityPolicy::FreeForAll;
 
-    /** StaticQuota lines per tenant (0 = total / tenants). */
-    unsigned quotaLines = 0;
-
     /** PriorityReserve: fraction held for priority tenants. */
     double reserveFrac = 0.25;
 
@@ -114,17 +108,6 @@ struct TenantConfig
     bool qosPreemption = false;
     Cycle qosInterval = 20000;
     double qosShare = 0.5;
-
-    /**
-     * Per-tenant address-space strides. Tenant t's data segment
-     * starts at sm.dataBase + t * dataStride and its shared segment
-     * at sm.sharedBase + t * sharedStride, and the synthetic value
-     * generator is translated per segment — so each tenant reads the
-     * same values at the same kernel-relative addresses as a solo
-     * run (the memory-image parity the preemption tests check).
-     */
-    Addr dataStride = 0x0400'0000;
-    Addr sharedStride = 0x1000'0000;
 };
 
 /** Full simulator configuration. */
@@ -135,8 +118,6 @@ struct GpuConfig
     mem::MemConfig mem;
     compiler::CompilerConfig compiler;
     staging::ReglessConfig regless;
-    energy::EnergyConfig energy;
-    energy::AreaConfig area;
 
     /** Baseline register-file entries per SM (2048 = 256 KB). */
     unsigned baselineRfEntries = 2048;
@@ -157,9 +138,6 @@ struct GpuConfig
 
     /** Compiler-assisted RF-cache parameters (DESIGN.md §13.2). */
     regfile::CompilerRfCache::Params rfCache;
-
-    /** RegDem demotion parameters (DESIGN.md §13.3). */
-    regfile::RegDemProvider::Params regdem;
 
     /**
      * Deterministic fault-injection plan (common/fault_injector.hh).

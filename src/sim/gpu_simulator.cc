@@ -133,33 +133,28 @@ GpuSimulator::assemble(std::shared_ptr<mem::DramModel> shared_dram)
         gens.reserve(num_tenants);
         for (const auto &ck : _cks)
             gens.push_back(valueGenerator(ck->kernel().valueProfile()));
-        const Addr data_base = _config.sm.dataBase;
-        const Addr data_stride = _config.tenants.dataStride;
-        const Addr shared_base = _config.sm.sharedBase;
-        const Addr shared_stride = _config.tenants.sharedStride;
-        if (data_stride == 0 || shared_stride == 0)
-            fatal("tenant address strides must be non-zero");
-        if (data_base + num_tenants * data_stride > shared_base &&
-            data_base < shared_base) {
+        static_assert(kTenantDataStride != 0 && kTenantSharedStride != 0,
+                      "tenant address strides must be non-zero");
+        if (arch::kDataBase + num_tenants * kTenantDataStride >
+            arch::kSharedBase) {
             fatal("tenant data segments would overrun the shared "
                   "segment base");
         }
-        _mem->setValueGenerator(
-            [gens, data_base, data_stride, shared_base,
-             shared_stride](Addr addr) -> std::uint32_t {
-                if (addr >= shared_base) {
-                    const Addr t = (addr - shared_base) / shared_stride;
-                    if (t < gens.size())
-                        return gens[t](addr - t * shared_stride);
-                    return gens[0](addr);
-                }
-                if (addr >= data_base) {
-                    const Addr t = (addr - data_base) / data_stride;
-                    if (t < gens.size())
-                        return gens[t](addr - t * data_stride);
-                }
+        _mem->setValueGenerator([gens](Addr addr) -> std::uint32_t {
+            if (addr >= arch::kSharedBase) {
+                const Addr t =
+                    (addr - arch::kSharedBase) / kTenantSharedStride;
+                if (t < gens.size())
+                    return gens[t](addr - t * kTenantSharedStride);
                 return gens[0](addr);
-            });
+            }
+            if (addr >= arch::kDataBase) {
+                const Addr t = (addr - arch::kDataBase) / kTenantDataStride;
+                if (t < gens.size())
+                    return gens[t](addr - t * kTenantDataStride);
+            }
+            return gens[0](addr);
+        });
     }
 
     const ProviderDescriptor &desc =
@@ -203,10 +198,8 @@ GpuSimulator::assemble(std::shared_ptr<mem::DramModel> shared_dram)
         arch::SmTenantSpec spec;
         spec.ck = _cks[t].get();
         spec.provider = _providers[t].get();
-        spec.dataBase =
-            _config.sm.dataBase + t * _config.tenants.dataStride;
-        spec.sharedBase =
-            _config.sm.sharedBase + t * _config.tenants.sharedStride;
+        spec.dataBase = arch::kDataBase + t * kTenantDataStride;
+        spec.sharedBase = arch::kSharedBase + t * kTenantSharedStride;
         specs.push_back(spec);
     }
 
@@ -216,8 +209,6 @@ GpuSimulator::assemble(std::shared_ptr<mem::DramModel> shared_dram)
     if (num_tenants >= 2) {
         _arbiter = std::make_unique<regfile::TenantArbiter>(
             _config.tenants.policy, _config.regless.osuEntriesPerSm);
-        if (_config.tenants.quotaLines)
-            _arbiter->setQuotaLines(_config.tenants.quotaLines);
         _arbiter->setReserveFraction(_config.tenants.reserveFrac);
         for (unsigned t = 0; t < num_tenants; ++t)
             _providers[t]->joinTenantArbiter(*_arbiter, t,

@@ -30,6 +30,20 @@
 namespace regless::sim
 {
 
+/**
+ * @name Per-tenant address-space strides
+ * Tenant t's data segment starts at arch::kDataBase +
+ * t * kTenantDataStride and its shared segment at arch::kSharedBase +
+ * t * kTenantSharedStride, and the synthetic value generator is
+ * translated per segment — so each tenant reads the same values at the
+ * same kernel-relative addresses as a solo run (the memory-image
+ * parity the preemption tests check).
+ */
+/// @{
+inline constexpr Addr kTenantDataStride = 0x0400'0000;
+inline constexpr Addr kTenantSharedStride = 0x1000'0000;
+/// @}
+
 /** One-SM GPU simulation of one kernel launch. */
 class GpuSimulator
 {

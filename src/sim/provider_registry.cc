@@ -79,10 +79,9 @@ makeCompilerRfCache(const compiler::CompiledKernel &ck,
 
 Provider
 makeRegDem(const compiler::CompiledKernel &ck, mem::MemorySystem &mem,
-           const GpuConfig &config, WarpId, unsigned)
+           const GpuConfig &, WarpId, unsigned)
 {
-    return std::make_unique<regfile::RegDemProvider>(ck, mem,
-                                                     config.regdem);
+    return std::make_unique<regfile::RegDemProvider>(ck, mem);
 }
 
 /* ---------------- config tuning ---------------- */
@@ -147,7 +146,7 @@ collectRegless(regfile::RegisterProvider &provider, RunStats &stats)
     stats.regionInsnsMean = rp.meanRegionInsns();
     stats.backingSeries = rp.l1SeriesPoints();
     stats.osuBankConflicts = rp.stats().value("osu_bank_conflicts");
-    for (unsigned s = 0; s < rp.numShards(); ++s) {
+    for (unsigned s = 0; s < staging::kNumShards; ++s) {
         const StatGroup &osu = rp.osu(s).stats();
         stats.osuAccesses += osu.value("reads") + osu.value("writes");
         stats.osuTagLookups += osu.value("tag_lookups");
@@ -197,11 +196,10 @@ void
 energyBaseline(const RunStats &stats, const GpuConfig &config,
                energy::EnergyBreakdown &out)
 {
-    const energy::EnergyConfig &e = config.energy;
     out.regDynamic =
         static_cast<double>(stats.rfReads + stats.rfWrites) *
-        e.accessEnergy(config.baselineRfEntries);
-    out.regStatic = e.staticPower(config.baselineRfEntries) *
+        energy::accessEnergy(config.baselineRfEntries);
+    out.regStatic = energy::staticPower(config.baselineRfEntries) *
                     static_cast<double>(stats.cycles);
 }
 
@@ -209,15 +207,14 @@ void
 energyRfh(const RunStats &stats, const GpuConfig &config,
           energy::EnergyBreakdown &out)
 {
-    const energy::EnergyConfig &e = config.energy;
     // The MRF stays full size; short-lived values hit the small
     // levels instead.
     out.regDynamic =
-        static_cast<double>(stats.lrfAccesses) * e.lrfAccess +
-        static_cast<double>(stats.orfAccesses) * e.orfAccess +
+        static_cast<double>(stats.lrfAccesses) * energy::kLrfAccess +
+        static_cast<double>(stats.orfAccesses) * energy::kOrfAccess +
         static_cast<double>(stats.mrfAccesses) *
-            e.accessEnergy(config.baselineRfEntries);
-    out.regStatic = e.staticPower(config.baselineRfEntries) *
+            energy::accessEnergy(config.baselineRfEntries);
+    out.regStatic = energy::staticPower(config.baselineRfEntries) *
                     static_cast<double>(stats.cycles);
 }
 
@@ -225,12 +222,11 @@ void
 energyRfv(const RunStats &stats, const GpuConfig &config,
           energy::EnergyBreakdown &out)
 {
-    const energy::EnergyConfig &e = config.energy;
     out.regDynamic =
         static_cast<double>(stats.rfReads + stats.rfWrites) *
-            e.accessEnergy(config.rfvPhysEntries) +
-        static_cast<double>(stats.renameLookups) * e.renameAccess;
-    out.regStatic = e.staticPower(config.rfvPhysEntries) *
+            energy::accessEnergy(config.rfvPhysEntries) +
+        static_cast<double>(stats.renameLookups) * energy::kRenameAccess;
+    out.regStatic = energy::staticPower(config.rfvPhysEntries) *
                     static_cast<double>(stats.cycles);
 }
 
@@ -238,22 +234,21 @@ void
 energyRegless(const RunStats &stats, const GpuConfig &config,
               energy::EnergyBreakdown &out)
 {
-    const energy::EnergyConfig &e = config.energy;
     const double cycles = static_cast<double>(stats.cycles);
     out.regDynamic =
         (static_cast<double>(stats.osuAccesses) *
-             e.accessEnergy(config.regless.osuEntriesPerSm) +
-         static_cast<double>(stats.osuTagLookups) * e.tagAccess) *
-        e.osuOverheadFactor;
-    out.regStatic = e.staticPower(config.regless.osuEntriesPerSm) *
-                    e.osuOverheadFactor * cycles;
+             energy::accessEnergy(config.regless.osuEntriesPerSm) +
+         static_cast<double>(stats.osuTagLookups) * energy::kTagAccess) *
+        energy::kOsuOverheadFactor;
+    out.regStatic = energy::staticPower(config.regless.osuEntriesPerSm) *
+                    energy::kOsuOverheadFactor * cycles;
     // Static footprint gating (DESIGN.md §14): banks proven empty by
     // the per-region bound leak nothing while gated. The counter sums
     // gated banks over cycles and shards, so the discount is its share
     // of the total bank-cycles.
     if (config.regless.bankGating && stats.cycles > 0) {
         const double bank_cycles =
-            cycles * static_cast<double>(config.regless.numShards) *
+            cycles * static_cast<double>(staging::kNumShards) *
             static_cast<double>(staging::osuBanks);
         const double gated_frac = std::min(
             1.0,
@@ -261,8 +256,8 @@ energyRegless(const RunStats &stats, const GpuConfig &config,
         out.regStatic *= 1.0 - gated_frac;
     }
     out.compressor = static_cast<double>(stats.compressorAccesses) *
-                         e.compressorAccess +
-                     e.compressorStaticPerCycle * cycles;
+                         energy::kCompressorAccess +
+                     energy::kCompressorStaticPerCycle * cycles;
 }
 
 void
@@ -284,16 +279,15 @@ void
 energyCompilerRfCache(const RunStats &stats, const GpuConfig &config,
                       energy::EnergyBreakdown &out)
 {
-    const energy::EnergyConfig &e = config.energy;
     // Hits and miss-refills touch the small cache; everything the
     // cache did not absorb pays full-MRF access energy.
     out.regDynamic =
         static_cast<double>(stats.rfCacheHits + stats.rfCacheMisses) *
-            e.accessEnergy(rfCacheEntries(config)) +
+            energy::accessEnergy(rfCacheEntries(config)) +
         static_cast<double>(stats.rfReads + stats.rfWrites) *
-            e.accessEnergy(config.baselineRfEntries);
-    out.regStatic = (e.staticPower(config.baselineRfEntries) +
-                     e.staticPower(rfCacheEntries(config))) *
+            energy::accessEnergy(config.baselineRfEntries);
+    out.regStatic = (energy::staticPower(config.baselineRfEntries) +
+                     energy::staticPower(rfCacheEntries(config))) *
                     static_cast<double>(stats.cycles);
 }
 
@@ -301,7 +295,7 @@ unsigned
 regdemEntries(const GpuConfig &config)
 {
     return std::min(config.baselineRfEntries,
-                    config.regdem.hotRegsPerWarp *
+                    regfile::RegDemProvider::kHotRegsPerWarp *
                         config.sm.numWarps);
 }
 
@@ -309,13 +303,12 @@ void
 energyRegDem(const RunStats &stats, const GpuConfig &config,
              energy::EnergyBreakdown &out)
 {
-    const energy::EnergyConfig &e = config.energy;
     // Only the shrunken hot file remains; spill/fill traffic is real
     // memory traffic and is charged in the memory term.
     out.regDynamic =
         static_cast<double>(stats.rfReads + stats.rfWrites) *
-        e.accessEnergy(regdemEntries(config));
-    out.regStatic = e.staticPower(regdemEntries(config)) *
+        energy::accessEnergy(regdemEntries(config));
+    out.regStatic = energy::staticPower(regdemEntries(config)) *
                     static_cast<double>(stats.cycles);
 }
 
@@ -324,7 +317,7 @@ energyRegDem(const RunStats &stats, const GpuConfig &config,
 energy::AreaBreakdown
 areaBaselineRf(const GpuConfig &config)
 {
-    return config.area.plainRf(config.baselineRfEntries);
+    return energy::plainRfArea(config.baselineRfEntries);
 }
 
 energy::AreaBreakdown
@@ -332,8 +325,8 @@ areaRfh(const GpuConfig &config)
 {
     // The full-size MRF dominates; LRF/ORF storage rides on top.
     energy::AreaBreakdown a =
-        config.area.plainRf(config.baselineRfEntries);
-    energy::AreaBreakdown small = config.area.plainRf(
+        energy::plainRfArea(config.baselineRfEntries);
+    energy::AreaBreakdown small = energy::plainRfArea(
         config.rfh.orfEntriesPerWarp * config.sm.numWarps);
     a.storage += small.storage;
     a.logic += small.logic;
@@ -343,20 +336,20 @@ areaRfh(const GpuConfig &config)
 energy::AreaBreakdown
 areaRfv(const GpuConfig &config)
 {
-    return config.area.plainRf(config.rfvPhysEntries);
+    return energy::plainRfArea(config.rfvPhysEntries);
 }
 
 energy::AreaBreakdown
 areaRegless(const GpuConfig &config)
 {
-    return config.area.regless(config.regless.osuEntriesPerSm,
+    return energy::reglessArea(config.regless.osuEntriesPerSm,
                                /*with_compressor=*/true);
 }
 
 energy::AreaBreakdown
 areaReglessNoCompressor(const GpuConfig &config)
 {
-    return config.area.regless(config.regless.osuEntriesPerSm,
+    return energy::reglessArea(config.regless.osuEntriesPerSm,
                                /*with_compressor=*/false);
 }
 
@@ -364,9 +357,9 @@ energy::AreaBreakdown
 areaCompilerRfCache(const GpuConfig &config)
 {
     energy::AreaBreakdown a =
-        config.area.plainRf(config.baselineRfEntries);
+        energy::plainRfArea(config.baselineRfEntries);
     energy::AreaBreakdown cache =
-        config.area.plainRf(rfCacheEntries(config));
+        energy::plainRfArea(rfCacheEntries(config));
     a.storage += cache.storage;
     a.logic += cache.logic;
     return a;
@@ -375,7 +368,7 @@ areaCompilerRfCache(const GpuConfig &config)
 energy::AreaBreakdown
 areaRegDem(const GpuConfig &config)
 {
-    return config.area.plainRf(regdemEntries(config));
+    return energy::plainRfArea(regdemEntries(config));
 }
 
 const std::array<ProviderDescriptor, kNumProviderKinds> registry{{

@@ -18,6 +18,7 @@
 #include <array>
 #include <memory>
 
+#include "energy/area_model.hh"
 #include "sim/gpu_config.hh"
 #include "sim/run_stats.hh"
 

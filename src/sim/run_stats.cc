@@ -57,7 +57,6 @@ mergeRunStats(RunStats &into, const RunStats &from)
 void
 computeEnergy(RunStats &stats, const GpuConfig &config)
 {
-    const energy::EnergyConfig &e = config.energy;
     energy::EnergyBreakdown out;
 
     const double cycles = static_cast<double>(stats.cycles);
@@ -66,13 +65,13 @@ computeEnergy(RunStats &stats, const GpuConfig &config)
     providerDescriptor(stats.provider)
         .registerEnergy(stats, config, out);
 
-    out.memory = static_cast<double>(stats.l1Accesses) * e.l1Access +
-                 static_cast<double>(stats.l2Accesses) * e.l2Access +
-                 static_cast<double>(stats.dramAccesses) * e.dramAccess;
-    out.rest = static_cast<double>(stats.insns) * e.restPerInsn +
+    out.memory = static_cast<double>(stats.l1Accesses) * energy::kL1Access +
+                 static_cast<double>(stats.l2Accesses) * energy::kL2Access +
+                 static_cast<double>(stats.dramAccesses) * energy::kDramAccess;
+    out.rest = static_cast<double>(stats.insns) * energy::kRestPerInsn +
                static_cast<double>(stats.metadataInsns) *
-                   e.metadataInsnEnergy +
-               e.restStaticPerCycle * cycles;
+                   energy::kMetadataInsnEnergy +
+               energy::kRestStaticPerCycle * cycles;
 
     stats.energy = out;
 }

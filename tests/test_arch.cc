@@ -308,10 +308,9 @@ TEST(SmTest, StoreWritesExpectedValues)
     b.st(x, addr);
     SmRun run(b.build());
     run.sm.run();
-    // Thread i stored i + 100 at dataBase + 4 * i.
-    SmConfig cfg;
+    // Thread i stored i + 100 at kDataBase + 4 * i.
     for (unsigned i = 0; i < 64; ++i) {
-        Addr a = cfg.dataBase + 4 * i;
+        Addr a = arch::kDataBase + 4 * i;
         EXPECT_EQ(run.mem.readWord(a), i + 100) << "thread " << i;
     }
 }
@@ -336,9 +335,8 @@ TEST(SmTest, DivergentKernelReconverges)
     b.st(b.iaddi(t, 5000), addr, 16384);
     SmRun run(b.build());
     run.sm.run();
-    SmConfig cfg;
     for (unsigned i = 0; i < 64; ++i) {
-        Addr a = cfg.dataBase + 4 * i;
+        Addr a = arch::kDataBase + 4 * i;
         EXPECT_EQ(run.mem.readWord(a), i % 2 ? 2000u : 1000u);
         EXPECT_EQ(run.mem.readWord(a + 16384), 5000 + i);
     }
@@ -365,9 +363,8 @@ TEST(SmTest, LoopKernelComputesSum)
     b.st(acc, addr);
     SmRun run(b.build());
     run.sm.run();
-    SmConfig cfg;
     for (unsigned tid = 0; tid < 64; ++tid) {
-        Addr a = cfg.dataBase + 4 * tid;
+        Addr a = arch::kDataBase + 4 * tid;
         EXPECT_EQ(run.mem.readWord(a), 45u + tid);
     }
 }
@@ -384,9 +381,8 @@ TEST(SmTest, LoadUseRoundTrip)
     b.st(b.iaddi(v, 1), addr, 16384);
     SmRun run(b.build());
     run.sm.run();
-    SmConfig cfg;
     for (unsigned tid = 0; tid < 64; ++tid) {
-        Addr a = cfg.dataBase + 4 * tid + 16384;
+        Addr a = arch::kDataBase + 4 * tid + 16384;
         EXPECT_EQ(run.mem.readWord(a), 3 * tid + 1);
     }
 }
@@ -404,9 +400,8 @@ TEST(SmTest, BarrierSynchronisesBlock)
     b.st(v, addr);
     SmRun run(b.build());
     run.sm.run();
-    SmConfig cfg;
     for (unsigned tid = 0; tid < 64; ++tid) {
-        Addr a = cfg.dataBase + 4 * tid;
+        Addr a = arch::kDataBase + 4 * tid;
         EXPECT_EQ(run.mem.readWord(a), tid + 7);
     }
 }

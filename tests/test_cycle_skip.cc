@@ -26,8 +26,10 @@
 
 #include "common/fault_injector.hh"
 #include "common/sim_error.hh"
+#include "figures/figures.hh"
 #include "golden_runs.hh"
 #include "sim/experiment.hh"
+#include "sim/experiment_engine.hh"
 #include "sim/gpu_simulator.hh"
 #include "sim/multi_sm.hh"
 #include "sim/stats_io.hh"
@@ -549,6 +551,29 @@ TEST(CycleSkipPinned, MultiSmAndCoRunsMatchTheirDigests)
                           co);
     runs["nn+srad_v1"] = sim::toJson(gpu.run());
     expectPinned(pinned, runs);
+}
+
+/*
+ * Figures that print model constants without simulating: table1_config
+ * echoes the configuration and fig11_area is pure area-model math, so
+ * no RunStats digest above covers them. Their text is pinned instead.
+ */
+TEST(PinnedFigures, ModelConstantFiguresMatchTheirDigests)
+{
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"fig11_area", 0x7f535c4381399823ULL},
+        {"table1_config", 0x9c10f1cc0fb2edfdULL},
+    };
+    std::map<std::string, std::string> texts;
+    for (const char *name : {"fig11_area", "table1_config"}) {
+        sim::ExperimentEngine engine;
+        std::ostringstream out;
+        figures::FigureContext ctx{engine, out};
+        figures::runFigure(*figures::findFigure(name), ctx);
+        EXPECT_EQ(engine.pointsRequested(), 0u) << name;
+        texts[name] = out.str();
+    }
+    expectPinned(pinned, texts);
 }
 
 } // namespace

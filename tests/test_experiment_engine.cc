@@ -69,8 +69,6 @@ TEST(ConfigFingerprint, EveryTopLevelFieldChangesIt)
         [](sim::GpuConfig &c) { c.mem.l1.sizeBytes *= 2; },
         [](sim::GpuConfig &c) { c.compiler.maxRegsPerRegion += 1; },
         [](sim::GpuConfig &c) { c.regless.osuEntriesPerSm += 128; },
-        [](sim::GpuConfig &c) { c.energy.l1Access += 1.0; },
-        [](sim::GpuConfig &c) { c.area.compressorArea += 0.01; },
         [](sim::GpuConfig &c) { c.baselineRfEntries += 1; },
         [](sim::GpuConfig &c) { c.limitOccupancyByRf = true; },
         [](sim::GpuConfig &c) { c.rfvPhysEntries += 1; },
@@ -97,7 +95,7 @@ TEST(ConfigFingerprint, CanonicalTextNamesEveryTopLevelField)
         sim::configCanonicalText(sim::GpuConfig{});
     for (const char *needle :
          {"provider=", "sm.", "mem.", "compiler.", "regless.",
-          "energy.", "area.", "baseline_rf_entries=",
+          "baseline_rf_entries=",
           "limit_occupancy_by_rf=", "rfv_phys_entries=", "rfh.",
           "faults.", "sm.watchdog_window=", "sm.max_cycles="}) {
         EXPECT_NE(text.find(needle), std::string::npos)
@@ -366,6 +364,14 @@ TEST(ReportFlags, JobTimeoutMustBeOneNonNegativeNumber)
     expectRejected("--job-timeout", "5s");
     expectRejected("--job-timeout", "-1");
     expectRejected("--job-timeout", "nan");
+}
+
+TEST(ReportFlags, ShardSidesMustBeWholeNumbers)
+{
+    const figures::ReportOptions options = parseFlags({"--shard", "2/4"});
+    EXPECT_EQ(options.shardIndex, 2u);
+    EXPECT_EQ(options.shardCount, 4u);
+    expectRejected("--shard", "1/-1");
 }
 
 } // namespace

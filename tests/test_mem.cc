@@ -239,7 +239,7 @@ TEST(MemorySystemTest, RegisterLinesCacheInL1)
     MemAccessResult hit =
         mem.access(0x100, false, MemSpace::Register, later);
     EXPECT_EQ(hit.source, MemSource::L1);
-    EXPECT_EQ(hit.readyCycle, later + mem.config().l1Latency);
+    EXPECT_EQ(hit.readyCycle, later + regless::mem::kL1Latency);
 }
 
 TEST(MemorySystemTest, RegisterWriteAllocatesWithoutFetch)

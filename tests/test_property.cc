@@ -73,7 +73,7 @@ TEST_P(ReglessEquivalence, MatchesBaselineMemoryImage)
     // Compare the observable data segment (all store windows).
     for (Addr off = 2u << 20; off < (3u << 20) + (1u << 14);
          off += 4 * 61) {
-        Addr a = base_cfg.sm.dataBase + off;
+        Addr a = arch::kDataBase + off;
         ASSERT_EQ(base.memory().readWord(a), rl.memory().readWord(a))
             << "seed " << param.seed << " capacity " << param.capacity
             << " offset " << off;
@@ -129,7 +129,7 @@ TEST_P(OsuInvariants, HoldThroughoutRandomKernelExecution)
         static_cast<staging::ReglessProvider &>(gpu.provider());
 
     auto check = [&] {
-        for (unsigned shard = 0; shard < cfg.regless.numShards;
+        for (unsigned shard = 0; shard < staging::kNumShards;
              ++shard) {
             staging::OperandStagingUnit &osu = provider.osu(shard);
             unsigned occupied = 0;

@@ -153,7 +153,7 @@ TEST_P(ProviderContract, ProgramMemoryImageMatchesBaseline)
     base.run();
     sut.run();
     for (Addr off = 0; off < (1u << 19); off += 4 * 257) {
-        const Addr a = base_cfg.sm.dataBase + off;
+        const Addr a = arch::kDataBase + off;
         ASSERT_EQ(base.memory().readWord(a), sut.memory().readWord(a))
             << "offset " << off;
     }
@@ -275,8 +275,7 @@ TEST(RegDemTest, DemotesAllButTheHottestRegisters)
     compiler::CompiledKernel ck = compiler::compile(wideKernel());
     ASSERT_GT(ck.kernel().numRegs(), 16u);
     mem::MemorySystem mem;
-    regfile::RegDemProvider::Params params; // hotRegsPerWarp = 16
-    regfile::RegDemProvider regdem(ck, mem, params);
+    regfile::RegDemProvider regdem(ck, mem);
     EXPECT_EQ(regdem.hotRegs(), 16u);
     unsigned demoted = 0;
     for (RegId r = 0; r < ck.kernel().numRegs(); ++r)
@@ -292,8 +291,7 @@ TEST(RegDemTest, SmallKernelDemotesNothing)
     compiler::CompiledKernel ck = compiler::compile(b.build());
     ASSERT_LE(ck.kernel().numRegs(), 16u);
     mem::MemorySystem mem;
-    regfile::RegDemProvider regdem(ck, mem,
-                                   regfile::RegDemProvider::Params{});
+    regfile::RegDemProvider regdem(ck, mem);
     for (RegId r = 0; r < ck.kernel().numRegs(); ++r)
         EXPECT_FALSE(regdem.demoted(r)) << "r" << r;
 }

@@ -108,7 +108,7 @@ TEST(RfvTest, EndToEndMatchesBaseline)
     base.run();
     rfv.run();
     for (Addr off = 0; off < (1u << 19); off += 4 * 257) {
-        Addr a = base_cfg.sm.dataBase + off;
+        Addr a = arch::kDataBase + off;
         ASSERT_EQ(base.memory().readWord(a), rfv.memory().readWord(a));
     }
 }

@@ -285,7 +285,8 @@ TEST(CompressorTest, EvictAndPreloadThroughCache)
     EXPECT_TRUE(res.accepted);
     EXPECT_TRUE(res.wasCompressed);
     EXPECT_TRUE(res.cacheHit);
-    EXPECT_EQ(res.ready, 10 + cfg.checkLatency + cfg.hitLatency);
+    EXPECT_EQ(res.ready,
+              10 + cfg.checkLatency + staging::kCompressorHitLatency);
 }
 
 TEST(CompressorTest, MissPathChargesCheckLatency)
@@ -469,9 +470,8 @@ TEST(ReglessEndToEnd, ComputeKernelMatchesBaseline)
     BaselineRun base(computeKernel());
     rl.sm.run();
     base.sm.run();
-    SmConfig cfg;
     for (unsigned tid = 0; tid < 2048; tid += 37) {
-        Addr a = cfg.dataBase + 4 * tid;
+        Addr a = arch::kDataBase + 4 * tid;
         EXPECT_EQ(rl.mem.readWord(a), base.mem.readWord(a))
             << "tid " << tid;
     }
@@ -483,9 +483,8 @@ TEST(ReglessEndToEnd, LoadChainMatchesBaseline)
     BaselineRun base(loadChainKernel());
     rl.sm.run();
     base.sm.run();
-    SmConfig cfg;
     for (unsigned tid = 0; tid < 2048; tid += 53) {
-        Addr a = cfg.dataBase + 4 * tid + 65536;
+        Addr a = arch::kDataBase + 4 * tid + 65536;
         EXPECT_EQ(rl.mem.readWord(a), 5 * tid + 11) << "tid " << tid;
         EXPECT_EQ(base.mem.readWord(a), 5 * tid + 11) << "tid " << tid;
     }
@@ -497,9 +496,8 @@ TEST(ReglessEndToEnd, DivergedLoopMatchesBaseline)
     BaselineRun base(divergedLoopKernel());
     rl.sm.run();
     base.sm.run();
-    SmConfig cfg;
     for (unsigned tid = 0; tid < 2048; tid += 41) {
-        Addr a = cfg.dataBase + 4 * tid;
+        Addr a = arch::kDataBase + 4 * tid;
         unsigned trips = (tid & 3) + 2;
         unsigned expect = tid + trips * (trips - 1) / 2;
         EXPECT_EQ(rl.mem.readWord(a), expect) << "tid " << tid;
@@ -547,9 +545,8 @@ TEST(ReglessEndToEnd, TinyOsuStillCorrect)
     BaselineRun base(computeKernel());
     rl.sm.run();
     base.sm.run();
-    SmConfig cfg;
     for (unsigned tid = 0; tid < 2048; tid += 97) {
-        Addr a = cfg.dataBase + 4 * tid;
+        Addr a = arch::kDataBase + 4 * tid;
         EXPECT_EQ(rl.mem.readWord(a), base.mem.readWord(a));
     }
 }
@@ -560,9 +557,8 @@ TEST(ReglessEndToEnd, NoCompressorStillCorrect)
     rcfg.compressorEnabled = false;
     ReglessRun rl(loadChainKernel(), rcfg);
     rl.sm.run();
-    SmConfig cfg;
     for (unsigned tid = 0; tid < 2048; tid += 101) {
-        Addr a = cfg.dataBase + 4 * tid + 65536;
+        Addr a = arch::kDataBase + 4 * tid + 65536;
         EXPECT_EQ(rl.mem.readWord(a), 5 * tid + 11);
     }
 }

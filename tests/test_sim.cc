@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "energy/area_model.hh"
 #include "sim/experiment.hh"
 #include "sim/gpu_simulator.hh"
 #include "workloads/rodinia.hh"
@@ -144,28 +145,26 @@ TEST(RunStatsTest, CompressorEnergyOnlyWithCompressor)
 
 TEST(EnergyModelTest, AccessEnergyScalesWithCapacity)
 {
-    energy::EnergyConfig cfg;
-    EXPECT_DOUBLE_EQ(cfg.accessEnergy(2048), cfg.rfAccess2048);
-    EXPECT_LT(cfg.accessEnergy(512), cfg.accessEnergy(1024));
-    EXPECT_LT(cfg.accessEnergy(1024), cfg.accessEnergy(2048));
+    using energy::accessEnergy;
+    EXPECT_DOUBLE_EQ(accessEnergy(2048), energy::kRfAccess2048);
+    EXPECT_LT(accessEnergy(512), accessEnergy(1024));
+    EXPECT_LT(accessEnergy(1024), accessEnergy(2048));
     // Superlinear scaling: quarter capacity is cheaper than quarter
     // energy.
-    EXPECT_LT(cfg.accessEnergy(512), cfg.rfAccess2048 / 4.0 * 1.05);
+    EXPECT_LT(accessEnergy(512), energy::kRfAccess2048 / 4.0 * 1.05);
 }
 
 TEST(EnergyModelTest, StaticPowerLinearInCapacity)
 {
-    energy::EnergyConfig cfg;
-    EXPECT_DOUBLE_EQ(cfg.staticPower(1024),
-                     cfg.rfStatic2048PerCycle / 2.0);
+    EXPECT_DOUBLE_EQ(energy::staticPower(1024),
+                     energy::kRfStatic2048PerCycle / 2.0);
 }
 
 TEST(AreaModelTest, MonotoneAndSplit)
 {
-    energy::AreaConfig area;
     double prev = 0.0;
     for (unsigned cap : {128u, 256u, 512u, 1024u, 2048u}) {
-        energy::AreaBreakdown b = area.regless(cap);
+        energy::AreaBreakdown b = energy::reglessArea(cap);
         EXPECT_GT(b.total(), prev);
         EXPECT_GT(b.storage, 0.0);
         EXPECT_GT(b.logic, 0.0);
@@ -173,8 +172,8 @@ TEST(AreaModelTest, MonotoneAndSplit)
         prev = b.total();
     }
     // Without the compressor, smaller.
-    EXPECT_LT(area.regless(512, false).total(),
-              area.regless(512, true).total());
+    EXPECT_LT(energy::reglessArea(512, false).total(),
+              energy::reglessArea(512, true).total());
 }
 
 TEST(ExperimentTest, RunReglessAppliesCapacity)

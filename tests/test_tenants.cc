@@ -360,8 +360,8 @@ TEST_P(PreemptionChaos, MemoryImageSurvivesRandomPreemption)
                 << "seed " << seed << " addr " << std::hex << addr;
         }
     };
-    const Addr data = cfg.sm.dataBase;
-    const Addr stride = cfg.tenants.dataStride;
+    const Addr data = arch::kDataBase;
+    const Addr stride = sim::kTenantDataStride;
     // Random kernels store to segments at +2 MB and +3 MB offsets.
     for (const Addr window : {Addr(0), Addr(2u << 20), Addr(3u << 20)}) {
         scan(data + window, 64 * 1024, 0, solo_a);
@@ -540,17 +540,13 @@ TEST_F(ArbiterFixture, StaticQuotaPartitionsThePool)
 {
     regfile::TenantArbiter arbiter(CapacityPolicy::StaticQuota, 100);
     registerBoth(arbiter, 0, 0);
-    // Default quota: total / tenants.
+    // The quota is total / tenants.
     EXPECT_TRUE(arbiter.mayReserve(0, 50));
     EXPECT_FALSE(arbiter.mayReserve(0, 51));
     use[1] = 0; // the co-tenant's emptiness does not help
     use[0] = 50;
     EXPECT_FALSE(arbiter.mayReserve(0, 1));
     EXPECT_TRUE(arbiter.mayReserve(1, 50));
-    // Explicit quota overrides the even split.
-    arbiter.setQuotaLines(30);
-    EXPECT_FALSE(arbiter.mayReserve(1, 31));
-    EXPECT_TRUE(arbiter.mayReserve(1, 30));
 }
 
 TEST_F(ArbiterFixture, PriorityReserveHoldsBackBestEffort)

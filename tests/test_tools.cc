@@ -74,7 +74,7 @@ TEST_P(CompactionEquivalence, CompactedKernelComputesSameResults)
     a.run();
     b.run();
     for (Addr off = 0; off < (4u << 20); off += 4 * 251) {
-        Addr addr = cfg.sm.dataBase + off;
+        Addr addr = arch::kDataBase + off;
         ASSERT_EQ(a.memory().readWord(addr), b.memory().readWord(addr))
             << GetParam() << " offset " << off;
     }

@@ -103,7 +103,7 @@ TEST_P(RodiniaTest, ReglessMatchesBaselineOutputs)
     // All architecturally stored words must match; sample the data
     // segment densely enough to catch divergence-path errors.
     for (Addr off = 0; off < (4u << 20); off += 4 * 131) {
-        Addr a = base_cfg.sm.dataBase + off;
+        Addr a = arch::kDataBase + off;
         ASSERT_EQ(base.memory().readWord(a), rl.memory().readWord(a))
             << GetParam() << " at offset " << off;
     }

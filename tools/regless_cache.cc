@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "sim/job_cache.hh"
 
@@ -135,12 +136,11 @@ main(int argc, char **argv)
             } else if (arg == "--strict" && command == "verify") {
                 strict = true;
             } else if (arg == "--max-age-sec" && command == "gc") {
-                gc.maxAgeSec = std::strtod(value().c_str(), nullptr);
+                gc.maxAgeSec = flagNumber<double>(arg, value());
             } else if (arg == "--max-bytes" && command == "gc") {
-                gc.maxBytes = std::strtoull(value().c_str(), nullptr,
-                                            10);
+                gc.maxBytes = flagNumber<std::uint64_t>(arg, value());
             } else if (arg == "--grace-sec" && command == "gc") {
-                gc.graceSec = std::strtod(value().c_str(), nullptr);
+                gc.graceSec = flagNumber<double>(arg, value());
             } else if (arg == "--remove-corrupt" && command == "gc") {
                 gc.removeCorrupt = true;
             } else if (arg == "--dry-run" && command == "gc") {
@@ -157,6 +157,9 @@ main(int argc, char **argv)
         if (command == "gc")
             return runGc(dir, gc);
         usage(1);
+    } catch (const FlagError &e) {
+        std::cerr << "fatal: " << e.what() << "\n";
+        return 2;
     } catch (const std::exception &e) {
         std::cerr << "fatal: " << e.what() << "\n";
         return 1;

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/sim_error.hh"
 #include "compiler/compiler.hh"
 #include "compiler/staging_checker.hh"
@@ -178,49 +179,50 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "regless_lint: %s needs a value\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--kernel") {
-            opt.kernels.push_back(value());
-        } else if (arg == "--fuzz") {
-            opt.fuzz = std::strtoul(value(), nullptr, 10);
-        } else if (arg == "--seed") {
-            opt.seed = std::strtoull(value(), nullptr, 10);
-        } else if (arg == "--runtime") {
-            opt.runtime = true;
-        } else if (arg == "--osu") {
-            opt.osuEntries = std::strtoul(value(), nullptr, 10);
-        } else if (arg == "--advisory") {
-            opt.advisory = true;
-        } else if (arg == "--json") {
-            opt.json = true;
-        } else if (arg == "--list") {
-            for (const std::string &name : workloads::rodiniaNames())
-                std::printf("%s\n", name.c_str());
-            return 0;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(stdout);
-            return 0;
-        } else {
-            std::fprintf(stderr, "regless_lint: unknown option %s\n",
-                         arg.c_str());
-            usage(stderr);
-            return 2;
-        }
-    }
 
     // Library code throws SimError (e.g. an unknown --kernel name);
-    // this main is the process-exit boundary. Usage-class errors exit
-    // 2, like the option parser above.
+    // this main is the process-exit boundary. Usage-class errors,
+    // a malformed number among them, exit 2.
     try {
+        for (int i = 1; i < argc; ++i) {
+            std::string arg = argv[i];
+            auto value = [&]() -> const char * {
+                if (i + 1 >= argc) {
+                    std::fprintf(stderr, "regless_lint: %s needs a value\n",
+                                 arg.c_str());
+                    std::exit(2);
+                }
+                return argv[++i];
+            };
+            if (arg == "--kernel") {
+                opt.kernels.push_back(value());
+            } else if (arg == "--fuzz") {
+                opt.fuzz = flagNumber<unsigned>(arg, value());
+            } else if (arg == "--seed") {
+                opt.seed = flagNumber<std::uint64_t>(arg, value());
+            } else if (arg == "--runtime") {
+                opt.runtime = true;
+            } else if (arg == "--osu") {
+                opt.osuEntries = flagNumber<unsigned>(arg, value());
+            } else if (arg == "--advisory") {
+                opt.advisory = true;
+            } else if (arg == "--json") {
+                opt.json = true;
+            } else if (arg == "--list") {
+                for (const std::string &name : workloads::rodiniaNames())
+                    std::printf("%s\n", name.c_str());
+                return 0;
+            } else if (arg == "--help" || arg == "-h") {
+                usage(stdout);
+                return 0;
+            } else {
+                std::fprintf(stderr, "regless_lint: unknown option %s\n",
+                             arg.c_str());
+                usage(stderr);
+                return 2;
+            }
+        }
+
         std::vector<ir::Kernel> kernels;
         if (opt.kernels.empty() && opt.fuzz == 0) {
             for (const std::string &name : workloads::rodiniaNames())

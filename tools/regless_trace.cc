@@ -23,6 +23,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/flags.hh"
 #include "common/sim_error.hh"
 #include "sim/gpu_config.hh"
 #include "sim/gpu_simulator.hh"
@@ -90,47 +91,50 @@ main(int argc, char **argv)
     std::string out = "regless_trace.json";
     unsigned sms = 1;
     Cycle max_cycles = 0;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "regless_trace: %s needs a value\n",
+
+    // Library code throws SimError; this main is the process-exit
+    // boundary. Usage errors, a malformed number among them, exit 2.
+    try {
+        for (int i = 1; i < argc; ++i) {
+            std::string arg = argv[i];
+            auto value = [&]() -> const char * {
+                if (i + 1 >= argc) {
+                    std::fprintf(stderr,
+                                 "regless_trace: %s needs a value\n",
+                                 arg.c_str());
+                    std::exit(2);
+                }
+                return argv[++i];
+            };
+            if (arg == "--kernel") {
+                kernel = value();
+            } else if (arg == "--provider") {
+                provider = value();
+            } else if (arg == "--out") {
+                out = value();
+            } else if (arg == "--sms") {
+                sms = flagNumber<unsigned>(arg, value());
+            } else if (arg == "--max-cycles") {
+                max_cycles = flagNumber<Cycle>(arg, value());
+            } else if (arg == "--list") {
+                for (const std::string &name : workloads::rodiniaNames())
+                    std::printf("%s\n", name.c_str());
+                return 0;
+            } else if (arg == "--help" || arg == "-h") {
+                usage(stdout);
+                return 0;
+            } else {
+                std::fprintf(stderr, "regless_trace: unknown option %s\n",
                              arg.c_str());
-                std::exit(2);
+                usage(stderr);
+                return 2;
             }
-            return argv[++i];
-        };
-        if (arg == "--kernel") {
-            kernel = value();
-        } else if (arg == "--provider") {
-            provider = value();
-        } else if (arg == "--out") {
-            out = value();
-        } else if (arg == "--sms") {
-            sms = std::strtoul(value(), nullptr, 10);
-        } else if (arg == "--max-cycles") {
-            max_cycles = std::strtoull(value(), nullptr, 10);
-        } else if (arg == "--list") {
-            for (const std::string &name : workloads::rodiniaNames())
-                std::printf("%s\n", name.c_str());
-            return 0;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(stdout);
-            return 0;
-        } else {
-            std::fprintf(stderr, "regless_trace: unknown option %s\n",
-                         arg.c_str());
-            usage(stderr);
+        }
+        if (sms == 0) {
+            std::fprintf(stderr, "regless_trace: --sms must be >= 1\n");
             return 2;
         }
-    }
-    if (sms == 0) {
-        std::fprintf(stderr, "regless_trace: --sms must be >= 1\n");
-        return 2;
-    }
 
-    try {
         sim::GpuConfig cfg =
             sim::GpuConfig::forProvider(sim::providerFromName(provider));
         cfg.trace.enabled = true;
