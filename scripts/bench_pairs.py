@@ -2,7 +2,7 @@
 """Paired parent/change runs of one perfbench workload.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --workload chip64 \\
-        --pairs 10 [--seconds 8] [--out BENCH.json]
+        --pairs 10 [--seconds 8] [--trace-pairs 2] [--out BENCH.json]
 
 Exports REV with `git archive` to .bench_build/parent-<commit>/ and runs
 perfbench/run.py alternately there and in this working tree, with
@@ -25,10 +25,16 @@ the choosing-metrics guide (section 8):
                 than the bound
   within bound  otherwise
 
+--trace-pairs N then runs N more alternating pairs with tracing on
+(perfbench/run.py --trace 1), which report the per-layer metrics instead,
+and prints each per-layer metric's parent and change medians. These
+metrics carry no bound, so they get no verdict: they show where a saving
+lands.
+
 --out FILE stores every run (its metrics and perfbench's "#" lines:
-context, digests and samples) and the summary under the workload's name,
-keeping the other workloads already in FILE. The exit status is 1 when
-any run reports incorrect output, 0 otherwise.
+context, digests and samples), the traced runs and the summary under the
+workload's name, keeping the other workloads already in FILE. The exit
+status is 1 when any run reports incorrect output, 0 otherwise.
 """
 
 import argparse
@@ -80,10 +86,10 @@ def build(side, tree):
     module.build()
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed, seconds, trace=0):
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds),
-               "--trace", "0"]
+               "--trace", str(trace)]
     run = subprocess.run(command, cwd=tree, stdout=subprocess.PIPE,
                          text=True)
     lines = run.stdout.strip().splitlines()
@@ -100,6 +106,33 @@ def run_once(tree, workload, seed, seconds):
         "lines": [line.replace(f"{ROOT}/", "") for line in lines[:-1]
                   if line.startswith("#")],
     }
+
+
+def run_pairs(sides, workload, pairs, seconds, trace):
+    """@pairs alternating pairs; pair i uses seed i, and the side that
+    runs first flips every pair."""
+    runs = []
+    for pair in range(pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change",
+                                                             "parent")
+        for side in order:
+            run = run_once(sides[side], workload, pair, seconds, trace)
+            run.update(pair=pair, side=side)
+            runs.append(run)
+            print(f"{'traced ' if trace else ''}pair {pair} {side}: " +
+                  ", ".join(f"{k}={v:.4g}"
+                            for k, v in run["metrics"].items()),
+                  file=sys.stderr)
+    return runs
+
+
+def print_table(rows):
+    """Columns padded to width; the last one is left ragged."""
+    widths = [max(len(row[i]) for row in rows)
+              for i in range(len(rows[0]) - 1)]
+    for row in rows:
+        print("  ".join([text.ljust(width)
+                         for text, width in zip(row, widths)] + [row[-1]]))
 
 
 def quartiles(values):
@@ -147,6 +180,7 @@ def main():
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float)
+    parser.add_argument("--trace-pairs", type=int, default=0, metavar="N")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args()
 
@@ -156,6 +190,8 @@ def main():
         fail(f"unknown workload {args.workload}; choose from {names}")
     if args.pairs < 1:
         fail("--pairs must be at least 1")
+    if args.trace_pairs < 0:
+        fail("--trace-pairs must not be negative")
     seconds = args.seconds or benchmark["run_seconds"]
 
     commit, parent_tree = export_parent(args.parent)
@@ -163,17 +199,8 @@ def main():
     for side, tree in sides.items():
         build(side, tree)
 
-    runs = []
-    for pair in range(args.pairs):
-        order = ("parent", "change") if pair % 2 == 0 else ("change",
-                                                             "parent")
-        for side in order:
-            run = run_once(sides[side], args.workload, pair, seconds)
-            run.update(pair=pair, side=side)
-            runs.append(run)
-            print(f"pair {pair} {side}: " + ", ".join(
-                f"{k}={v:.4g}" for k, v in run["metrics"].items()),
-                file=sys.stderr)
+    runs = run_pairs(sides, args.workload, args.pairs, seconds, 0)
+    traced = run_pairs(sides, args.workload, args.trace_pairs, seconds, 1)
 
     summary = {}
     rows = [("metric", "parent median (q1-q3)", "change median (q1-q3)",
@@ -194,12 +221,27 @@ def main():
                      f"{s['wins']}/{s['pairs']}", s["verdict"]))
     print(f"{args.workload}: {args.pairs} pairs of {seconds:g} s runs, "
           f"parent {commit[:12]} vs working tree")
-    widths = [max(len(row[i]) for row in rows) for i in range(4)]
-    for row in rows:
-        print("  ".join([text.ljust(width)
-                         for text, width in zip(row, widths)] + [row[4]]))
+    print_table(rows)
 
-    incorrect = [r for r in runs if not r["correct"]]
+    per_layer = {}
+    rows = [("per-layer metric", "parent median", "change median")]
+    for metric in benchmark["per_layer"] if traced else []:
+        name = metric["name"]
+        values = {side: [r["metrics"][name] for r in traced
+                         if r["side"] == side and name in r["metrics"]]
+                  for side in sides}
+        if not all(values.values()):
+            continue
+        medians = {side: statistics.median(v) for side, v in values.items()}
+        per_layer[name] = medians
+        rows.append((name, f"{medians['parent']:.4g} {metric['unit']}",
+                     f"{medians['change']:.4g} {metric['unit']}"))
+    if traced:
+        print(f"{args.workload}: {args.trace_pairs} traced pairs "
+              "(no bound, no verdict)")
+        print_table(rows)
+
+    incorrect = [r for r in runs + traced if not r["correct"]]
     for r in incorrect:
         print(f"pair {r['pair']} {r['side']}: incorrect output",
               file=sys.stderr)
@@ -215,6 +257,10 @@ def main():
             "summary": summary,
             "runs": runs,
         }
+        if traced:
+            record[args.workload].update(trace_pairs=args.trace_pairs,
+                                         per_layer=per_layer,
+                                         traced_runs=traced)
         args.out.write_text(json.dumps(record, indent=1) + "\n")
     sys.exit(1 if incorrect else 0)
 

@@ -20,9 +20,11 @@
 #      metric names match BENCHMARK.json, and the figure text and
 #      result digests match perfbench/reference.json byte for byte;
 #   7. ASan and TSan passes over the skip-enabled determinism subset
-#      (the per-warp stall-verdict memo and bulk stall charging index
-#      hot per-warp arrays; the pinned digests run under ASan too; the
-#      multi-SM epoch loop skips under worker threads).
+#      (the stall-verdict memo, the per-group cause counts, the
+#      per-warp stall runs and the trace labels index hot per-warp and
+#      per-group arrays, so the slot-invariant, stall-trace and
+#      deadlock-breakdown tests run under ASan too, as do the pinned
+#      digests; the multi-SM epoch loop skips under worker threads).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -98,14 +100,16 @@ cmake --build "$BUILD_DIR" -j
 python3 perfbench/test_perfbench.py
 
 # Skip-enabled determinism subset under AddressSanitizer: the oracle
-# sweep plus the property fuzzer (random kernels + fault plans).
+# sweep, the property fuzzer (random kernels + fault plans) and the
+# stall-accounting tests.
 ASAN_DIR=${ASAN_BUILD_DIR:-build-asan}
 cmake -B "$ASAN_DIR" -S . -DREGLESS_SANITIZE=address
 cmake --build "$ASAN_DIR" -j --target regless_tests \
     --target regless_oracle_tests
 "$ASAN_DIR"/tests/regless_oracle_tests \
     --gtest_filter='*CycleSkipOracle*:CycleSkip*'
-"$ASAN_DIR"/tests/regless_tests --gtest_filter='*CycleSkipFuzz*'
+"$ASAN_DIR"/tests/regless_tests \
+    --gtest_filter='*CycleSkipFuzz*:SlotInvariant.*:StallTrace.*:DeadlockBreakdown.*'
 
 # Same subset's parallel face under ThreadSanitizer: epoch-clamped
 # skipping on worker threads must stay race-free.

@@ -54,7 +54,8 @@ Sm::Sm(std::vector<SmTenantSpec> tenants, mem::MemorySystem &mem,
       _skippedCycles(_stats.counter("skipped_cycles")),
       _skipEvents(_stats.counter("skip_events")),
       _warpStalls(config.numWarps),
-      _stallMemo(config.numWarps)
+      _stallMemo(config.numWarps),
+      _scan(config.numWarps)
 {
     for (std::size_t c = 0; c < kNumStallCauses; ++c) {
         _stallSlots[c] = &_stats.counter(
@@ -99,13 +100,6 @@ Sm::Sm(std::vector<SmTenantSpec> tenants, mem::MemorySystem &mem,
         }
     }
 
-    // Residency: admit thread blocks up to the occupancy limit.
-    _resident.assign(_cfg.numWarps, _cfg.maxResidentWarps == 0);
-    if (_cfg.maxResidentWarps != 0) {
-        for (auto &tn : _tenants)
-            admitBlocks(*tn);
-    }
-
     // Interleaved assignment within each tenant: group sg of tenant t
     // serves warps {base + sg + k*schedCount}, which for one tenant is
     // exactly warp w in group w % numSchedulers (matches how
@@ -124,19 +118,33 @@ Sm::Sm(std::vector<SmTenantSpec> tenants, mem::MemorySystem &mem,
         _schedulers.push_back(
             WarpScheduler::create(_cfg.scheduler, std::move(group)));
     }
-    for (const auto &sched : _schedulers)
-        _schedulersQuiescent &= sched->quiescentWhenStalled();
-    _scanCan.resize(_cfg.numWarps / _cfg.numSchedulers);
-    _scanCause.resize(_scanCan.size());
-    _groupCharge.resize(_cfg.numSchedulers, StallCause::NoWarp);
-    _chargedWarps.reserve(_cfg.numWarps);
-}
+    // Every warp starts due, behind a blocked no_warp placeholder.
+    // Only a scheduler that is not quiescent when stalled (two_level)
+    // reads stall notices; GTO's and RR's notifyLongStall are no-ops.
+    _groups.resize(_cfg.numSchedulers);
+    for (unsigned g = 0; g < _cfg.numSchedulers; ++g) {
+        const auto &group = _schedulers[g]->warps();
+        GroupScan &gs = _groups[g];
+        gs.due.words.assign((group.size() + 63) / 64, 0);
+        gs.memo.words = gs.due.words;
+        gs.can.assign(group.size(), false);
+        gs.blocked[static_cast<std::size_t>(StallCause::NoWarp)] =
+            static_cast<unsigned>(group.size());
+        gs.notices = !_schedulers[g]->quiescentWhenStalled();
+        _schedulersQuiescent &= !gs.notices;
+        for (unsigned i = 0; i < group.size(); ++i) {
+            gs.due.add(i);
+            _scan[group[i]].group = g;
+            _scan[group[i]].pos = i;
+        }
+    }
 
-bool
-Sm::done() const
-{
-    return std::all_of(_warps.begin(), _warps.end(),
-                       [](const Warp &w) { return w.finished(); });
+    // Residency: admit thread blocks up to the occupancy limit.
+    _resident.assign(_cfg.numWarps, _cfg.maxResidentWarps == 0);
+    if (_cfg.maxResidentWarps != 0) {
+        for (auto &tn : _tenants)
+            admitBlocks(*tn);
+    }
 }
 
 bool
@@ -177,6 +185,8 @@ Sm::resumeTenant(unsigned t, Cycle now)
     }
     tn.suspendRequested = false;
     tn.provider->resume(now);
+    for (WarpId w = tn.warpBase; w < tn.warpBase + tn.warpCount; ++w)
+        wake(w);
     bool pending = false;
     for (const auto &other : _tenants)
         pending |= other->suspendRequested;
@@ -197,6 +207,10 @@ Sm::pollSuspends(Cycle now)
             tn->suspendRequested = false;
             tn->suspended = true;
             tn->suspendStart = now;
+            for (WarpId w = tn->warpBase;
+                 w < tn->warpBase + tn->warpCount; ++w) {
+                wake(w);
+            }
         } else {
             pending = true;
         }
@@ -225,21 +239,18 @@ Sm::admitBlocks(Tenant &tn)
         for (WarpId w = tn.warpBase + tn.nextBlockToAdmit * wpb;
              w < tn.warpBase + (tn.nextBlockToAdmit + 1) * wpb; ++w) {
             _resident[w] = true;
+            wake(w);
         }
         tn.residentWarps += wpb;
         ++tn.nextBlockToAdmit;
     }
 }
 
-bool
-Sm::eligible(Tenant &tn, const Warp &warp, Cycle now, bool *long_stall,
-             StallCause *cause, Cycle *next_event)
+Sm::Verdict
+Sm::eligible(Tenant &tn, const Warp &warp, Cycle now, Cycle *next_event)
 {
-    *long_stall = false;
-    auto blocked = [&](StallCause why) {
-        if (cause)
-            *cause = why;
-        return false;
+    auto blocked = [](StallCause why, Home home, bool long_stall = false) {
+        return Verdict{false, long_stall, why, home};
     };
     auto bound = [&](Cycle at) {
         if (next_event)
@@ -250,30 +261,28 @@ Sm::eligible(Tenant &tn, const Warp &warp, Cycle now, bool *long_stall,
     // its own decision points). Non-resident, finished, and
     // barrier-parked warps likewise have no bound: their release
     // requires another warp to issue, which cannot happen inside an
-    // all-stalled window.
-    if (tn.suspended)
-        return blocked(StallCause::NoWarp);
-    if (!_resident[warp.id()])
-        return blocked(StallCause::NoWarp);
+    // all-stalled window. Each parked verdict holds until a wake event.
+    if (tn.suspended || !_resident[warp.id()])
+        return blocked(StallCause::NoWarp, Home::Parked);
     if (warp.status() == WarpStatus::AtBarrier)
-        return blocked(StallCause::SyncBarrier);
+        return blocked(StallCause::SyncBarrier, Home::Parked);
     if (warp.status() != WarpStatus::Running)
-        return blocked(StallCause::NoWarp);
+        return blocked(StallCause::NoWarp, Home::Parked);
     StallMemo &memo = _stallMemo[warp.id()];
     if (now < memo.until) {
-        *long_stall = memo.longStall;
         bound(memo.nextReady);
-        return blocked(memo.cause);
+        return blocked(memo.cause, Home::Memo, memo.longStall);
     }
     const ir::Instruction &insn = tn.kernel->insn(warp.pc());
     if (!tn.scoreboard.ready(warp.id(), insn, now)) {
         // Long-latency source? (feeds the two-level demotion) A source
         // stops counting as long at readyAt - threshold: the flip.
-        Cycle flip = std::numeric_limits<Cycle>::max();
+        Cycle flip = kNever;
+        memo.longStall = false;
         for (RegId src : insn.srcs()) {
             const Cycle at = tn.scoreboard.readyAt(warp.id(), src);
             if (at > now + kLongStallThreshold) {
-                *long_stall = true;
+                memo.longStall = true;
                 flip = std::min(flip, at - kLongStallThreshold);
             }
         }
@@ -283,22 +292,21 @@ Sm::eligible(Tenant &tn, const Warp &warp, Cycle now, bool *long_stall,
         memo.cause = tn.scoreboard.blockedOnMem(warp.id(), insn, now)
                          ? StallCause::MemPending
                          : StallCause::ScoreboardDep;
-        memo.longStall = *long_stall;
         bound(memo.nextReady);
-        return blocked(memo.cause);
+        return blocked(memo.cause, Home::Memo, memo.longStall);
     }
     if (insn.isGlobalLoad() || insn.isGlobalStore()) {
         if (!_mem.l1PortFree(now)) {
             bound(_mem.nextEventCycle(now));
-            return blocked(StallCause::ExecPortBusy);
+            return blocked(StallCause::ExecPortBusy, Home::Due);
         }
     }
     // The provider check comes last so its internal gating (e.g. the
     // RegLess capacity manager) sees only otherwise-issuable warps.
     // No per-warp bound: the provider's own nextEventCycle covers it.
     if (!tn.provider->canIssue(warp, now))
-        return blocked(tn.provider->blockCause(warp, now));
-    return true;
+        return blocked(tn.provider->blockCause(warp, now), Home::Due);
+    return Verdict{true, false, StallCause::NoWarp, Home::Due};
 }
 
 std::vector<Addr>
@@ -465,6 +473,7 @@ Sm::checkBarrier(Tenant &tn, unsigned block_id)
         if (wp.blockId() == block_id &&
             wp.status() == WarpStatus::AtBarrier) {
             wp.setStatus(WarpStatus::Running);
+            wake(w);
         }
     }
 }
@@ -484,6 +493,7 @@ Sm::execExit(Tenant &tn, Warp &warp, Cycle now)
     warp.stack().exitLanes();
     if (warp.stack().allExited()) {
         warp.setStatus(WarpStatus::Finished);
+        ++_finishedWarps;
         tn.provider->onWarpFinished(warp, now);
         checkBarrier(tn, warp.blockId());
         if (!tn.finished) {
@@ -517,7 +527,8 @@ void
 Sm::issue(Tenant &tn, Warp &warp, Cycle now)
 {
     // Issuing moves the PC and writes scoreboard rows: the warp's
-    // replayed verdict no longer holds.
+    // replayed verdict no longer holds. Only an eligible warp issues,
+    // so its verdict is already due.
     _stallMemo[warp.id()].until = 0;
     const Pc pc = warp.pc();
     const ir::Instruction &insn = tn.kernel->insn(pc);
@@ -567,50 +578,113 @@ Sm::step()
 }
 
 void
+Sm::wake(WarpId warp)
+{
+    const WarpScan &ws = _scan[warp];
+    GroupScan &gs = _groups[ws.group];
+    gs.due.add(ws.pos);
+    if (gs.memo.has(ws.pos)) {
+        // The skip probe reads the memo set's minimum nextReady, so
+        // the bound must drop the warp leaving it.
+        gs.memo.remove(ws.pos);
+        refreshMemos(gs, _schedulers[ws.group]->warps());
+    }
+}
+
+void
+Sm::refreshMemos(GroupScan &gs, const std::vector<WarpId> &group)
+{
+    gs.memoUntil = kNever;
+    gs.memoNextReady = kNever;
+    gs.memo.forEach([&](unsigned i) {
+        const StallMemo &memo = _stallMemo[group[i]];
+        if (_now >= memo.until) {
+            gs.memo.remove(i);
+            gs.due.add(i);
+        } else {
+            gs.memoUntil = std::min(gs.memoUntil, memo.until);
+            gs.memoNextReady = std::min(gs.memoNextReady, memo.nextReady);
+        }
+    });
+}
+
+void
+Sm::record(GroupScan &gs, unsigned i, WarpId w, const Verdict &v)
+{
+    WarpScan &ws = _scan[w];
+    if (!gs.can[i])
+        --gs.blocked[static_cast<std::size_t>(ws.cause)];
+    if (!v.can)
+        ++gs.blocked[static_cast<std::size_t>(v.cause)];
+    gs.can[i] = v.can;
+    ws.cause = v.cause;
+    ws.longStall = v.longStall;
+
+    // Per-warp stall detail (feeds the trace and the deadlock report)
+    // counts the cycles a Running warp spends blocked. A run adds its
+    // length once, when the verdict changes; every cycle in between,
+    // stepped or skipped, repeats the same verdict.
+    const bool charged =
+        !v.can && _warps[w].status() == WarpStatus::Running;
+    if (charged != ws.runCharged || (charged && v.cause != ws.runCause)) {
+        if (ws.runCharged) {
+            _warpStalls[w][static_cast<std::size_t>(ws.runCause)] +=
+                _now - ws.runStart;
+        }
+        ws.runCause = v.cause;
+        ws.runCharged = charged;
+        ws.runStart = _now;
+    }
+
+    if (v.home == Home::Due)
+        return;
+    gs.due.remove(i);
+    if (v.home == Home::Memo) {
+        gs.memo.add(i);
+        const StallMemo &memo = _stallMemo[w];
+        gs.memoUntil = std::min(gs.memoUntil, memo.until);
+        gs.memoNextReady = std::min(gs.memoNextReady, memo.nextReady);
+    }
+}
+
+void
 Sm::stepImpl(SkipProbe *probe)
 {
     for (auto &tn : _tenants)
         tn->provider->tick(_now);
     if (_anySuspendPending)
         pollSuspends(_now);
-    if (probe)
-        _chargedWarps.clear();
 
     for (std::size_t g = 0; g < _schedulers.size(); ++g) {
         Tenant &tn = *_tenants[_groupTenant[g]];
         auto &sched = _schedulers[g];
         const auto &group = sched->warps();
-        std::vector<bool> &can = _scanCan;
-        std::vector<StallCause> &cause = _scanCause;
-        std::fill(can.begin(), can.end(), false);
-        std::fill(cause.begin(), cause.end(), StallCause::NoWarp);
+        GroupScan &gs = _groups[g];
+        if (_now >= gs.memoUntil)
+            refreshMemos(gs, group);
+        // Only due warps can change their verdict this cycle; the
+        // rest replay the cached one (DESIGN.md §12).
         bool any = false;
-        for (std::size_t i = 0; i < group.size(); ++i) {
-            bool long_stall = false;
-            bool eligible_now =
-                eligible(tn, _warps[group[i]], _now, &long_stall,
-                         &cause[i], probe ? &probe->nextEvent : nullptr);
-            can[i] = eligible_now;
-            any |= eligible_now;
+        gs.due.forEach([&](unsigned i) {
+            const Verdict v = eligible(tn, _warps[group[i]], _now,
+                                       probe ? &probe->nextEvent : nullptr);
+            any |= v.can;
+            record(gs, i, group[i], v);
+        });
+        if (probe)
+            probe->nextEvent = std::min(probe->nextEvent, gs.memoNextReady);
+        if (gs.notices) {
             // Warps blocked indefinitely (finished, at a barrier) must
             // vacate a two-level scheduler's active pool, or pending
             // warps never get promoted and the SM deadlocks.
-            if (long_stall ||
-                _warps[group[i]].status() != WarpStatus::Running) {
-                sched->notifyLongStall(group[i]);
-            }
-            // Per-warp stall detail (feeds the trace and the deadlock
-            // report); the per-slot charge below is separate so every
-            // scheduler-cycle is charged exactly once.
-            if (!eligible_now &&
-                _warps[group[i]].status() == WarpStatus::Running) {
-                ++_warpStalls[group[i]]
-                             [static_cast<std::size_t>(cause[i])];
-                if (probe)
-                    _chargedWarps.emplace_back(group[i], cause[i]);
+            for (WarpId w : group) {
+                if (_scan[w].longStall ||
+                    _warps[w].status() != WarpStatus::Running) {
+                    sched->notifyLongStall(w);
+                }
             }
         }
-        const int picked = any ? sched->pick(can) : -1;
+        const int picked = any ? sched->pick(gs.can) : -1;
         if (picked >= 0) {
             ++_slotIssued;
             ++tn.slotIssued;
@@ -625,16 +699,16 @@ Sm::stepImpl(SkipProbe *probe)
         } else {
             // Charge the slot to the blocked warp closest to issuing.
             StallCause charge = StallCause::NoWarp;
-            for (std::size_t i = 0; i < group.size(); ++i) {
-                if (stallPrecedence(cause[i]) <
-                    stallPrecedence(charge)) {
-                    charge = cause[i];
+            for (std::size_t c = 0; c < kNumStallCauses; ++c) {
+                const auto cause = static_cast<StallCause>(c);
+                if (gs.blocked[c] != 0 &&
+                    stallPrecedence(cause) < stallPrecedence(charge)) {
+                    charge = cause;
                 }
             }
             ++*_stallSlots[static_cast<std::size_t>(charge)];
             ++tn.stallSlots[static_cast<std::size_t>(charge)];
-            if (probe)
-                _groupCharge[g] = charge;
+            gs.charge = charge;
         }
         if (probe) {
             probe->anyIssue |= picked >= 0;
@@ -644,8 +718,8 @@ Sm::stepImpl(SkipProbe *probe)
             for (std::size_t i = 0; i < group.size(); ++i) {
                 const char *label =
                     static_cast<int>(i) == picked ? "issue"
-                    : can[i]                      ? "ready"
-                    : stallCauseName(cause[i]);
+                    : gs.can[i]                   ? "ready"
+                    : stallCauseName(_scan[group[i]].cause);
                 updateTraceLabel(group[i], label);
             }
         }
@@ -657,9 +731,8 @@ Sm::stepImpl(SkipProbe *probe)
         // warp, re-checked against the updated scoreboard. The extra
         // issue shares the slot already counted above.
         for (unsigned extra = 1; extra < kIssueWidth; ++extra) {
-            bool long_stall = false;
             if (warp.status() != WarpStatus::Running ||
-                !eligible(tn, warp, _now, &long_stall)) {
+                !eligible(tn, warp, _now).can) {
                 break;
             }
             issue(tn, warp, _now);
@@ -693,17 +766,16 @@ Sm::stepSkipping(Cycle limit)
         return;
     const Cycle n = target - _now;
     // Bulk charging: state is constant across the window, so each
-    // skipped cycle would have charged exactly the causes the probe
-    // cycle did — one slot per scheduler group plus the per-warp
-    // detail. This preserves the closed-account invariant
-    // issued + stalls == schedulers * cycles, per tenant and in total.
-    for (std::size_t g = 0; g < _groupCharge.size(); ++g) {
-        *_stallSlots[static_cast<std::size_t>(_groupCharge[g])] += n;
-        _tenants[_groupTenant[g]]->stallSlots[static_cast<std::size_t>(
-            _groupCharge[g])] += n;
+    // skipped cycle would have charged exactly the slot causes the
+    // probe cycle did, one per scheduler group. This preserves the
+    // closed-account invariant issued + stalls == schedulers * cycles,
+    // per tenant and in total. Per-warp stall runs simply stay open
+    // across the window.
+    for (std::size_t g = 0; g < _groups.size(); ++g) {
+        const auto charge = static_cast<std::size_t>(_groups[g].charge);
+        *_stallSlots[charge] += n;
+        _tenants[_groupTenant[g]]->stallSlots[charge] += n;
     }
-    for (const auto &[w, cause] : _chargedWarps)
-        _warpStalls[w][static_cast<std::size_t>(cause)] += n;
     for (auto &tn : _tenants)
         tn->provider->onCyclesSkipped(_now, n);
     _skippedCycles += n;
@@ -743,6 +815,17 @@ Sm::flushStallTrace()
             _traceHook(w, _traceLabel[w], _traceStart[w], _now);
         _traceLabel[w] = nullptr;
     }
+}
+
+std::array<std::uint64_t, kNumStallCauses>
+Sm::warpStalls(WarpId warp) const
+{
+    std::array<std::uint64_t, kNumStallCauses> stalls =
+        _warpStalls.at(warp);
+    const WarpScan &ws = _scan[warp];
+    if (ws.runCharged)
+        stalls[static_cast<std::size_t>(ws.runCause)] += _now - ws.runStart;
+    return stalls;
 }
 
 StallSnapshot

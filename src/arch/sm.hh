@@ -21,7 +21,10 @@
 #ifndef REGLESS_ARCH_SM_HH
 #define REGLESS_ARCH_SM_HH
 
+#include <bit>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -144,11 +147,11 @@ class Sm
     std::uint64_t skipEvents() const { return _skipEvents.value(); }
 
     /** @return true when every warp has finished. */
-    bool done() const;
+    bool done() const { return _finishedWarps == _warps.size(); }
 
     Cycle now() const { return _now; }
     const std::vector<Warp> &warps() const { return _warps; }
-    Warp &warp(WarpId id) { return _warps.at(id); }
+    const Warp &warp(WarpId id) const { return _warps.at(id); }
 
     StatGroup &stats() { return _stats; }
     std::uint64_t totalInsns() const { return _issued.value(); }
@@ -177,12 +180,12 @@ class Sm
         return _stallSlots[static_cast<std::size_t>(cause)]->value();
     }
     StallSnapshot slotSnapshot() const;
-    /** Cumulative per-warp stall cycles by cause (Running warps only). */
-    const std::array<std::uint64_t, kNumStallCauses> &
-    warpStalls(WarpId warp) const
-    {
-        return _warpStalls.at(warp);
-    }
+    /**
+     * Cumulative per-warp stall cycles by cause (Running warps only):
+     * the settled runs plus the warp's open run up to now.
+     */
+    std::array<std::uint64_t, kNumStallCauses>
+    warpStalls(WarpId warp) const;
     ///@}
 
     /** @name Per-tenant residency, preemption, and attribution. */
@@ -337,6 +340,94 @@ class Sm
         bool longStall = false;
     };
 
+    static constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
+
+    /**
+     * Where a warp's verdict lives between scans (DESIGN.md §12). Only
+     * due warps are evaluated on a stepped cycle; a wake event moves a
+     * memo or parked warp back to due.
+     */
+    enum class Home : std::uint8_t
+    {
+        /** Eligible, L1-port-busy or provider-blocked: port and
+         *  provider state change without the SM seeing it. */
+        Due,
+        /** Replaying its StallMemo until the memo's until. */
+        Memo,
+        /** Finished, at a barrier, non-resident or suspended. */
+        Parked,
+    };
+
+    /** What eligible() decided about one warp. */
+    struct Verdict
+    {
+        bool can = false;
+        /** The blocker is a long-latency source (two-level demotion). */
+        bool longStall = false;
+        /** Attributed cause when blocked (NoWarp when eligible). */
+        StallCause cause = StallCause::NoWarp;
+        Home home = Home::Due;
+    };
+
+    /** A warp's cached verdict and its open per-warp stall run. */
+    struct WarpScan
+    {
+        unsigned group = 0;
+        /** Position in the group's warps(). */
+        unsigned pos = 0;
+        StallCause cause = StallCause::NoWarp;
+        bool longStall = false;
+        /** @name Open stall run: (cause, charged) since runStart. */
+        ///@{
+        StallCause runCause = StallCause::NoWarp;
+        bool runCharged = false;
+        Cycle runStart = 0;
+        ///@}
+    };
+
+    /** Group positions as a bitset, iterated in ascending order. */
+    struct PositionSet
+    {
+        std::vector<std::uint64_t> words;
+
+        void add(unsigned i) { words[i / 64] |= bit(i); }
+        void remove(unsigned i) { words[i / 64] &= ~bit(i); }
+        bool has(unsigned i) const { return words[i / 64] & bit(i); }
+        static std::uint64_t bit(unsigned i)
+        {
+            return std::uint64_t{1} << (i % 64);
+        }
+        /** Call @a f on each member; @a f may change the set (each
+         *  word is read before its members are visited). */
+        template <typename F>
+        void forEach(F &&f) const
+        {
+            for (std::size_t k = 0; k < words.size(); ++k) {
+                for (std::uint64_t bits = words[k]; bits; bits &= bits - 1)
+                    f(static_cast<unsigned>(k * 64 + std::countr_zero(bits)));
+            }
+        }
+    };
+
+    /** One scheduler group's verdict homes and cached counts. */
+    struct GroupScan
+    {
+        PositionSet due;
+        PositionSet memo;
+        /** Cached eligibility by position (the scheduler's input). */
+        std::vector<bool> can;
+        /** Exact minima of until / nextReady over the memo set. */
+        Cycle memoUntil = kNever;
+        Cycle memoNextReady = kNever;
+        /** Blocked positions per cached cause (the slot charge). */
+        std::array<unsigned, kNumStallCauses> blocked{};
+        /** Slot charge of the group's last all-stalled cycle (a
+         *  skipped window repeats it). */
+        StallCause charge = StallCause::NoWarp;
+        /** Feed notifyLongStall every stepped cycle (two_level). */
+        bool notices = false;
+    };
+
     Tenant &tenant(unsigned t) { return *_tenants.at(t); }
     const Tenant &tenant(unsigned t) const { return *_tenants.at(t); }
     Tenant &tenantOf(const Warp &warp)
@@ -346,21 +437,28 @@ class Sm
 
     /**
      * Can @a warp issue its next instruction now?
-     * @param long_stall Set when the blocker is a long-latency source.
-     * @param cause If non-null and the warp cannot issue, receives the
-     *        attributed StallCause.
      * @param next_event If non-null and the warp cannot issue, lowered
      *        to the earliest cycle its blocker can clear (left alone
      *        for blockers with no SM-visible bound: barriers,
      *        non-residency, suspension, and provider gating, which the
      *        provider's own nextEventCycle covers).
      */
-    bool eligible(Tenant &tn, const Warp &warp, Cycle now,
-                  bool *long_stall, StallCause *cause = nullptr,
-                  Cycle *next_event = nullptr);
+    Verdict eligible(Tenant &tn, const Warp &warp, Cycle now,
+                     Cycle *next_event = nullptr);
 
     /** One cycle of the SM; fills @a probe when non-null. */
     void stepImpl(SkipProbe *probe);
+
+    /** Cache @a v as the verdict of position @a i (warp @a w) of
+     *  @a gs: cause counts, stall run and home. */
+    void record(GroupScan &gs, unsigned i, WarpId w, const Verdict &v);
+
+    /** Move @a gs's expired memo warps to due and recompute the memo
+     *  bounds over the rest. */
+    void refreshMemos(GroupScan &gs, const std::vector<WarpId> &group);
+
+    /** Wake event: @a warp's verdict may change; evaluate it again. */
+    void wake(WarpId warp);
 
     /** Complete suspend requests whose provider reached a boundary. */
     void pollSuspends(Cycle now);
@@ -425,20 +523,17 @@ class Sm
     Counter &_memTransactions;
     Counter &_skippedCycles;
     Counter &_skipEvents;
+    /** Per-warp stall cycles of settled runs (see WarpScan). */
     std::vector<std::array<std::uint64_t, kNumStallCauses>> _warpStalls;
     /** Per-warp replayed scoreboard verdicts, indexed by warp id. */
     std::vector<StallMemo> _stallMemo;
+    /** Per-warp cached verdicts and stall runs, indexed by warp id. */
+    std::vector<WarpScan> _scan;
+    /** Per-group verdict homes, indexed like _schedulers. */
+    std::vector<GroupScan> _groups;
+    std::size_t _finishedWarps = 0;
     /** All schedulers safe to skip over? (precomputed at build) */
     bool _schedulersQuiescent = true;
-    /** @name Preallocated per-group scan buffers (no per-cycle heap). */
-    ///@{
-    std::vector<bool> _scanCan;
-    std::vector<StallCause> _scanCause;
-    ///@}
-    /** Per-group slot charge of the last probed all-stalled cycle. */
-    std::vector<StallCause> _groupCharge;
-    /** (warp, cause) pairs charged per-warp in the probed cycle. */
-    std::vector<std::pair<WarpId, StallCause>> _chargedWarps;
     StallTraceHook _traceHook;
     std::vector<const char *> _traceLabel;
     std::vector<Cycle> _traceStart;

@@ -17,12 +17,6 @@ constexpr unsigned kOrfMaxDistance = 20;
 } // namespace
 
 RfHierarchy::RfHierarchy(const compiler::CompiledKernel &ck)
-    : RfHierarchy(ck, Params())
-{
-}
-
-RfHierarchy::RfHierarchy(const compiler::CompiledKernel &ck,
-                         const Params &params)
     : RegisterProvider("rfh"),
       _ck(ck),
       _cfg(ck.kernel()),
@@ -36,11 +30,11 @@ RfHierarchy::RfHierarchy(const compiler::CompiledKernel &ck,
       _mrfReads(_stats.counter("mrf_reads")),
       _mrfWrites(_stats.counter("mrf_writes"))
 {
-    assignLevels(params);
+    assignLevels();
 }
 
 void
-RfHierarchy::assignLevels(const Params &params)
+RfHierarchy::assignLevels()
 {
     const ir::Kernel &kernel = _ck.kernel();
     const unsigned num_regs = kernel.numRegs();
@@ -130,7 +124,7 @@ RfHierarchy::assignLevels(const Params &params)
             }
             worst = std::max(worst, n);
         }
-        if (worst < params.orfEntriesPerWarp) {
+        if (worst < kOrfEntriesPerWarp) {
             _level[r] = RfLevel::Orf;
             admitted.push_back(r);
         }

@@ -37,15 +37,10 @@ enum class RfLevel : std::uint8_t
 class RfHierarchy : public RegisterProvider
 {
   public:
-    /** Static level-assignment knobs. */
-    struct Params
-    {
-        /** ORF entries per warp (capacity of the middle level). */
-        unsigned orfEntriesPerWarp = 6;
-    };
+    /** ORF entries per warp (capacity of the middle level). */
+    static constexpr unsigned kOrfEntriesPerWarp = 6;
 
     explicit RfHierarchy(const compiler::CompiledKernel &ck);
-    RfHierarchy(const compiler::CompiledKernel &ck, const Params &params);
 
     bool canIssue(const arch::Warp &warp, Cycle now) override;
 
@@ -61,7 +56,7 @@ class RfHierarchy : public RegisterProvider
 
   private:
     /** Run the static assignment pass. */
-    void assignLevels(const Params &params);
+    void assignLevels();
 
     const compiler::CompiledKernel &_ck;
     ir::CfgAnalysis _cfg;

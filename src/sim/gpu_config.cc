@@ -205,14 +205,6 @@ dump(KeyValueSink &kv, const std::string &p, const TenantConfig &c)
 
 void
 dump(KeyValueSink &kv, const std::string &p,
-     const regfile::RfHierarchy::Params &c)
-{
-    const auto &[orf_entries_per_warp] = c;
-    kv.add(p + "orf_entries_per_warp", orf_entries_per_warp);
-}
-
-void
-dump(KeyValueSink &kv, const std::string &p,
      const regfile::CompilerRfCache::Params &c)
 {
     const auto &[cache_entries_per_warp, max_def_use_distance] = c;
@@ -226,9 +218,8 @@ std::vector<std::pair<std::string, std::string>>
 configKeyValues(const GpuConfig &config)
 {
     const auto &[provider, sm, mem, compiler_cfg, regless,
-                 baseline_rf_entries, limit_occupancy_by_rf,
-                 rfv_phys_entries, rfh, rf_cache, faults, trace,
-                 tenants] = config;
+                 baseline_rf_entries, limit_occupancy_by_rf, rf_cache,
+                 faults, trace, tenants] = config;
 
     std::vector<std::pair<std::string, std::string>> out;
     KeyValueSink kv(out);
@@ -239,8 +230,6 @@ configKeyValues(const GpuConfig &config)
     dump(kv, "regless.", regless);
     kv.add("baseline_rf_entries", baseline_rf_entries);
     kv.add("limit_occupancy_by_rf", limit_occupancy_by_rf);
-    kv.add("rfv_phys_entries", rfv_phys_entries);
-    dump(kv, "rfh.", rfh);
     dump(kv, "rf_cache.", rf_cache);
     dump(kv, "faults.", faults);
     dump(kv, "trace.", trace);

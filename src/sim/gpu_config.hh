@@ -19,7 +19,6 @@
 #include "compiler/config.hh"
 #include "mem/memory_system.hh"
 #include "regfile/compiler_rf_cache.hh"
-#include "regfile/rf_hierarchy.hh"
 #include "regfile/tenant_arbiter.hh"
 #include "regless/regless_config.hh"
 
@@ -130,11 +129,6 @@ struct GpuConfig
      * design change to do so). Off by default: Table 1 kernels fit.
      */
     bool limitOccupancyByRf = false;
-
-    /** RFV physical file entries (half the baseline). */
-    unsigned rfvPhysEntries = 1024;
-
-    regfile::RfHierarchy::Params rfh;
 
     /** Compiler-assisted RF-cache parameters (DESIGN.md §13.2). */
     regfile::CompilerRfCache::Params rfCache;

@@ -19,6 +19,9 @@ namespace
 
 using Provider = std::unique_ptr<regfile::RegisterProvider>;
 
+/** RFV physical file entries (half the baseline). */
+constexpr unsigned kRfvPhysEntries = 1024;
+
 /* ---------------- factories ---------------- */
 
 Provider
@@ -35,15 +38,15 @@ makeRfh(const compiler::CompiledKernel &ck, mem::MemorySystem &,
     if (config.sm.scheduler != arch::SchedulerPolicy::TwoLevel)
         warn("RFH without the two-level scheduler is not the "
              "published technique");
-    return std::make_unique<regfile::RfHierarchy>(ck, config.rfh);
+    return std::make_unique<regfile::RfHierarchy>(ck);
 }
 
 Provider
 makeRfv(const compiler::CompiledKernel &ck, mem::MemorySystem &,
-        const GpuConfig &config, WarpId, unsigned)
+        const GpuConfig &, WarpId, unsigned)
 {
     return std::make_unique<regfile::RfVirtualization>(
-        ck, config.rfvPhysEntries);
+        ck, kRfvPhysEntries);
 }
 
 Provider
@@ -219,14 +222,14 @@ energyRfh(const RunStats &stats, const GpuConfig &config,
 }
 
 void
-energyRfv(const RunStats &stats, const GpuConfig &config,
+energyRfv(const RunStats &stats, const GpuConfig &,
           energy::EnergyBreakdown &out)
 {
     out.regDynamic =
         static_cast<double>(stats.rfReads + stats.rfWrites) *
-            energy::accessEnergy(config.rfvPhysEntries) +
+            energy::accessEnergy(kRfvPhysEntries) +
         static_cast<double>(stats.renameLookups) * energy::kRenameAccess;
-    out.regStatic = energy::staticPower(config.rfvPhysEntries) *
+    out.regStatic = energy::staticPower(kRfvPhysEntries) *
                     static_cast<double>(stats.cycles);
 }
 
@@ -327,16 +330,16 @@ areaRfh(const GpuConfig &config)
     energy::AreaBreakdown a =
         energy::plainRfArea(config.baselineRfEntries);
     energy::AreaBreakdown small = energy::plainRfArea(
-        config.rfh.orfEntriesPerWarp * config.sm.numWarps);
+        regfile::RfHierarchy::kOrfEntriesPerWarp * config.sm.numWarps);
     a.storage += small.storage;
     a.logic += small.logic;
     return a;
 }
 
 energy::AreaBreakdown
-areaRfv(const GpuConfig &config)
+areaRfv(const GpuConfig &)
 {
-    return energy::plainRfArea(config.rfvPhysEntries);
+    return energy::plainRfArea(kRfvPhysEntries);
 }
 
 energy::AreaBreakdown

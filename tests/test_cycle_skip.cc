@@ -553,6 +553,86 @@ TEST(CycleSkipPinned, MultiSmAndCoRunsMatchTheirDigests)
     expectPinned(pinned, runs);
 }
 
+/** The deadlock report of a run that @a fault wedges. */
+std::string
+renderedDeadlock(const std::string &kernel, FaultPlan::Kind fault,
+                 Cycle window)
+{
+    sim::GpuConfig cfg = skippingConfig(sim::ProviderKind::Regless);
+    cfg.faults.kind = fault;
+    cfg.faults.triggerCycle = 0;
+    cfg.sm.watchdogWindow = window;
+    cfg.sm.maxCycles = 2'000'000;
+    sim::GpuSimulator gpu(workloads::makeRodinia(kernel), cfg);
+    try {
+        gpu.run();
+    } catch (const sim::DeadlockError &e) {
+        return e.report().render();
+    }
+    ADD_FAILURE() << kernel << " did not deadlock";
+    return "";
+}
+
+TEST(CycleSkipPinned, PerWarpStallsReportsAndTracesMatchTheirDigests)
+{
+    // Three SM outputs that toJson does not carry: the per-warp stall
+    // arrays, the deadlock report whose stall= lines come from them,
+    // and the Chrome stall trace.
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"deadlock/nn/leak_osu_slot", 0x4dfce11ded9b81f2ULL},
+        {"deadlock/srad_v1/drop_dram_response", 0x56c270812df6e695ULL},
+        {"trace/nn/regless", 0xa88a63b0dc7353ULL},
+        {"warp_stalls/heartwall/baseline/canonical", 0x58bfb7895770d3c5ULL},
+        {"warp_stalls/heartwall/baseline/two_level", 0x4afaaf097a03dc25ULL},
+        {"warp_stalls/heartwall/regless/canonical", 0xe80e624611998c24ULL},
+        {"warp_stalls/heartwall/regless/two_level", 0xc4b8138b1f5df061ULL},
+        {"warp_stalls/srad_v1/baseline/canonical", 0x143ada99fa90aa23ULL},
+        {"warp_stalls/srad_v1/baseline/two_level", 0x8a9558989ab4a088ULL},
+        {"warp_stalls/srad_v1/regless/canonical", 0xaefaec4886b057baULL},
+        {"warp_stalls/srad_v1/regless/two_level", 0x15b7e3727b6d82e1ULL},
+    };
+    std::map<std::string, std::string> texts;
+    const std::vector<std::pair<std::string,
+                                std::optional<arch::SchedulerPolicy>>>
+        schedulers = {{"canonical", std::nullopt},
+                      {"two_level", arch::SchedulerPolicy::TwoLevel}};
+    for (const std::string kernel : {"srad_v1", "heartwall"}) {
+        for (sim::ProviderKind kind :
+             {sim::ProviderKind::Regless, sim::ProviderKind::Baseline}) {
+            for (const auto &[sched, policy] : schedulers) {
+                sim::GpuConfig cfg = skippingConfig(kind);
+                if (policy)
+                    cfg.sm.scheduler = *policy;
+                sim::GpuSimulator gpu(workloads::makeRodinia(kernel), cfg);
+                gpu.run();
+                std::ostringstream text;
+                for (const arch::Warp &w : gpu.sm().warps()) {
+                    text << 'w' << w.id();
+                    for (std::uint64_t cycles : gpu.sm().warpStalls(w.id()))
+                        text << ' ' << cycles;
+                    text << '\n';
+                }
+                texts["warp_stalls/" + kernel + "/" +
+                      sim::providerName(kind) + "/" + sched] = text.str();
+            }
+        }
+    }
+    texts["deadlock/nn/leak_osu_slot"] =
+        renderedDeadlock("nn", FaultPlan::Kind::LeakOsuSlot, 5000);
+    texts["deadlock/srad_v1/drop_dram_response"] = renderedDeadlock(
+        "srad_v1", FaultPlan::Kind::DropDramResponse, 10'000);
+
+    sim::GpuConfig cfg = skippingConfig(sim::ProviderKind::Regless);
+    cfg.trace.enabled = true;
+    cfg.trace.path = (std::filesystem::path(::testing::TempDir()) /
+                      "regless-pinned-trace.json")
+                         .string();
+    sim::GpuSimulator gpu(workloads::makeRodinia("nn"), cfg);
+    gpu.run();
+    texts["trace/nn/regless"] = readFile(cfg.trace.path + ".sm0");
+    expectPinned(pinned, texts);
+}
+
 /*
  * Figures that print model constants without simulating: table1_config
  * echoes the configuration and fig11_area is pure area-model math, so

@@ -71,8 +71,6 @@ TEST(ConfigFingerprint, EveryTopLevelFieldChangesIt)
         [](sim::GpuConfig &c) { c.regless.osuEntriesPerSm += 128; },
         [](sim::GpuConfig &c) { c.baselineRfEntries += 1; },
         [](sim::GpuConfig &c) { c.limitOccupancyByRf = true; },
-        [](sim::GpuConfig &c) { c.rfvPhysEntries += 1; },
-        [](sim::GpuConfig &c) { c.rfh.orfEntriesPerWarp += 1; },
         [](sim::GpuConfig &c) {
             c.faults.kind = FaultPlan::Kind::LeakOsuSlot;
         },
@@ -96,8 +94,8 @@ TEST(ConfigFingerprint, CanonicalTextNamesEveryTopLevelField)
     for (const char *needle :
          {"provider=", "sm.", "mem.", "compiler.", "regless.",
           "baseline_rf_entries=",
-          "limit_occupancy_by_rf=", "rfv_phys_entries=", "rfh.",
-          "faults.", "sm.watchdog_window=", "sm.max_cycles="}) {
+          "limit_occupancy_by_rf=", "faults.", "sm.watchdog_window=",
+          "sm.max_cycles="}) {
         EXPECT_NE(text.find(needle), std::string::npos)
             << "canonical dump is missing " << needle;
     }
