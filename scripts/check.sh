@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-stop verification gate for the cycle-skip engine (DESIGN.md §12):
-#   1. the tier-1 suite (plain build, ctest), which now runs with the
-#      skip engine enabled by default;
+#   1. the tier-1 suite (ctest), which runs with the skip engine
+#      enabled by default, built with -DREGLESS_WERROR=ON so a new
+#      compiler warning fails the gate;
 #   2. the cycle-skip differential oracle (ctest label "oracle"):
 #      skip-on vs skip-off byte-identity across the Rodinia set, every
 #      registered provider, multi-SM thread counts, traces, and fault
@@ -24,7 +25,10 @@
 #      per-warp stall runs and the trace labels index hot per-warp and
 #      per-group arrays, so the slot-invariant, stall-trace and
 #      deadlock-breakdown tests run under ASan too, as do the pinned
-#      digests; the multi-SM epoch loop skips under worker threads).
+#      digests; the cache, memory-system and OSU unit tests drive the
+#      MSHR array, the functional word pages and their written bitsets,
+#      and the OSU's write(), so they run under ASan as well; the
+#      multi-SM epoch loop skips under worker threads).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -85,7 +89,7 @@ if [ "${REGLESS_TIDY:-1}" != "0" ]; then
     scripts/tidy.sh
 fi
 
-cmake -B "$BUILD_DIR" -S .
+cmake -B "$BUILD_DIR" -S . -DREGLESS_WERROR=ON
 cmake --build "$BUILD_DIR" -j
 
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)")
@@ -100,8 +104,9 @@ cmake --build "$BUILD_DIR" -j
 python3 perfbench/test_perfbench.py
 
 # Skip-enabled determinism subset under AddressSanitizer: the oracle
-# sweep, the property fuzzer (random kernels + fault plans) and the
-# stall-accounting tests.
+# sweep, the property fuzzer (random kernels + fault plans), the
+# stall-accounting tests, and the unit tests of the flat cache, memory
+# and OSU structures.
 ASAN_DIR=${ASAN_BUILD_DIR:-build-asan}
 cmake -B "$ASAN_DIR" -S . -DREGLESS_SANITIZE=address
 cmake --build "$ASAN_DIR" -j --target regless_tests \
@@ -109,7 +114,7 @@ cmake --build "$ASAN_DIR" -j --target regless_tests \
 "$ASAN_DIR"/tests/regless_oracle_tests \
     --gtest_filter='*CycleSkipOracle*:CycleSkip*'
 "$ASAN_DIR"/tests/regless_tests \
-    --gtest_filter='*CycleSkipFuzz*:SlotInvariant.*:StallTrace.*:DeadlockBreakdown.*'
+    --gtest_filter='*CycleSkipFuzz*:SlotInvariant.*:StallTrace.*:DeadlockBreakdown.*:CacheTest.*:MemorySystemTest.*:OsuTest.*'
 
 # Same subset's parallel face under ThreadSanitizer: epoch-clamped
 # skipping on worker threads must stay race-free.

@@ -309,7 +309,7 @@ Sm::eligible(Tenant &tn, const Warp &warp, Cycle now, Cycle *next_event)
     return Verdict{true, false, StallCause::NoWarp, Home::Due};
 }
 
-std::vector<Addr>
+mem::LaneAddrs
 Sm::laneAddrs(const Warp &warp, const ir::Instruction &insn,
               Addr base) const
 {
@@ -319,7 +319,7 @@ Sm::laneAddrs(const Warp &warp, const ir::Instruction &insn,
             ? insn.srcs().at(1)
             : insn.srcs().at(0);
     const ir::LaneValues &av = warp.regValue(addr_reg);
-    std::vector<Addr> addrs(warpSize);
+    mem::LaneAddrs addrs{};
     for (unsigned lane = 0; lane < warpSize; ++lane) {
         addrs[lane] = base + static_cast<Addr>(av[lane]) +
                       static_cast<Addr>(insn.imm());
@@ -328,7 +328,7 @@ Sm::laneAddrs(const Warp &warp, const ir::Instruction &insn,
 }
 
 std::vector<Addr>
-Sm::coalesce(const std::vector<Addr> &addrs, LaneMask mask) const
+Sm::coalesce(const mem::LaneAddrs &addrs, LaneMask mask) const
 {
     std::vector<Addr> lines;
     for (unsigned lane = 0; lane < warpSize; ++lane) {
@@ -368,13 +368,10 @@ Sm::execGlobalLoad(Tenant &tn, Warp &warp, const ir::Instruction &insn,
                    Cycle now)
 {
     LaneMask mask = warp.activeMask();
-    std::vector<Addr> addrs = laneAddrs(warp, insn, tn.dataBase);
+    const mem::LaneAddrs addrs = laneAddrs(warp, insn, tn.dataBase);
 
     ir::LaneValues result{};
-    for (unsigned lane = 0; lane < warpSize; ++lane) {
-        if (mask & (1u << lane))
-            result[lane] = _mem.readWord(addrs[lane]);
-    }
+    _mem.readWords(addrs, mask, result);
     warp.writeReg(insn.dst(), result, mask);
 
     Cycle ready = now;
@@ -394,12 +391,8 @@ Sm::execGlobalStore(Tenant &tn, Warp &warp, const ir::Instruction &insn,
                     Cycle now)
 {
     LaneMask mask = warp.activeMask();
-    std::vector<Addr> addrs = laneAddrs(warp, insn, tn.dataBase);
-    const ir::LaneValues &data = warp.regValue(insn.srcs().at(0));
-    for (unsigned lane = 0; lane < warpSize; ++lane) {
-        if (mask & (1u << lane))
-            _mem.writeWord(addrs[lane], data[lane]);
-    }
+    const mem::LaneAddrs addrs = laneAddrs(warp, insn, tn.dataBase);
+    _mem.writeWords(addrs, mask, warp.regValue(insn.srcs().at(0)));
     for (Addr line : coalesce(addrs, mask)) {
         ++_memTransactions;
         Cycle t = std::max(now, _mem.l1PortNextFree());
@@ -415,21 +408,14 @@ Sm::execShared(Tenant &tn, Warp &warp, const ir::Instruction &insn,
     LaneMask mask = warp.activeMask();
     const Addr seg =
         tn.sharedBase + (static_cast<Addr>(warp.blockId()) << 20);
-    std::vector<Addr> addrs = laneAddrs(warp, insn, seg);
+    const mem::LaneAddrs addrs = laneAddrs(warp, insn, seg);
     if (insn.op() == ir::Opcode::LdShared) {
         ir::LaneValues result{};
-        for (unsigned lane = 0; lane < warpSize; ++lane) {
-            if (mask & (1u << lane))
-                result[lane] = _mem.readWord(addrs[lane]);
-        }
+        _mem.readWords(addrs, mask, result);
         warp.writeReg(insn.dst(), result, mask);
         tn.scoreboard.recordWrite(warp.id(), insn, now + kSharedMemLatency);
     } else {
-        const ir::LaneValues &data = warp.regValue(insn.srcs().at(0));
-        for (unsigned lane = 0; lane < warpSize; ++lane) {
-            if (mask & (1u << lane))
-                _mem.writeWord(addrs[lane], data[lane]);
-        }
+        _mem.writeWords(addrs, mask, warp.regValue(insn.srcs().at(0)));
     }
     warp.stack().advance();
 }

@@ -486,12 +486,12 @@ class Sm
     Pc reconvergePcFor(const Tenant &tn, ir::BlockId block) const;
 
     /** Per-lane effective addresses of a memory instruction. */
-    std::vector<Addr> laneAddrs(const Warp &warp,
-                                const ir::Instruction &insn,
-                                Addr base) const;
+    mem::LaneAddrs laneAddrs(const Warp &warp,
+                             const ir::Instruction &insn,
+                             Addr base) const;
 
     /** Distinct 128B lines touched by active lanes. */
-    std::vector<Addr> coalesce(const std::vector<Addr> &addrs,
+    std::vector<Addr> coalesce(const mem::LaneAddrs &addrs,
                                LaneMask mask) const;
 
     /** Release a block's barrier when everyone has arrived. */

@@ -24,6 +24,7 @@ Cache::Cache(std::string name, const CacheConfig &config)
               " not divisible by way size");
     _numSets = config.sizeBytes / (lineBytes * _ways);
     _sets.assign(_numSets, std::vector<Line>(_ways));
+    _mshrs.reserve(_numMshrs);
 }
 
 unsigned
@@ -54,28 +55,40 @@ Cache::findLine(Addr addr) const
     return nullptr;
 }
 
+const Cache::Mshr *
+Cache::findMshr(Addr addr) const
+{
+    const Addr line = lineAddr(addr);
+    for (const Mshr &m : _mshrs) {
+        if (m.line == line)
+            return &m;
+    }
+    return nullptr;
+}
+
 void
 Cache::expireMshrs(Cycle now)
 {
     if (now < _mshrMinReady)
         return;
+    // Compact the survivors to the front in one pass.
     _mshrMinReady = std::numeric_limits<Cycle>::max();
-    for (auto it = _mshrMap.begin(); it != _mshrMap.end();) {
-        if (it->second <= now) {
-            it = _mshrMap.erase(it);
-        } else {
-            _mshrMinReady = std::min(_mshrMinReady, it->second);
-            ++it;
+    auto kept = _mshrs.begin();
+    for (const Mshr &m : _mshrs) {
+        if (m.ready > now) {
+            _mshrMinReady = std::min(_mshrMinReady, m.ready);
+            *kept++ = m;
         }
     }
+    _mshrs.erase(kept, _mshrs.end());
 }
 
 std::size_t
 Cache::mshrsInUse(Cycle now) const
 {
     return static_cast<std::size_t>(
-        std::count_if(_mshrMap.begin(), _mshrMap.end(),
-                      [now](const auto &m) { return m.second > now; }));
+        std::count_if(_mshrs.begin(), _mshrs.end(),
+                      [now](const Mshr &m) { return m.ready > now; }));
 }
 
 CacheResult
@@ -98,9 +111,7 @@ Cache::access(Addr addr, bool is_write, bool write_back_line, Cycle now)
         }
         // If the line is still being filled, report the merge so the
         // caller can charge the fill latency instead of a hit.
-        auto it = _mshrMap.find(line_addr);
-        if (it != _mshrMap.end() && it->second > now)
-            result.mshrMerged = true;
+        result.mshrMerged = missOutstanding(addr, now);
         return result;
     }
 
@@ -109,7 +120,7 @@ Cache::access(Addr addr, bool is_write, bool write_back_line, Cycle now)
     // guarantees it), so a write miss allocates without a fill and
     // needs no MSHR.
     const bool needs_fill = !(is_write && write_back_line);
-    if (needs_fill && _mshrMap.size() >= _numMshrs) {
+    if (needs_fill && _mshrs.size() >= _numMshrs) {
         ++_mshrRejects;
         result.rejected = true;
         return result;
@@ -150,7 +161,15 @@ Cache::access(Addr addr, bool is_write, bool write_back_line, Cycle now)
 void
 Cache::fillComplete(Addr addr, Cycle ready)
 {
-    _mshrMap[lineAddr(addr)] = ready;
+    // A refill of an outstanding line moves its ready cycle; the line
+    // keeps its one MSHR.
+    const Addr line = lineAddr(addr);
+    auto it = std::find_if(_mshrs.begin(), _mshrs.end(),
+                           [line](const Mshr &m) { return m.line == line; });
+    if (it != _mshrs.end())
+        it->ready = ready;
+    else
+        _mshrs.push_back(Mshr{line, ready});
     _mshrMinReady = std::min(_mshrMinReady, ready);
 }
 
@@ -174,15 +193,15 @@ Cache::contains(Addr addr) const
 bool
 Cache::missOutstanding(Addr addr, Cycle now) const
 {
-    auto it = _mshrMap.find(lineAddr(addr));
-    return it != _mshrMap.end() && it->second > now;
+    const Mshr *m = findMshr(addr);
+    return m != nullptr && m->ready > now;
 }
 
 Cycle
 Cache::outstandingReady(Addr addr) const
 {
-    auto it = _mshrMap.find(lineAddr(addr));
-    return it == _mshrMap.end() ? 0 : it->second;
+    const Mshr *m = findMshr(addr);
+    return m == nullptr ? 0 : m->ready;
 }
 
 } // namespace regless::mem

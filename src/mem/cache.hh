@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hh"
@@ -122,18 +121,27 @@ class Cache
         std::uint64_t lruStamp = 0;
     };
 
+    /** One outstanding miss: its line and the cycle its fill lands. */
+    struct Mshr
+    {
+        Addr line = 0;
+        Cycle ready = 0;
+    };
+
     unsigned setIndex(Addr addr) const;
     Line *findLine(Addr addr);
     const Line *findLine(Addr addr) const;
+    /** The MSHR of @a addr's line, or null. */
+    const Mshr *findMshr(Addr addr) const;
 
     unsigned _numSets;
     unsigned _ways;
     unsigned _numMshrs;
     bool _writeAllocate;
     std::vector<std::vector<Line>> _sets;
-    /** Outstanding miss lines -> fill-ready cycle. */
-    std::unordered_map<Addr, Cycle> _mshrMap;
-    /** Lower bound on the ready cycles in _mshrMap: fillComplete
+    /** Outstanding misses, one entry per line, in no order. */
+    std::vector<Mshr> _mshrs;
+    /** Lower bound on the ready cycles in _mshrs: fillComplete
      *  lowers it, and each walk in expireMshrs recomputes it. */
     Cycle _mshrMinReady = std::numeric_limits<Cycle>::max();
     std::uint64_t _lruCounter = 0;

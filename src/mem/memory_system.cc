@@ -21,6 +21,9 @@ hashWord(Addr addr)
     return static_cast<std::uint32_t>(x);
 }
 
+/** No page's key (keys have bits 2-11 clear): forces a first lookup. */
+constexpr Addr kNoPageKey = 0xffc;
+
 } // namespace
 
 MemorySystem::MemorySystem(const MemConfig &config)
@@ -186,19 +189,90 @@ MemorySystem::invalidateRegisterLine(Addr addr, Cycle now)
     return true;
 }
 
+const MemorySystem::WordPage *
+MemorySystem::findPage(Addr key) const
+{
+    auto it = std::lower_bound(_pageKeys.begin(), _pageKeys.end(), key);
+    if (it == _pageKeys.end() || *it != key)
+        return nullptr;
+    return _pages[static_cast<std::size_t>(it - _pageKeys.begin())].get();
+}
+
+MemorySystem::WordPage &
+MemorySystem::pageFor(Addr key)
+{
+    auto it = std::lower_bound(_pageKeys.begin(), _pageKeys.end(), key);
+    const auto at = it - _pageKeys.begin();
+    if (it == _pageKeys.end() || *it != key) {
+        _pageKeys.insert(it, key);
+        _pages.insert(_pages.begin() + at, std::make_unique<WordPage>());
+    }
+    return *_pages[static_cast<std::size_t>(at)];
+}
+
+std::uint32_t
+MemorySystem::wordIn(const WordPage *page, Addr addr) const
+{
+    const unsigned slot = pageSlot(addr);
+    if (page && page->written[slot])
+        return page->words[slot];
+    return _valueGen(addr);
+}
+
+void
+MemorySystem::storeIn(WordPage &page, Addr addr, std::uint32_t value)
+{
+    const unsigned slot = pageSlot(addr);
+    page.words[slot] = value;
+    page.written[slot] = true;
+}
+
 std::uint32_t
 MemorySystem::readWord(Addr addr) const
 {
-    auto it = _words.find(addr);
-    if (it != _words.end())
-        return it->second;
-    return _valueGen(addr);
+    return wordIn(findPage(pageKey(addr)), addr);
 }
 
 void
 MemorySystem::writeWord(Addr addr, std::uint32_t value)
 {
-    _words[addr] = value;
+    storeIn(pageFor(pageKey(addr)), addr, value);
+}
+
+// The per-warp forms look a page up once per run of lanes on it.
+
+void
+MemorySystem::readWords(const LaneAddrs &addrs, LaneMask mask,
+                        LaneWords &out) const
+{
+    Addr key = kNoPageKey;
+    const WordPage *page = nullptr;
+    for (unsigned lane = 0; lane < warpSize; ++lane) {
+        if (!(mask & (1u << lane)))
+            continue;
+        if (pageKey(addrs[lane]) != key) {
+            key = pageKey(addrs[lane]);
+            page = findPage(key);
+        }
+        out[lane] = wordIn(page, addrs[lane]);
+    }
+}
+
+void
+MemorySystem::writeWords(const LaneAddrs &addrs, LaneMask mask,
+                         const LaneWords &values)
+{
+    Addr key = kNoPageKey;
+    WordPage *page = nullptr;
+    for (unsigned lane = 0; lane < warpSize; ++lane) {
+        if (!(mask & (1u << lane)))
+            continue;
+        if (pageKey(addrs[lane]) != key) {
+            key = pageKey(addrs[lane]);
+            page = &pageFor(key);
+        }
+        storeIn(*page, addrs[lane], values[lane]);
+    }
 }
 
 void

@@ -15,11 +15,13 @@
 #define REGLESS_MEM_MEMORY_SYSTEM_HH
 
 #include <algorithm>
+#include <array>
+#include <bitset>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "common/fault_injector.hh"
 #include "common/stats.hh"
@@ -62,6 +64,10 @@ inline constexpr Cycle kL2Latency = 120;
 /** Core cycles per L2 line for this SM's bandwidth share. */
 inline constexpr double kL2CyclesPerLine = 4.0;
 /// @}
+
+/** One address or value per lane of a warp. */
+using LaneAddrs = std::array<Addr, warpSize>;
+using LaneWords = std::array<std::uint32_t, warpSize>;
 
 /** Hierarchy-wide configuration. */
 struct MemConfig
@@ -125,10 +131,23 @@ class MemorySystem
      */
     bool invalidateRegisterLine(Addr addr, Cycle now);
 
-    /** @name Functional storage. */
+    /**
+     * @name Functional storage.
+     * Every byte address holds its own 32-bit word; a word never
+     * written reads as the value generator's value for its address.
+     */
     /// @{
     std::uint32_t readWord(Addr addr) const;
     void writeWord(Addr addr, std::uint32_t value);
+    /**
+     * Per-warp forms: the lanes in @a mask, in lane order (the last
+     * of several lanes storing to one address wins). Lanes outside
+     * @a mask leave @a out untouched.
+     */
+    void readWords(const LaneAddrs &addrs, LaneMask mask,
+                   LaneWords &out) const;
+    void writeWords(const LaneAddrs &addrs, LaneMask mask,
+                    const LaneWords &values);
     void setValueGenerator(std::function<std::uint32_t(Addr)> gen);
     /// @}
 
@@ -167,6 +186,29 @@ class MemorySystem
     /** DRAM line transfer, direct or via this SM's epoch port. */
     Cycle dramAccess(Addr addr, Cycle t);
 
+    /**
+     * Functional words of one 4 KB window and one alignment residue
+     * (addr % 4), and which of them were written.
+     */
+    static constexpr unsigned kPageWords = 1024;
+    struct WordPage
+    {
+        std::array<std::uint32_t, kPageWords> words{};
+        std::bitset<kPageWords> written;
+    };
+    static Addr pageKey(Addr addr) { return addr & ~Addr{0xffc}; }
+    static unsigned pageSlot(Addr addr)
+    {
+        return static_cast<unsigned>(addr >> 2) & (kPageWords - 1);
+    }
+    /** The page with key @a key, or null. */
+    const WordPage *findPage(Addr key) const;
+    /** The page with key @a key, created empty when missing. */
+    WordPage &pageFor(Addr key);
+    /** The word at @a addr, which lies in @a page when that exists. */
+    std::uint32_t wordIn(const WordPage *page, Addr addr) const;
+    static void storeIn(WordPage &page, Addr addr, std::uint32_t value);
+
     /** Sentinel: no epoch port configured. */
     static constexpr unsigned noDramPort = ~0u;
 
@@ -178,7 +220,9 @@ class MemorySystem
     unsigned _dramPort = noDramPort;
     Cycle _l1NextFree = 0;
     double _l2NextFree = 0.0;
-    std::unordered_map<Addr, std::uint32_t> _words;
+    /** Keys of the functional pages, ascending; _pages in step. */
+    std::vector<Addr> _pageKeys;
+    std::vector<std::unique_ptr<WordPage>> _pages;
     std::function<std::uint32_t(Addr)> _valueGen;
     StatGroup _stats;
     Counter &_l1PortUses;

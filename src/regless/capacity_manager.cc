@@ -397,45 +397,16 @@ CapacityManager::tryActivate(Cycle now)
             need[b] = region.bankUsage[(b + osuBanks -
                                         (warp % osuBanks)) % osuBanks];
         }
-        // Region inputs still resident from an earlier region are
-        // *pinned* at activation (the preload-hit fast path). Pinning
-        // converts an available line to owned, so the fits check
-        // covers the full per-bank need, not need minus hits —
-        // otherwise pins silently starve other warps' reservations.
-        std::array<unsigned, osuBanks> pinned_in{};
-        std::vector<RegId> pinned;
-        for (const compiler::Preload &p : region.preloads) {
-            if (std::find(pinned.begin(), pinned.end(), p.reg) !=
-                pinned.end()) {
-                continue;
-            }
-            if (_osu.presentEvictable(warp, p.reg)) {
-                pinned.push_back(p.reg);
-                ++pinned_in[OperandStagingUnit::bankOf(warp, p.reg)];
-            }
-        }
-        // Resident pure outputs (hard-defined before any read) hold
-        // values that are dead on entry; erase them now so their
-        // stale lines neither get stolen mid-region nor occupy space
-        // beyond the peak-live reservation.
-        std::vector<RegId> stale_outputs;
-        for (RegId reg : region.outputs) {
-            if (std::find(pinned.begin(), pinned.end(), reg) !=
-                    pinned.end() ||
-                std::find(stale_outputs.begin(), stale_outputs.end(),
-                          reg) != stale_outputs.end()) {
-                continue;
-            }
-            if (_osu.presentEvictable(warp, reg))
-                stale_outputs.push_back(reg);
-        }
-
-        // Erasing a stale output turns an evictable line into a free
-        // one, so it does not change availability; the plain need is
-        // the whole requirement.
+        // The fits check covers the full per-bank need, not need minus
+        // the inputs pinned below: pinning converts an available line
+        // to owned, so counting pins as hits would silently starve
+        // other warps' reservations. Erasing a stale output turns an
+        // evictable line into a free one, so it does not change
+        // availability either. Neither probe feeds this check or the
+        // admission gate, so the OSU is probed only once both pass.
         bool fits = true;
         for (unsigned b = 0; b < osuBanks; ++b) {
-            auto c = _osu.bankCounts(b);
+            const auto &c = _osu.bankCounts(b);
             int avail = static_cast<int>(c.free + c.clean + c.dirty) -
                         _reservedFuture[b];
             if (avail < static_cast<int>(need[b])) {
@@ -466,6 +437,36 @@ CapacityManager::tryActivate(Cycle now)
                 wc.blockCause = arch::StallCause::CmNoCapacity;
                 return;
             }
+        }
+
+        // Region inputs still resident from an earlier region are
+        // *pinned* at activation (the preload-hit fast path).
+        std::array<unsigned, osuBanks> pinned_in{};
+        std::vector<RegId> pinned;
+        for (const compiler::Preload &p : region.preloads) {
+            if (std::find(pinned.begin(), pinned.end(), p.reg) !=
+                pinned.end()) {
+                continue;
+            }
+            if (_osu.presentEvictable(warp, p.reg)) {
+                pinned.push_back(p.reg);
+                ++pinned_in[OperandStagingUnit::bankOf(warp, p.reg)];
+            }
+        }
+        // Resident pure outputs (hard-defined before any read) hold
+        // values that are dead on entry; erase them now so their
+        // stale lines neither get stolen mid-region nor occupy space
+        // beyond the peak-live reservation.
+        std::vector<RegId> stale_outputs;
+        for (RegId reg : region.outputs) {
+            if (std::find(pinned.begin(), pinned.end(), reg) !=
+                    pinned.end() ||
+                std::find(stale_outputs.begin(), stale_outputs.end(),
+                          reg) != stale_outputs.end()) {
+                continue;
+            }
+            if (_osu.presentEvictable(warp, reg))
+                stale_outputs.push_back(reg);
         }
         for (RegId reg : stale_outputs) {
             _osu.erase(warp, reg);
@@ -539,12 +540,19 @@ CapacityManager::tick(Cycle now)
     if (_compressor)
         _compressor->tick(now);
 
-    // Retire draining warps first so their lines are reusable.
-    if (warpsIn(CmState::Draining) != 0) {
+    // Retire draining warps first so their lines are reusable. The
+    // walk runs in shard order (finishDrain pushes onto the activation
+    // stack) and only once some drain has ended.
+    if (now >= _drainBound) {
+        _drainBound = kNever;
         for (WarpId w : _shardWarps) {
-            WarpCtx &wc = ctx(w);
-            if (wc.state == CmState::Draining && now >= wc.drainUntil)
+            WarpCtx &wc = _ctx[w];
+            if (wc.state != CmState::Draining)
+                continue;
+            if (now >= wc.drainUntil)
                 finishDrain(wc, w, now);
+            else
+                _drainBound = std::min(_drainBound, wc.drainUntil);
         }
     }
 
@@ -578,7 +586,7 @@ CapacityManager::tick(Cycle now)
     if (_cfg.bankGating) {
         unsigned gated = 0;
         for (unsigned b = 0; b < osuBanks; ++b) {
-            auto c = _osu.bankCounts(b);
+            const auto &c = _osu.bankCounts(b);
             if (c.owned + c.clean + c.dirty == 0 &&
                 _reservedFuture[b] <= 0) {
                 ++gated;
@@ -606,14 +614,16 @@ CapacityManager::nextEventCycle(Cycle from) const
     auto consider = [&](Cycle at) {
         next = std::min(next, std::max(from, at));
     };
-    for (WarpId w : _shardWarps) {
-        const WarpCtx &wc = _ctx[w];
-        if (wc.state == CmState::Preloading) {
+    if (warpsIn(CmState::Draining) != 0)
+        consider(_drainBound);
+    if (warpsIn(CmState::Preloading) != 0) {
+        for (WarpId w : _shardWarps) {
+            const WarpCtx &wc = _ctx[w];
+            if (wc.state != CmState::Preloading)
+                continue;
             if (!wc.preloads.empty() || !wc.invalidations.empty())
                 return from;
             consider(wc.preloadReady);
-        } else if (wc.state == CmState::Draining) {
-            consider(wc.drainUntil);
         }
     }
     // Activation attempts need no bound of their own: their outcome
@@ -669,21 +679,23 @@ CapacityManager::onIssue(const arch::Warp &warp, Pc pc,
     if (insn.writesReg()) {
         _osu.countWrite();
         const RegId dst = insn.dst();
-        if (_osu.presentEvictable(warp.id(), dst)) {
-            // Redefinition of a still-resident value: reuse its line.
+        switch (_osu.write(warp.id(), dst)) {
+          case Residency::Evictable: {
+            // Redefinition of a still-resident value reused its line.
             // The activation budgeted a fresh line for this register,
             // so consume the reservation here or it leaks.
-            _osu.claim(warp.id(), dst);
-            _osu.recordWrite(warp.id(), dst);
             unsigned bank = OperandStagingUnit::bankOf(warp.id(), dst);
             if (wc.budget[bank] > 0) {
                 --wc.budget[bank];
                 --_reservedFuture[bank];
             }
-        } else if (_osu.present(warp.id(), dst)) {
-            _osu.recordWrite(warp.id(), dst);
-        } else {
+            break;
+          }
+          case Residency::Owned:
+            break;
+          case Residency::Absent:
             allocateLine(wc, warp.id(), dst, /*dirty=*/true, now);
+            break;
         }
     }
 
@@ -733,6 +745,7 @@ CapacityManager::onIssue(const arch::Warp &warp, Pc pc,
         wc.drainUntil = std::max({wc.drainUntil, now + 1, writeback});
         setState(wc, CmState::Draining);
         wc.blockCause = arch::StallCause::CmNotStaged;
+        _drainBound = std::min(_drainBound, wc.drainUntil);
     }
 }
 
@@ -854,8 +867,16 @@ CapacityManager::onWarpFinished(const arch::Warp &warp, Cycle now)
     wc.invalidations.clear();
     if (wc.region != compiler::invalidRegion)
         sampleRegionStats(wc, now);
+    const bool was_draining = wc.state == CmState::Draining;
     setState(wc, CmState::Done);
     wc.region = compiler::invalidRegion;
+    if (was_draining) {
+        _drainBound = kNever;
+        for (WarpId w : _shardWarps) {
+            if (_ctx[w].state == CmState::Draining)
+                _drainBound = std::min(_drainBound, _ctx[w].drainUntil);
+        }
+    }
     for (auto it = _stack.begin(); it != _stack.end();) {
         if (*it == warp.id())
             it = _stack.erase(it);

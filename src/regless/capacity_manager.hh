@@ -16,6 +16,7 @@
 
 #include <deque>
 #include <functional>
+#include <limits>
 #include <unordered_set>
 #include <vector>
 
@@ -303,6 +304,15 @@ class CapacityManager
     std::vector<std::uint8_t> _supervised;
     /** Shard warps in each CmState (tick skips empty passes). */
     std::array<unsigned, kNumCmStates> _stateCount{};
+    static constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
+    /**
+     * The minimum drainUntil over the Draining warps, kNever while
+     * none drains. It is exact, not a lower bound: nextEventCycle
+     * returns it, so a stale value would move the skip counters.
+     * onIssue lowers it as a warp starts draining, and the drain walk
+     * and onWarpFinished recompute it as warps leave that state.
+     */
+    Cycle _drainBound = kNever;
     /** Did the last tick charge a blocked activation? (skip replay) */
     bool _activationWasBlocked = false;
     /**

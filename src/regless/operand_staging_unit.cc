@@ -26,12 +26,6 @@ OperandStagingUnit::OperandStagingUnit(std::string name,
         counts.free = _linesPerBank;
 }
 
-OperandStagingUnit::BankCounts
-OperandStagingUnit::bankCounts(unsigned bank) const
-{
-    return _counts.at(bank);
-}
-
 bool
 OperandStagingUnit::present(WarpId warp, RegId reg) const
 {
@@ -56,15 +50,8 @@ OperandStagingUnit::isDirty(WarpId warp, RegId reg) const
 }
 
 void
-OperandStagingUnit::claim(WarpId warp, RegId reg)
+OperandStagingUnit::claimEntry(unsigned b, Entry &entry)
 {
-    unsigned b = bankOf(warp, reg);
-    auto it = _banks[b].find(key(warp, reg));
-    if (it == _banks[b].end())
-        panic("OSU claim of absent entry w", warp, " r", reg);
-    Entry &entry = it->second;
-    if (entry.state == LineState::Owned)
-        return;
     if (entry.state == LineState::EvictClean)
         --_counts[b].clean;
     else
@@ -72,6 +59,17 @@ OperandStagingUnit::claim(WarpId warp, RegId reg)
     entry.state = LineState::Owned;
     entry.lruStamp = ++_lruCounter;
     ++_counts[b].owned;
+}
+
+void
+OperandStagingUnit::claim(WarpId warp, RegId reg)
+{
+    unsigned b = bankOf(warp, reg);
+    auto it = _banks[b].find(key(warp, reg));
+    if (it == _banks[b].end())
+        panic("OSU claim of absent entry w", warp, " r", reg);
+    if (it->second.state != LineState::Owned)
+        claimEntry(b, it->second);
 }
 
 OperandStagingUnit::Reclaim
@@ -190,15 +188,22 @@ OperandStagingUnit::markEvictable(WarpId warp, RegId reg)
     entry.lruStamp = ++_lruCounter;
 }
 
-void
-OperandStagingUnit::recordWrite(WarpId warp, RegId reg)
+Residency
+OperandStagingUnit::write(WarpId warp, RegId reg)
 {
     unsigned b = bankOf(warp, reg);
     auto it = _banks[b].find(key(warp, reg));
     if (it == _banks[b].end())
-        panic("OSU write to absent entry w", warp, " r", reg);
-    it->second.dirty = true;
-    it->second.lruStamp = ++_lruCounter;
+        return Residency::Absent;
+    Entry &entry = it->second;
+    Residency found = Residency::Owned;
+    if (entry.state != LineState::Owned) {
+        claimEntry(b, entry);
+        found = Residency::Evictable;
+    }
+    entry.dirty = true;
+    entry.lruStamp = ++_lruCounter;
+    return found;
 }
 
 std::vector<OperandStagingUnit::EntryInfo>

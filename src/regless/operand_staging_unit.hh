@@ -37,6 +37,14 @@ enum class LineState : std::uint8_t
     EvictDirty, ///< evictable, must be written back when reclaimed
 };
 
+/** What a write found at its register's line (see write()). */
+enum class Residency : std::uint8_t
+{
+    Absent,    ///< no line: the caller allocates one
+    Owned,     ///< an owned line, now dirty
+    Evictable, ///< an evictable line, now claimed (owned) and dirty
+};
+
 /** One warp-scheduler's operand staging unit. */
 class OperandStagingUnit
 {
@@ -76,7 +84,10 @@ class OperandStagingUnit
 
     unsigned linesPerBank() const { return _linesPerBank; }
 
-    BankCounts bankCounts(unsigned bank) const;
+    const BankCounts &bankCounts(unsigned bank) const
+    {
+        return _counts.at(bank);
+    }
 
     /** @return true when (warp, reg) is resident in any state. */
     bool present(WarpId warp, RegId reg) const;
@@ -108,8 +119,14 @@ class OperandStagingUnit
     /** Evict annotation: the line joins the clean or dirty list. */
     void markEvictable(WarpId warp, RegId reg);
 
-    /** Record a write (sets the dirty bit). */
-    void recordWrite(WarpId warp, RegId reg);
+    /**
+     * Record a write to (warp, reg) with one lookup: an evictable line
+     * is claimed first (as claim() does), then a resident line becomes
+     * dirty and most recently used. An absent line is left alone.
+     *
+     * @return what the write found.
+     */
+    Residency write(WarpId warp, RegId reg);
 
     /** Drop every line belonging to @a warp (kernel exit). */
     void dropWarp(WarpId warp);
@@ -149,6 +166,9 @@ class OperandStagingUnit
     {
         return (static_cast<std::uint32_t>(warp) << 16) | reg;
     }
+
+    /** Turn the evictable @a entry of bank @a b into an owned one. */
+    void claimEntry(unsigned b, Entry &entry);
 
     unsigned _linesPerBank;
     VictimOrder _order;

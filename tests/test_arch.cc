@@ -225,8 +225,9 @@ TEST(SchedulerTest, AllPoliciesPickOnlyEligibleWarps)
             int picked = sched->pick(eligible);
             ASSERT_GE(picked, -1);
             ASSERT_LT(picked, 8);
-            if (picked >= 0)
+            if (picked >= 0) {
                 ASSERT_TRUE(eligible[picked]);
+            }
         }
         if (any) {
             ASSERT_GE(gto.pick(eligible), 0);
@@ -235,8 +236,9 @@ TEST(SchedulerTest, AllPoliciesPickOnlyEligibleWarps)
         bool any_active = false;
         for (unsigned idx : tl.activePool())
             any_active = any_active || eligible[idx];
-        if (any_active)
+        if (any_active) {
             ASSERT_GE(tl.pick(eligible), 0);
+        }
         // Occasional demotions keep the pools churning.
         if ((rng() & 7) == 0)
             tl.notifyLongStall(rng() % 8);

@@ -553,6 +553,44 @@ TEST(CycleSkipPinned, MultiSmAndCoRunsMatchTheirDigests)
     expectPinned(pinned, runs);
 }
 
+TEST(CycleSkipPinned, StagingStressRunsMatchTheirDigests)
+{
+    // The kernels whose region activations block on OSU capacity most
+    // (so tryActivate retries every cycle), and a QoS co-run whose
+    // preemptions reach finalizeSuspend's write-back order.
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"dwt2d/regless", 0xa9e5dc8ba40f155dULL},
+        {"dwt2d/regless_nocomp", 0x159c8f5972f09580ULL},
+        {"hotspot/regless", 0xf729f0d09c1fda3eULL},
+        {"hotspot/regless_nocomp", 0x567c0b21f0383cefULL},
+        {"nn+srad_v1/qos", 0x8dc61d9d9a7e25b3ULL},
+    };
+    std::map<std::string, std::string> runs;
+    for (const std::string kernel : {"dwt2d", "hotspot"}) {
+        const ir::Kernel k = workloads::makeRodinia(kernel);
+        for (sim::ProviderKind kind :
+             {sim::ProviderKind::Regless,
+              sim::ProviderKind::ReglessNoCompressor}) {
+            runs[kernel + "/" + sim::providerName(kind)] =
+                sim::toJson(sim::runKernel(k, skippingConfig(kind)));
+        }
+    }
+    sim::GpuConfig qos = skippingConfig(sim::ProviderKind::Regless);
+    qos.tenants.workloads = {{"nn", 1}, {"srad_v1", 0}};
+    qos.tenants.policy = regfile::CapacityPolicy::PriorityReserve;
+    qos.tenants.qosPreemption = true;
+    qos.tenants.qosInterval = 2000;
+    qos.tenants.qosShare = 0.25;
+    sim::GpuSimulator gpu({workloads::makeRodinia("nn"),
+                           workloads::makeRodinia("srad_v1")},
+                          qos);
+    const sim::RunStats co = gpu.run();
+    // The controller must park the hog, or finalizeSuspend never runs.
+    EXPECT_GT(co.tenants.at(1).preemptions, 0u);
+    runs["nn+srad_v1/qos"] = sim::toJson(co);
+    expectPinned(pinned, runs);
+}
+
 /** The deadlock report of a run that @a fault wedges. */
 std::string
 renderedDeadlock(const std::string &kernel, FaultPlan::Kind fault,

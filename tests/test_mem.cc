@@ -155,6 +155,46 @@ TEST(CacheTest, MshrBoundIsTheEarliestFill)
     EXPECT_EQ(cache.mshrsInUse(100), 1u);
 }
 
+TEST(CacheTest, RefillOfAnOutstandingLineKeepsOneMshr)
+{
+    // A second fill of a line still outstanding moves its ready cycle;
+    // it never takes a second MSHR.
+    CacheConfig cfg = smallCache();
+    cfg.mshrs = 2;
+    Cache cache("t", cfg);
+    cache.access(0x1000, false, false, 0);
+    cache.fillComplete(0x1000, 100);
+    cache.fillComplete(0x1000, 200);
+    EXPECT_EQ(cache.outstandingReady(0x1000), 200u);
+    EXPECT_EQ(cache.mshrsInUse(10), 1u);
+    EXPECT_TRUE(cache.missOutstanding(0x1000, 150));
+    CacheResult other = cache.access(0x2000, false, false, 10);
+    EXPECT_FALSE(other.rejected);
+}
+
+TEST(CacheTest, FillsPastTheMshrCountStayTracked)
+{
+    // fillComplete has no cap (the L2 write-miss path registers fills
+    // beyond the MSHR count); every such fill counts until it expires,
+    // and read misses are rejected while the count is at the limit.
+    CacheConfig cfg = smallCache();
+    cfg.mshrs = 2;
+    Cache cache("t", cfg);
+    cache.fillComplete(0x1000, 100);
+    cache.fillComplete(0x2000, 200);
+    cache.fillComplete(0x3000, 300);
+    cache.fillComplete(0x4000, 400);
+    EXPECT_EQ(cache.mshrsInUse(0), 4u);
+    EXPECT_TRUE(cache.access(0x5000, false, false, 50).rejected);
+    EXPECT_TRUE(cache.access(0x5000, false, false, 150).rejected);
+    EXPECT_EQ(cache.mshrsInUse(150), 3u);
+    EXPECT_TRUE(cache.access(0x5000, false, false, 250).rejected);
+    EXPECT_EQ(cache.mshrsInUse(250), 2u);
+    EXPECT_FALSE(cache.access(0x5000, false, false, 350).rejected);
+    EXPECT_EQ(cache.mshrsInUse(350), 1u);
+    EXPECT_EQ(cache.stats().value("mshr_rejects"), 3u);
+}
+
 TEST(CacheTest, InvalidateDropsLine)
 {
     Cache cache("t", smallCache());
@@ -284,6 +324,92 @@ TEST(MemorySystemTest, CustomValueGenerator)
     // Writes still win over the generator.
     mem.writeWord(40, 7);
     EXPECT_EQ(mem.readWord(40), 7u);
+}
+
+TEST(MemorySystemTest, EveryByteAddressIsItsOwnWord)
+{
+    // Functional storage is keyed by byte address: the four byte
+    // addresses of one aligned word are four distinct 32-bit words.
+    MemorySystem mem;
+    auto gen = [](Addr a) {
+        return static_cast<std::uint32_t>(a * 2654435761u) ^ 0x5a5a5a5au;
+    };
+    mem.setValueGenerator(gen);
+    const Addr a = 0x2000;
+    for (Addr i = 0; i < 4; ++i)
+        mem.writeWord(a + i, static_cast<std::uint32_t>(100 + i));
+    for (Addr i = 0; i < 4; ++i)
+        EXPECT_EQ(mem.readWord(a + i), 100 + i) << "a+" << i;
+    EXPECT_EQ(mem.readWord(a + 4), gen(a + 4));
+    EXPECT_EQ(mem.readWord(a - 1), gen(a - 1));
+    EXPECT_EQ(mem.readWord(a + 4096), gen(a + 4096));
+
+    // Words on both sides of a 4 KB boundary.
+    mem.writeWord(0xffc, 1);
+    mem.writeWord(0xfff, 2);
+    mem.writeWord(0x1000, 3);
+    EXPECT_EQ(mem.readWord(0xffc), 1u);
+    EXPECT_EQ(mem.readWord(0xfff), 2u);
+    EXPECT_EQ(mem.readWord(0x1000), 3u);
+    EXPECT_EQ(mem.readWord(0xffd), gen(0xffd));
+
+    // The top of the address space.
+    const Addr top = ~Addr{0};
+    mem.writeWord(top, 7);
+    mem.writeWord(top - 3, 8);
+    EXPECT_EQ(mem.readWord(top), 7u);
+    EXPECT_EQ(mem.readWord(top - 3), 8u);
+    EXPECT_EQ(mem.readWord(top - 1), gen(top - 1));
+
+    // A written word outlives a generator change; unwritten ones
+    // follow the new generator.
+    mem.setValueGenerator([](Addr) { return 0xabcdu; });
+    EXPECT_EQ(mem.readWord(a + 2), 102u);
+    EXPECT_EQ(mem.readWord(top - 3), 8u);
+    EXPECT_EQ(mem.readWord(a + 4), 0xabcdu);
+}
+
+TEST(MemorySystemTest, PerWarpWordsMatchPerLaneCalls)
+{
+    // readWords/writeWords over a sparse mask, with lanes on two pages
+    // (both sides of a 4 KB boundary, and two alignment residues),
+    // match one readWord/writeWord per active lane, in lane order.
+    auto gen = [](Addr a) { return static_cast<std::uint32_t>(a) ^ 77u; };
+    MemorySystem warp_mem;
+    MemorySystem lane_mem;
+    warp_mem.setValueGenerator(gen);
+    lane_mem.setValueGenerator(gen);
+
+    mem::LaneAddrs addrs{};
+    mem::LaneWords values{};
+    for (unsigned lane = 0; lane < warpSize; ++lane) {
+        addrs[lane] = 0xfc0 + 4 * lane + (lane >= 24 ? 1 : 0);
+        values[lane] = 1000 + lane;
+    }
+    addrs[9] = addrs[5]; // lane 9's store lands over lane 5's
+    const LaneMask mask = 0xf0f0'3a6eu;
+    warp_mem.writeWords(addrs, mask, values);
+    for (unsigned lane = 0; lane < warpSize; ++lane) {
+        if (mask & (1u << lane))
+            lane_mem.writeWord(addrs[lane], values[lane]);
+    }
+
+    mem::LaneWords got{};
+    got.fill(0xdeadu);
+    warp_mem.readWords(addrs, fullMask, got);
+    for (unsigned lane = 0; lane < warpSize; ++lane)
+        EXPECT_EQ(got[lane], lane_mem.readWord(addrs[lane])) << lane;
+    EXPECT_EQ(got[5], 1009u);
+
+    // A sparse read leaves the masked-off lanes untouched.
+    got.fill(0xdeadu);
+    warp_mem.readWords(addrs, ~mask, got);
+    for (unsigned lane = 0; lane < warpSize; ++lane) {
+        const std::uint32_t expect = (~mask & (1u << lane))
+                                         ? lane_mem.readWord(addrs[lane])
+                                         : 0xdeadu;
+        EXPECT_EQ(got[lane], expect) << lane;
+    }
 }
 
 TEST(MemorySystemTest, L2HitFasterThanDram)

@@ -747,8 +747,9 @@ TEST_P(CycleSkipFuzz, OutcomeIsIdenticalWithAndWithoutSkipping)
     const SkipFuzzOutcome on = runFuzzCase(c, true);
 
     EXPECT_EQ(on.completed, off.completed);
-    if (on.completed && off.completed)
+    if (on.completed && off.completed) {
         EXPECT_TRUE(on.stats == off.stats);
+    }
     EXPECT_EQ(on.violations, off.violations);
     EXPECT_EQ(on.deadlock, off.deadlock);
     EXPECT_EQ(on.error, off.error);

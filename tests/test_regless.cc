@@ -87,10 +87,19 @@ TEST(OsuTest, DirtyTrackingFollowsWrites)
     OperandStagingUnit osu("t", 64, staging::VictimOrder::FreeCleanDirty);
     osu.allocate(0, 0, false);
     EXPECT_FALSE(osu.isDirty(0, 0));
-    osu.recordWrite(0, 0);
+    EXPECT_EQ(osu.write(0, 0), staging::Residency::Owned);
     EXPECT_TRUE(osu.isDirty(0, 0));
     osu.markEvictable(0, 0);
     EXPECT_EQ(osu.bankCounts(0).dirty, 1u);
+    // A write to an evictable line claims it back.
+    EXPECT_EQ(osu.write(0, 0), staging::Residency::Evictable);
+    EXPECT_FALSE(osu.presentEvictable(0, 0));
+    EXPECT_EQ(osu.bankCounts(0).owned, 1u);
+    EXPECT_EQ(osu.bankCounts(0).dirty, 0u);
+    // A write to an absent register leaves the OSU alone.
+    EXPECT_EQ(osu.write(0, 8), staging::Residency::Absent);
+    EXPECT_FALSE(osu.present(0, 8));
+    EXPECT_EQ(osu.occupiedLines(), 1u);
 }
 
 TEST(OsuTest, ReclaimPrefersCleanOverDirty)
@@ -225,7 +234,8 @@ TEST(OsuTest, InvariantsHoldUnderRandomInterleavings)
             osu.claim(w, r);
         } else if (op == 6) {
             auto [w, r] = resident[rng() % resident.size()];
-            osu.recordWrite(w, r);
+            EXPECT_NE(osu.write(w, r), staging::Residency::Absent);
+            EXPECT_TRUE(osu.isDirty(w, r));
         } else {
             WarpId w = rng() % 8;
             osu.dropWarp(w);
