@@ -9,7 +9,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build-asan}
 
 cmake -B "$BUILD_DIR" -S . -DREGLESS_SANITIZE=address
-cmake --build "$BUILD_DIR" -j --target regless_tests
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target regless_tests
 
 # Static checker + mutants, runtime shadow checker, lint surface, and
 # the OSU/CM data structures the shadow hooks into.

@@ -2,7 +2,9 @@
 # One-stop verification gate for the cycle-skip engine (DESIGN.md §12):
 #   1. the tier-1 suite (ctest), which runs with the skip engine
 #      enabled by default, built with -DREGLESS_WERROR=ON so a new
-#      compiler warning fails the gate;
+#      compiler warning fails the gate, plus every target built again
+#      as Release with -DREGLESS_WERROR=ON, so a warning that only -O3
+#      analysis prints (such as -Wrestrict) fails it too;
 #   2. the cycle-skip differential oracle (ctest label "oracle"):
 #      skip-on vs skip-off byte-identity across the Rodinia set, every
 #      registered provider, multi-SM thread counts, traces, and fault
@@ -27,8 +29,10 @@
 #      deadlock-breakdown tests run under ASan too, as do the pinned
 #      digests; the cache, memory-system and OSU unit tests drive the
 #      MSHR array, the functional word pages and their written bitsets,
-#      and the OSU's write(), so they run under ASan as well; the
-#      multi-SM epoch loop skips under worker threads).
+#      and the OSU's write(), so they run under ASan as well, as do the
+#      config-fingerprint tests, whose canonical text writer formats
+#      numbers into a fixed char buffer; the multi-SM epoch loop skips
+#      under worker threads).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -89,8 +93,17 @@ if [ "${REGLESS_TIDY:-1}" != "0" ]; then
     scripts/tidy.sh
 fi
 
+# Every build passes an explicit job count: a bare -j starts every
+# ready compile at once on the Makefile generator.
 cmake -B "$BUILD_DIR" -S . -DREGLESS_WERROR=ON
-cmake --build "$BUILD_DIR" -j
+cmake --build "$BUILD_DIR" -j "$(nproc)"
+
+# -O3 runs analyses the tier-1 build does not, and perfbench builds
+# src/ as Release: its warnings fail the gate as well.
+RELEASE_DIR=${RELEASE_BUILD_DIR:-build-release}
+cmake -B "$RELEASE_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
+    -DREGLESS_WERROR=ON
+cmake --build "$RELEASE_DIR" -j "$(nproc)"
 
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)")
 (cd "$BUILD_DIR" && ctest --output-on-failure -L oracle -j "$(nproc)")
@@ -105,23 +118,23 @@ python3 perfbench/test_perfbench.py
 
 # Skip-enabled determinism subset under AddressSanitizer: the oracle
 # sweep, the property fuzzer (random kernels + fault plans), the
-# stall-accounting tests, and the unit tests of the flat cache, memory
-# and OSU structures.
+# stall-accounting tests, the unit tests of the flat cache, memory
+# and OSU structures, and the config-fingerprint tests.
 ASAN_DIR=${ASAN_BUILD_DIR:-build-asan}
 cmake -B "$ASAN_DIR" -S . -DREGLESS_SANITIZE=address
-cmake --build "$ASAN_DIR" -j --target regless_tests \
+cmake --build "$ASAN_DIR" -j "$(nproc)" --target regless_tests \
     --target regless_oracle_tests
 "$ASAN_DIR"/tests/regless_oracle_tests \
     --gtest_filter='*CycleSkipOracle*:CycleSkip*'
 "$ASAN_DIR"/tests/regless_tests \
-    --gtest_filter='*CycleSkipFuzz*:SlotInvariant.*:StallTrace.*:DeadlockBreakdown.*:CacheTest.*:MemorySystemTest.*:OsuTest.*'
+    --gtest_filter='*CycleSkipFuzz*:SlotInvariant.*:StallTrace.*:DeadlockBreakdown.*:CacheTest.*:MemorySystemTest.*:OsuTest.*:ConfigFingerprint.*'
 
 # Same subset's parallel face under ThreadSanitizer: epoch-clamped
 # skipping on worker threads must stay race-free.
 TSAN_DIR=${TSAN_BUILD_DIR:-build-tsan}
 cmake -B "$TSAN_DIR" -S . -DREGLESS_SANITIZE=thread
-cmake --build "$TSAN_DIR" -j --target regless_oracle_tests
+cmake --build "$TSAN_DIR" -j "$(nproc)" --target regless_oracle_tests
 "$TSAN_DIR"/tests/regless_oracle_tests \
     --gtest_filter='*MultiSmCycleSkipOracle*'
 
-echo "check: tier-1, oracle, perfbench, asan, and tsan subsets all passed"
+echo "check: tier-1, release, oracle, perfbench, asan, and tsan subsets all passed"

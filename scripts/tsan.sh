@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build-tsan}
 
 cmake -B "$BUILD_DIR" -S . -DREGLESS_SANITIZE=thread
-cmake --build "$BUILD_DIR" -j --target regless_tests
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target regless_tests
 
 # The parallel executor and thread-pool suites; MultiSmTest covers the
 # shared-DRAM path at its default thread count.

@@ -346,10 +346,9 @@ disassembleToAsm(const Kernel &kernel)
     // Labels for every branch target.
     std::map<Pc, std::string> labels;
     for (const Instruction &insn : kernel.instructions()) {
-        if (insn.target() != invalidPc &&
-            !labels.count(insn.target())) {
-            labels[insn.target()] =
-                "L" + std::to_string(insn.target());
+        if (insn.target() != invalidPc) {
+            labels.emplace(insn.target(),
+                           'L' + std::to_string(insn.target()));
         }
     }
 

@@ -1,9 +1,9 @@
 #include "sim/experiment_engine.hh"
 
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <filesystem>
-#include <sstream>
 #include <thread>
 
 #include "common/logging.hh"
@@ -33,24 +33,26 @@ sanitize(const std::string &name)
 }
 
 /**
- * The kernels @a job simulates, which are also the ones the lint gate
- * checks. Multi-tenant jobs name their co-resident kernels in
+ * Calls @a visit(name, build) for each kernel @a job simulates, which
+ * are also the ones the lint gate checks; build() makes the kernel.
+ * Multi-tenant jobs name their co-resident kernels in
  * config.tenants.workloads; job.kernel stays the display and cache
  * name (the workloads are part of the config fingerprint). Any other
  * job runs its builder's kernel or the Rodinia kernel it names.
  */
-std::vector<ir::Kernel>
-jobKernels(const SimJob &job)
+template <typename Visit>
+void
+forEachJobKernel(const SimJob &job, Visit &&visit)
 {
-    std::vector<ir::Kernel> kernels;
     if (job.config.tenants.workloads.size() >= 2) {
         for (const TenantWorkload &w : job.config.tenants.workloads)
-            kernels.push_back(workloads::makeRodinia(w.kernel));
+            visit(w.kernel, [&] { return workloads::makeRodinia(w.kernel); });
     } else {
-        kernels.push_back(job.builder ? job.builder()
-                                      : workloads::makeRodinia(job.kernel));
+        visit(job.kernel, [&] {
+            return job.builder ? job.builder()
+                               : workloads::makeRodinia(job.kernel);
+        });
     }
-    return kernels;
 }
 
 } // namespace
@@ -74,18 +76,33 @@ ExperimentEngine::jobFingerprint(const SimJob &job)
 std::string
 ExperimentEngine::cacheFileName(const SimJob &job)
 {
-    std::ostringstream oss;
-    oss << sanitize(job.kernel) << "-"
-        << providerName(job.config.provider) << "-" << job.sms << "sm-"
-        << std::hex << jobFingerprint(job) << ".json";
-    return oss.str();
+    return cacheFileName(job, jobFingerprint(job));
+}
+
+std::string
+ExperimentEngine::cacheFileName(const SimJob &job,
+                                std::uint64_t fingerprint)
+{
+    char hex[16];
+    const auto end =
+        std::to_chars(hex, hex + sizeof hex, fingerprint, 16).ptr;
+    std::string name = sanitize(job.kernel);
+    name += '-';
+    name += providerName(job.config.provider);
+    name += '-';
+    name += std::to_string(job.sms);
+    name += "sm-";
+    name.append(hex, end);
+    name += ".json";
+    return name;
 }
 
 std::filesystem::path
 ExperimentEngine::cacheEntryPath(const SimJob &job)
 {
+    const std::uint64_t fingerprint = jobFingerprint(job);
     return JobCache::relativePath(
-        JobCache::Key{cacheFileName(job), jobFingerprint(job)});
+        JobCache::Key{cacheFileName(job, fingerprint), fingerprint});
 }
 
 namespace
@@ -124,10 +141,10 @@ ExperimentEngine::submit(const SimJob &job)
     // entries simulated under different budgets never share a key.
     if (_options.maxCycles)
         effective.config.sm.maxCycles = _options.maxCycles;
-    const std::string key = cacheFileName(effective);
-    auto [it, inserted] = _index.try_emplace(key, _entries.size());
+    const std::uint64_t fp = jobFingerprint(effective);
+    auto [it, inserted] = _index.try_emplace(
+        cacheFileName(effective, fp), _entries.size());
     if (inserted) {
-        const std::uint64_t fp = jobFingerprint(effective);
         _entries.push_back(
             Entry{std::move(effective), fp, JobResult{}, false});
     }
@@ -184,7 +201,10 @@ ExperimentEngine::tryStats(JobId id)
 RunStats
 ExperimentEngine::execute(const SimJob &job, double timeout_sec)
 {
-    const std::vector<ir::Kernel> kernels = jobKernels(job);
+    std::vector<ir::Kernel> kernels;
+    forEachJobKernel(job, [&](const std::string &, const auto &build) {
+        kernels.push_back(build());
+    });
     if (job.sms >= 1) {
         // Single-threaded inside: the engine already parallelizes
         // across jobs, and results are thread-invariant anyway.
@@ -247,7 +267,8 @@ ExperimentEngine::loadFromCache(Entry &entry)
         return false;
     JobRecord record;
     if (!_cache.load(
-            JobCache::Key{cacheFileName(entry.job), entry.fingerprint},
+            JobCache::Key{cacheFileName(entry.job, entry.fingerprint),
+                          entry.fingerprint},
             record))
         return false;
     // Entries are keyed by fingerprint, so a provider mismatch means
@@ -280,27 +301,28 @@ ExperimentEngine::storeToCache(const Entry &entry)
     record.error = entry.result.error;
     record.deadlock = entry.result.deadlock;
     record.attempts = entry.result.attempts;
-    _cache.store(
-        JobCache::Key{cacheFileName(entry.job), entry.fingerprint},
-        record);
+    _cache.store(JobCache::Key{cacheFileName(entry.job, entry.fingerprint),
+                               entry.fingerprint},
+                 record);
 }
 
 void
 ExperimentEngine::lintPending()
 {
-    for (Entry &entry : _entries) {
+    for (const Entry &entry : _entries) {
         if (entry.done)
             continue;
-        const std::string key =
-            entry.job.kernel + "|" +
-            compilerConfigText(entry.job.config.compiler);
-        if (!_linted.insert(key).second)
-            continue;
-        for (const ir::Kernel &kernel : jobKernels(entry.job)) {
+        const compiler::CompilerConfig &config = entry.job.config.compiler;
+        const std::string config_text = compilerConfigText(config);
+        forEachJobKernel(entry.job, [&](const std::string &name,
+                                        const auto &build) {
+            if (!_linted.insert(name + "|" + config_text).second)
+                return;
+            const ir::Kernel kernel = build();
             const compiler::CompiledKernel ck =
-                compiler::compile(kernel, entry.job.config.compiler);
+                compiler::compile(kernel, config);
             compiler::LintOptions opts;
-            opts.checkLoadUse = entry.job.config.compiler.splitLoadUse;
+            opts.checkLoadUse = config.splitLoadUse;
             const std::vector<compiler::Finding> findings =
                 compiler::lintCompiledKernel(ck, opts);
             if (compiler::hasErrors(findings)) {
@@ -308,7 +330,7 @@ ExperimentEngine::lintPending()
                       "' failed staging verification:\n",
                       compiler::formatFindings(findings));
             }
-        }
+        });
     }
 }
 

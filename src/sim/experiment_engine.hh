@@ -236,6 +236,10 @@ class ExperimentEngine
      */
     static std::string cacheFileName(const SimJob &job);
 
+    /** cacheFileName() of a job whose jobFingerprint() is known. */
+    static std::string cacheFileName(const SimJob &job,
+                                     std::uint64_t fingerprint);
+
     /** Cache-entry path relative to the cache directory, shard
      * subdirectory included ("ab/kernel-provider-0sm-….json"). */
     static std::filesystem::path cacheEntryPath(const SimJob &job);
@@ -248,6 +252,7 @@ class ExperimentEngine
     struct Entry
     {
         SimJob job;
+        /** jobFingerprint(job), computed once at submit(). */
         std::uint64_t fingerprint = 0;
         JobResult result;
         bool done = false;
@@ -260,7 +265,8 @@ class ExperimentEngine
 
     std::uint64_t countStatus(JobStatus status) const;
 
-    /** Lint every pending entry's kernel (Options::lint). */
+    /** Lint each kernel of a pending entry that is not yet linted
+     * under its compiler config (Options::lint). */
     void lintPending();
 
     Options _options;

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <array>
@@ -161,18 +160,15 @@ struct GpuConfig
 };
 
 /**
- * Canonical key/value dump of every field of @a config and its
- * sub-configs, in a fixed order with full-precision numbers. Two
- * configs produce the same dump iff every field compares equal, so
- * the dump (and the fingerprint derived from it) is a valid cache
- * key. The implementation destructures each struct with structured
- * bindings, so adding a field anywhere breaks the build until the
- * dump learns about it — new fields cannot silently escape.
+ * Canonical dump of every field of @a config and its sub-configs, one
+ * "key=value\n" line each, in a fixed order with full-precision
+ * numbers (doubles as printf "%.17g"). Two configs produce the same
+ * text iff every field compares equal, so the text (and the
+ * fingerprint derived from it) is a valid cache key. The
+ * implementation destructures each struct with structured bindings,
+ * so adding a field anywhere breaks the build until the dump learns
+ * about it — new fields cannot silently escape.
  */
-std::vector<std::pair<std::string, std::string>>
-configKeyValues(const GpuConfig &config);
-
-/** The dump as one "key=value\n" text block (cache-key material). */
 std::string configCanonicalText(const GpuConfig &config);
 
 /**

@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -99,6 +100,112 @@ TEST(ConfigFingerprint, CanonicalTextNamesEveryTopLevelField)
         EXPECT_NE(text.find(needle), std::string::npos)
             << "canonical dump is missing " << needle;
     }
+}
+
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t hash = 1469598103934665603ULL;
+    for (unsigned char c : text) {
+        hash ^= c;
+        hash *= 1099511628211ULL;
+    }
+    return hash;
+}
+
+TEST(ConfigFingerprint, CanonicalTextsMatchTheirDigests)
+{
+    // The canonical text is the cache-key contract: a cache filled by
+    // an earlier build keeps serving only while every byte of every
+    // config's text, job fingerprint and entry name stays the same.
+    // Each entry digests one of them; a mismatch prints the new digest.
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"compiler", 0xd89312423790d09fULL},
+        {"corun/nn+srad_v1", 0x7c25f3ac1a5ed2c1ULL},
+        {"default", 0xa918f298bddb4710ULL},
+        {"doubles", 0x416a27ef74f83c07ULL},
+        {"fault/drop_dram", 0x4b85593ca4059789ULL},
+        {"job/srad_v1/regless/0sm/file", 0xa9a0e1647c3c9e92ULL},
+        {"job/srad_v1/regless/0sm/fingerprint", 0x55a47e2af4a6842fULL},
+        {"job/srad_v1/regless/8sm/file", 0x29d16bf6fe878a23ULL},
+        {"job/srad_v1/regless/8sm/fingerprint", 0x6cec7518987f5b87ULL},
+        {"provider/baseline", 0xa918f298bddb4710ULL},
+        {"provider/regdem", 0xfbb1dde55fae2635ULL},
+        {"provider/regless", 0xe39251ee5275ce8aULL},
+        {"provider/regless_nocomp", 0x16e85c4e722cbfdeULL},
+        {"provider/rfcache", 0xcda8cc1088794979ULL},
+        {"provider/rfh", 0x3d6f84694d3a6ec8ULL},
+        {"provider/rfv", 0x2c0b9993ae4b612eULL},
+        {"regless/osu128", 0x97296fcdb52fb403ULL},
+        {"trace", 0x18bddbc52b00e672ULL},
+    };
+
+    std::map<std::string, std::uint64_t> got;
+    const auto config = [&](const std::string &name,
+                            const sim::GpuConfig &c) {
+        const std::string text = sim::configCanonicalText(c);
+        EXPECT_EQ(sim::configFingerprint(c), fnv1a(text)) << name;
+        got[name] = fnv1a(text);
+    };
+    config("default", sim::GpuConfig{});
+    for (sim::ProviderKind kind : sim::allProviderKinds()) {
+        config(std::string("provider/") + sim::providerName(kind),
+               sim::GpuConfig::forProvider(kind));
+    }
+    sim::GpuConfig osu =
+        sim::GpuConfig::forProvider(sim::ProviderKind::Regless);
+    osu.setOsuCapacity(128);
+    config("regless/osu128", osu);
+
+    sim::GpuConfig corun =
+        sim::GpuConfig::forProvider(sim::ProviderKind::Regless);
+    corun.tenants.workloads = {{"nn", 1}, {"srad_v1", 0}};
+    corun.tenants.policy = regfile::CapacityPolicy::PriorityReserve;
+    corun.tenants.qosPreemption = true;
+    corun.tenants.qosInterval = 2000;
+    corun.tenants.qosShare = 0.25;
+    config("corun/nn+srad_v1", corun);
+
+    sim::GpuConfig fault;
+    fault.faults.kind = FaultPlan::Kind::DropDramResponse;
+    fault.faults.triggerCycle = 2000;
+    fault.faults.transient = true;
+    config("fault/drop_dram", fault);
+
+    sim::GpuConfig trace;
+    trace.trace.enabled = true;
+    trace.trace.path = "out/nn trace.json";
+    config("trace", trace);
+
+    sim::GpuConfig doubles;
+    doubles.mem.dram.bandwidthShare = 1.0 / 3;
+    doubles.tenants.reserveFrac = 0.1;
+    config("doubles", doubles);
+
+    for (unsigned sms : {0u, 8u}) {
+        const sim::SimJob job{
+            "srad_v1",
+            sim::GpuConfig::forProvider(sim::ProviderKind::Regless),
+            sms,
+            {}};
+        const std::string name = "job/srad_v1/regless/" +
+                                 std::to_string(sms) + "sm";
+        got[name + "/fingerprint"] =
+            sim::ExperimentEngine::jobFingerprint(job);
+        got[name + "/file"] =
+            fnv1a(sim::ExperimentEngine::cacheFileName(job));
+    }
+    got["compiler"] =
+        fnv1a(sim::compilerConfigText(sim::GpuConfig{}.compiler));
+
+    for (const auto &[name, digest] : got) {
+        auto it = pinned.find(name);
+        EXPECT_TRUE(it != pinned.end() && it->second == digest)
+            << "new digest: {\"" << name << "\", 0x" << std::hex
+            << digest << "ULL},";
+    }
+    for (const auto &[name, digest] : pinned)
+        EXPECT_EQ(got.count(name), 1u) << "stale entry " << name;
 }
 
 TEST(ExperimentEngine, DuplicateSubmissionsCollapse)
@@ -282,6 +389,24 @@ TEST(ExperimentEngine, LintGateRunsBeforeServingCachedResults)
     EXPECT_EQ(warm.simulated(), 0u);
     EXPECT_EQ(warm.cacheHits(), 1u);
     EXPECT_EQ(warm.kernelsLinted(), 1u);
+}
+
+TEST(ExperimentEngine, LintGateKeysCoRunsByTheirTenantKernels)
+{
+    // A co-run lints the kernels of its tenants, so solo runs of the
+    // same kernels under the same compiler config are already linted.
+    sim::ExperimentEngine::Options options;
+    options.lint = true;
+    sim::ExperimentEngine engine(options);
+    sim::GpuConfig corun =
+        sim::GpuConfig::forProvider(sim::ProviderKind::Regless);
+    corun.tenants.workloads = {{"nn", 0}, {"srad_v1", 0}};
+    engine.submit("nn+srad_v1", corun);
+    engine.submit("nn", sim::ProviderKind::Regless);
+    engine.submit("srad_v1", sim::ProviderKind::Regless);
+    engine.flush();
+    EXPECT_EQ(engine.failed() + engine.deadlocked(), 0u);
+    EXPECT_EQ(engine.kernelsLinted(), 2u);
 }
 
 TEST(FigureGenerators, ColdAndWarmRunsEmitIdenticalBytes)

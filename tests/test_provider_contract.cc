@@ -356,8 +356,9 @@ TEST(CacheSchema, PreviousSchemaEntriesAreRejected)
         text.find_first_not_of("0123456789", digit);
     ASSERT_EQ(text.substr(digit, end - digit),
               std::to_string(sim::kJobCacheSchemaVersion));
-    text.replace(digit, end - digit,
-                 std::to_string(sim::kJobCacheSchemaVersion - 1));
+    text = text.substr(0, digit) +
+           std::to_string(sim::kJobCacheSchemaVersion - 1) +
+           text.substr(end);
     std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
 
     // A stale entry is a miss, the job re-simulates, the entry heals.
