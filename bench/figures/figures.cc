@@ -1,10 +1,8 @@
 #include "figures/figures.hh"
 
-#include <cstdlib>
-#include <iostream>
+#include <ostream>
 
 #include "common/flags.hh"
-#include "common/logging.hh"
 #include "common/sim_error.hh"
 #include "sim/experiment.hh"
 
@@ -139,7 +137,7 @@ parseReportOptions(int argc, char **argv)
         const std::string arg = argv[i];
         auto value = [&]() -> std::string {
             if (i + 1 >= argc)
-                fatal("missing value for ", arg);
+                throw FlagError("missing value for " + arg);
             return argv[++i];
         };
         if (arg == "--filter") {
@@ -160,33 +158,12 @@ parseReportOptions(int argc, char **argv)
             options.maxCycles = flagNumber<Cycle>(arg, value());
         } else if (arg == "--job-timeout") {
             options.jobTimeoutSec = flagNumber<double>(arg, value());
-        } else if (arg == "--shard") {
-            const std::string spec = value();
-            const std::string_view whole = spec;
-            const std::size_t slash = whole.find('/');
-            if (slash == std::string_view::npos ||
-                !parseNumber(whole.substr(0, slash),
-                             options.shardIndex) ||
-                !parseNumber(whole.substr(slash + 1),
-                             options.shardCount) ||
-                options.shardIndex < 1 ||
-                options.shardIndex > options.shardCount)
-                throw FlagError("--shard wants I/N with 1 <= I <= N "
-                                "(e.g. 2/4), got '" + spec + "'");
         } else if (arg == "--inject-deadlock") {
             options.injectDeadlock = true;
         } else {
-            std::cerr << "usage: " << argv[0]
-                      << " [--filter SUBSTR] [--list] [--inject-deadlock]"
-                         " [--jobs N] [--json PATH] [--no-cache]"
-                         " [--cache-dir DIR] [--lint] [--max-cycles N]"
-                         " [--job-timeout SEC] [--shard I/N]\n";
-            std::exit(arg == "--help" ? 0 : 1);
+            throw FlagError("unknown flag '" + arg + "'");
         }
     }
-    if (options.shardCount > 1 && !options.cache)
-        fatal("--shard partitions work through the shared cache; it "
-              "cannot be combined with --no-cache");
     return options;
 }
 
@@ -199,8 +176,6 @@ engineOptions(const ReportOptions &options)
     engine.lint = options.lint;
     engine.maxCycles = options.maxCycles;
     engine.jobTimeoutSec = options.jobTimeoutSec;
-    engine.shardIndex = options.shardIndex;
-    engine.shardCount = options.shardCount;
     return engine;
 }
 

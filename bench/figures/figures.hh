@@ -75,14 +75,6 @@ struct ReportOptions
     /** Per-job wall-clock budget in seconds (0 = unlimited). */
     double jobTimeoutSec = 0.0;
     /**
-     * Fleet partitioning (`--shard i/n`): simulate only the jobs
-     * whose fingerprint lands on shard i of n, serving the rest from
-     * the shared cache (or leaving them skipped). Requires the cache;
-     * the union of all n shard runs equals an unsharded run.
-     */
-    unsigned shardIndex = 0;
-    unsigned shardCount = 0;
-    /**
      * Fault drill: submit one doomed job with an injected OSU-slot
      * leak so the watchdog, the failure footer, and the isolation of
      * healthy jobs can be exercised end to end.
@@ -92,10 +84,10 @@ struct ReportOptions
 
 /**
  * Parse the flags (--filter, --jobs, --json, --no-cache, --cache-dir,
- * --lint, --list, --max-cycles, --job-timeout, --shard,
- * --inject-deadlock); exit with usage on anything unknown. A numeric
- * value must be one whole non-negative number token; fatal() names the
- * flag and the value otherwise.
+ * --lint, --list, --max-cycles, --job-timeout, --inject-deadlock).
+ * Throws FlagError naming the flag on an unknown flag or a missing
+ * value, and naming the flag and the value when a numeric value is
+ * not one whole non-negative number token.
  */
 ReportOptions parseReportOptions(int argc, char **argv);
 

@@ -17,23 +17,23 @@
  *   regless_report --max-cycles N      # hard cycle budget per job
  *   regless_report --job-timeout SEC   # wall-clock budget per job
  *   regless_report --inject-deadlock   # fault drill: one doomed job
- *   regless_report --shard 2/4         # simulate only shard 2 of 4
- *                                      # (fleet runs over one shared
- *                                      # --cache-dir; the union of
- *                                      # all shards == an unsharded
- *                                      # run)
+ *   regless_report --help              # usage
  *
  * A failed or deadlocked job never aborts the report: its figures
  * annotate the gap, the footer counts failures, and each one is
  * rendered (with its DeadlockReport when the watchdog fired) after
- * the footer. The exit status is 0 whenever the report completed,
- * and 2 when a numeric flag is malformed (nothing runs then).
+ * the footer. The exit status is 0 whenever the report completed;
+ * 2 on any usage error: an unknown flag, a missing or malformed
+ * value, or a --filter that matches no figure (nothing runs then);
+ * and 1 on any other fatal error, such as a --json file that cannot
+ * be written.
  */
 
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "common/flags.hh"
 #include "common/logging.hh"
@@ -45,6 +45,15 @@ using namespace regless;
 
 namespace
 {
+
+void
+usage(std::ostream &os, const char *argv0)
+{
+    os << "usage: " << argv0
+       << " [--filter SUBSTR] [--list] [--inject-deadlock]"
+          " [--jobs N] [--json PATH] [--no-cache] [--cache-dir DIR]"
+          " [--lint] [--max-cycles N] [--job-timeout SEC]\n";
+}
 
 bool
 matches(const std::string &name,
@@ -83,8 +92,8 @@ submitDoomedJob(sim::ExperimentEngine &engine)
 /**
  * One structured line on the cache subsystem's health: the
  * degradation ladder surfaces here (never as a crash), and the
- * counters make a fleet run's cache behaviour auditable after the
- * fact (DESIGN.md §15).
+ * counters make a run's cache behaviour auditable after the fact
+ * (DESIGN.md §15).
  */
 void
 printCacheFooter(const sim::ExperimentEngine &engine, std::ostream &os)
@@ -142,6 +151,12 @@ main(int argc, char **argv)
     // Library code throws SimError; this main is the process-exit
     // boundary.
     try {
+        for (int i = 1; i < argc; ++i) {
+            if (std::string_view(argv[i]) == "--help") {
+                usage(std::cout, argv[0]);
+                return 0;
+            }
+        }
         figures::ReportOptions options =
             figures::parseReportOptions(argc, argv);
 
@@ -166,15 +181,17 @@ main(int argc, char **argv)
             figures::runFigure(figure, ctx);
         }
         if (!ran)
-            fatal("no figure matches the given --filter; try --list");
+            throw FlagError(
+                "no figure matches the given --filter; try --list");
         engine.flush(); // the doomed job may be in no figure
 
         if (!options.jsonPath.empty()) {
             std::ofstream out(options.jsonPath,
                               std::ios::binary | std::ios::trunc);
+            sim::writeJson(out, engine.allStats());
+            out.flush();
             if (!out)
                 fatal("cannot write '", options.jsonPath, "'");
-            sim::writeJson(out, engine.allStats());
         }
 
         std::cout << "\n# engine: " << engine.pointsRequested()
@@ -189,17 +206,13 @@ main(int argc, char **argv)
                   << engine.deadlocked() << " deadlocked";
         if (engine.retried())
             std::cout << ", " << engine.retried() << " retried";
-        if (options.shardCount > 1)
-            std::cout << ", " << engine.skipped()
-                      << " left to other shards (this is shard "
-                      << options.shardIndex << "/"
-                      << options.shardCount << ")";
         std::cout << "\n";
         printCacheFooter(engine, std::cout);
         printFailures(engine, std::cout);
         return 0;
     } catch (const FlagError &e) {
         std::cerr << "fatal: " << e.what() << "\n";
+        usage(std::cerr, argv[0]);
         return 2;
     } catch (const std::exception &e) {
         std::cerr << "fatal: " << e.what() << "\n";

@@ -13,9 +13,8 @@
 #      every registered provider end-to-end under the closed stall
 #      account and memory-image invariants (DESIGN.md §13);
 #   4. the fleet-safe cache suite (ctest label "cache"): chaos
-#      injection under every CacheFaultPlan, forked multi-process
-#      stress over one shared directory, and the --shard partition
-#      parity oracle (DESIGN.md §15);
+#      injection under every CacheFaultPlan and forked multi-process
+#      stress over one shared directory (DESIGN.md §15);
 #   5. the multi-tenant suite (ctest label "tenants"): single-tenant
 #      byte parity, per-tenant closed accounts, the preemption chaos
 #      test, starved-tenant reporting, and QoS (DESIGN.md §16);
@@ -119,22 +118,23 @@ python3 perfbench/test_perfbench.py
 # Skip-enabled determinism subset under AddressSanitizer: the oracle
 # sweep, the property fuzzer (random kernels + fault plans), the
 # stall-accounting tests, the unit tests of the flat cache, memory
-# and OSU structures, and the config-fingerprint tests.
+# and OSU structures, and the config-fingerprint tests. Each filter
+# pattern must select a test (scripts/gtest_filtered.sh).
 ASAN_DIR=${ASAN_BUILD_DIR:-build-asan}
 cmake -B "$ASAN_DIR" -S . -DREGLESS_SANITIZE=address
 cmake --build "$ASAN_DIR" -j "$(nproc)" --target regless_tests \
     --target regless_oracle_tests
-"$ASAN_DIR"/tests/regless_oracle_tests \
-    --gtest_filter='*CycleSkipOracle*:CycleSkip*'
-"$ASAN_DIR"/tests/regless_tests \
-    --gtest_filter='*CycleSkipFuzz*:SlotInvariant.*:StallTrace.*:DeadlockBreakdown.*:CacheTest.*:MemorySystemTest.*:OsuTest.*:ConfigFingerprint.*'
+scripts/gtest_filtered.sh "$ASAN_DIR"/tests/regless_oracle_tests \
+    '*CycleSkipOracle*:CycleSkip*'
+scripts/gtest_filtered.sh "$ASAN_DIR"/tests/regless_tests \
+    '*CycleSkipFuzz*:SlotInvariant.*:StallTrace.*:DeadlockBreakdown.*:CacheTest.*:MemorySystemTest.*:OsuTest.*:ConfigFingerprint.*'
 
 # Same subset's parallel face under ThreadSanitizer: epoch-clamped
 # skipping on worker threads must stay race-free.
 TSAN_DIR=${TSAN_BUILD_DIR:-build-tsan}
 cmake -B "$TSAN_DIR" -S . -DREGLESS_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$(nproc)" --target regless_oracle_tests
-"$TSAN_DIR"/tests/regless_oracle_tests \
-    --gtest_filter='*MultiSmCycleSkipOracle*'
+scripts/gtest_filtered.sh "$TSAN_DIR"/tests/regless_oracle_tests \
+    '*MultiSmCycleSkipOracle*'
 
 echo "check: tier-1, release, oracle, perfbench, asan, and tsan subsets all passed"

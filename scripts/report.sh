@@ -8,15 +8,18 @@
 # cheapest figure plus one injected deadlock, verifying that a report
 # always completes (exit 0) and diagnoses the failure in its footer;
 # the stall-breakdown figure, verifying the issue-slot attribution
-# surfaces in a report; and the sharded-cache drill — two --shard
-# partitions of one figure over a shared cache directory, a warm run
-# that must simulate nothing, and a `regless_cache verify` audit of
-# the directory the fleet left behind (DESIGN.md §15).
+# surfaces in a report; and the cache drill — a cold run of one
+# figure into a scratch cache directory, a warm run that must
+# simulate nothing, and a `regless_cache verify` audit of the
+# directory left behind (DESIGN.md §15).
 set -eu
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
-cmake --build build --target regless_report --target regless_cache
+# The generator is CMake's default, as in the tier-1 build and
+# scripts/check.sh, so all three can share build/.
+cmake -B build -S .
+cmake --build build -j "$(nproc)" --target regless_report \
+    --target regless_cache
 
 if [ "${1:-}" = "--smoke" ]; then
     shift
@@ -33,15 +36,12 @@ if [ "${1:-}" = "--smoke" ]; then
     printf '%s\n' "$out" | grep -q 'exactly one column'
     echo "smoke: stall-breakdown figure rendered"
 
-    # Sharded-cache drill: split one figure across two shard runs
-    # sharing a scratch cache directory, then a warm unsharded run
-    # that must be served entirely from the cache the shards built.
+    # Cache drill: a cold run fills a scratch cache directory, then a
+    # warm run must be served entirely from it.
     cachedir=$(mktemp -d "${TMPDIR:-/tmp}/regless-smoke-cache.XXXXXX")
     trap 'rm -rf "$cachedir"' EXIT
     ./build/bench/regless_report --filter fig03_backing_store \
-        --cache-dir "$cachedir" --shard 1/2 "$@" > /dev/null
-    ./build/bench/regless_report --filter fig03_backing_store \
-        --cache-dir "$cachedir" --shard 2/2 "$@" > /dev/null
+        --cache-dir "$cachedir" "$@" > /dev/null
     out=$(./build/bench/regless_report --filter fig03_backing_store \
         --cache-dir "$cachedir" "$@")
     printf '%s\n' "$out"
@@ -49,7 +49,7 @@ if [ "${1:-}" = "--smoke" ]; then
     printf '%s\n' "$out" | grep -q '^# cache: read-write'
     ./build/tools/regless_cache verify --strict --dir "$cachedir"
     ./build/tools/regless_cache gc --dry-run --dir "$cachedir"
-    echo "smoke: shard union warmed the cache and verify is clean"
+    echo "smoke: a cold run warmed the cache and verify is clean"
     exit 0
 fi
 

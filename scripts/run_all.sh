@@ -3,8 +3,10 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
-cmake --build build
+# CMake's default generator, as in the tier-1 build and
+# scripts/check.sh, so all three can share build/.
+cmake -B build -S .
+cmake --build build -j "$(nproc)"
 ctest --test-dir build 2>&1 | tee test_output.txt
 # One engine run for every figure: shared simulation points are
 # deduplicated and cached in .regless-cache/ (DESIGN.md section 7).

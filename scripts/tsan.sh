@@ -10,7 +10,8 @@ cmake -B "$BUILD_DIR" -S . -DREGLESS_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target regless_tests
 
 # The parallel executor and thread-pool suites; MultiSmTest covers the
-# shared-DRAM path at its default thread count.
-"$BUILD_DIR"/tests/regless_tests \
-    --gtest_filter='*ThreadCountInvariance*:*ParallelStress*:MultiSmParallel.*:ThreadPoolTest.*:MultiSmTest.*'
+# shared-DRAM path at its default thread count. Each pattern must
+# select a test (scripts/gtest_filtered.sh).
+scripts/gtest_filtered.sh "$BUILD_DIR"/tests/regless_tests \
+    '*ThreadCountInvariance*:*ParallelStress*:MultiSmParallel.*:ThreadPoolTest.*:MultiSmTest.*'
 echo "tsan: multi-SM tests passed with -fsanitize=thread"

@@ -195,25 +195,6 @@ class Sm
     {
         return _tenantOf.at(warp);
     }
-    /** First warp slot of tenant @a t. */
-    WarpId tenantWarpBase(unsigned t) const
-    {
-        return tenant(t).warpBase;
-    }
-    /** Warp slots owned by tenant @a t. */
-    unsigned tenantWarpCount(unsigned t) const
-    {
-        return tenant(t).warpCount;
-    }
-    /** Scheduler groups owned by tenant @a t. */
-    unsigned tenantSchedulerCount(unsigned t) const
-    {
-        return tenant(t).schedCount;
-    }
-    const compiler::CompiledKernel &tenantKernel(unsigned t) const
-    {
-        return *tenant(t).ck;
-    }
 
     /**
      * Region-boundary preemption: stop tenant @a t from starting new
@@ -231,11 +212,6 @@ class Sm
     bool tenantSuspended(unsigned t) const
     {
         return tenant(t).suspended;
-    }
-    /** Suspend requested but the boundary not yet reached? */
-    bool tenantSuspendPending(unsigned t) const
-    {
-        return tenant(t).suspendRequested;
     }
     /** Every warp of tenant @a t finished? */
     bool tenantDone(unsigned t) const;
@@ -430,10 +406,6 @@ class Sm
 
     Tenant &tenant(unsigned t) { return *_tenants.at(t); }
     const Tenant &tenant(unsigned t) const { return *_tenants.at(t); }
-    Tenant &tenantOf(const Warp &warp)
-    {
-        return *_tenants[_tenantOf[warp.id()]];
-    }
 
     /**
      * Can @a warp issue its next instruction now?

@@ -46,7 +46,6 @@ class Warp
     Warp(WarpId id, unsigned block_id, unsigned num_regs);
 
     WarpId id() const { return _id; }
-    WarpId localId() const { return _localId; }
     unsigned blockId() const { return _blockId; }
 
     WarpStatus status() const { return _status; }

@@ -10,13 +10,10 @@ namespace regless
 namespace
 {
 
-bool verboseFlag = false;
-
 const char *
 levelName(LogLevel level)
 {
     switch (level) {
-      case LogLevel::Inform: return "info";
       case LogLevel::Warn: return "warn";
       case LogLevel::Fatal: return "fatal";
       case LogLevel::Panic: return "panic";
@@ -26,26 +23,12 @@ levelName(LogLevel level)
 
 } // namespace
 
-void
-setVerbose(bool verbose)
-{
-    verboseFlag = verbose;
-}
-
-bool
-verboseEnabled()
-{
-    return verboseFlag;
-}
-
 namespace detail
 {
 
 void
 logMessage(LogLevel level, const std::string &msg)
 {
-    if (level == LogLevel::Inform && !verboseFlag)
-        return;
     std::cerr << levelName(level) << ": " << msg << "\n";
 }
 

@@ -5,8 +5,8 @@
  * fatal() reports user/configuration errors; panic() reports internal
  * simulator bugs. Both throw sim::SimError (common/sim_error.hh) —
  * library code never exits the process; only the CLI mains in bench/
- * and tools/ catch at top level and terminate. warn() and inform()
- * print and continue.
+ * and tools/ catch at top level and terminate. warn() prints and
+ * continues.
  */
 
 #ifndef REGLESS_COMMON_LOGGING_HH
@@ -21,7 +21,6 @@ namespace regless
 /** Severity of a log message. */
 enum class LogLevel
 {
-    Inform,
     Warn,
     Fatal,
     Panic,
@@ -47,12 +46,6 @@ formatMessage(Args &&...args)
 }
 
 } // namespace detail
-
-/** Verbosity gate for inform(); warnings always print. */
-void setVerbose(bool verbose);
-
-/** @return true when inform() messages are being printed. */
-bool verboseEnabled();
 
 /**
  * Report a condition that prevents the simulation from continuing and is
@@ -84,15 +77,6 @@ void
 warn(Args &&...args)
 {
     detail::logMessage(LogLevel::Warn,
-                       detail::formatMessage(std::forward<Args>(args)...));
-}
-
-/** Report normal operating status. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::logMessage(LogLevel::Inform,
                        detail::formatMessage(std::forward<Args>(args)...));
 }
 

@@ -94,15 +94,6 @@ hasErrors(const std::vector<Finding> &findings)
     return false;
 }
 
-std::size_t
-countErrors(const std::vector<Finding> &findings)
-{
-    std::size_t n = 0;
-    for (const Finding &f : findings)
-        n += f.severity == Severity::Error;
-    return n;
-}
-
 std::string
 formatFindings(const std::vector<Finding> &findings)
 {

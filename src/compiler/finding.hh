@@ -113,9 +113,6 @@ struct Finding
 /** @return true when any finding has Severity::Error. */
 bool hasErrors(const std::vector<Finding> &findings);
 
-/** Number of findings with Severity::Error. */
-std::size_t countErrors(const std::vector<Finding> &findings);
-
 /** Render findings one per line (toString), for CLI output and logs. */
 std::string formatFindings(const std::vector<Finding> &findings);
 

@@ -129,20 +129,6 @@ RegionBuilder::build() const
     return regions;
 }
 
-ir::RegSet
-RegionBuilder::refsInRange(Pc start, Pc end) const
-{
-    ir::RegSet refs(_kernel.numRegs());
-    for (Pc pc = start; pc <= end; ++pc) {
-        const ir::Instruction &insn = _kernel.insn(pc);
-        if (insn.writesReg())
-            refs.set(insn.dst());
-        for (RegId src : insn.srcs())
-            refs.set(src);
-    }
-    return refs;
-}
-
 unsigned
 RegionBuilder::maxLiveInRange(Pc start, Pc end) const
 {

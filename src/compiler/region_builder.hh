@@ -68,9 +68,6 @@ class RegionBuilder
     /// @}
 
   private:
-    /** Registers read or written anywhere in [start, end]. */
-    ir::RegSet refsInRange(Pc start, Pc end) const;
-
     /** Per-bank peak of concurrently live region-referenced registers. */
     std::array<std::uint8_t, numOsuBanks>
     bankUsageInRange(Pc start, Pc end) const;

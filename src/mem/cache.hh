@@ -110,7 +110,6 @@ class Cache
     const StatGroup &stats() const { return _stats; }
 
     unsigned numSets() const { return _numSets; }
-    unsigned numWays() const { return _ways; }
 
   private:
     struct Line

@@ -55,8 +55,6 @@ class RfVirtualization : public RegisterProvider
         return static_cast<unsigned>(_mapped.size());
     }
 
-    unsigned physicalEntries() const { return _physEntries; }
-
   private:
     static std::uint32_t
     key(WarpId warp, RegId reg)

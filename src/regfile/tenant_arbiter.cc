@@ -21,20 +21,6 @@ capacityPolicyName(CapacityPolicy policy)
     return "?";
 }
 
-bool
-tryCapacityPolicyFromName(const std::string &name, CapacityPolicy &out)
-{
-    for (CapacityPolicy p :
-         {CapacityPolicy::FreeForAll, CapacityPolicy::StaticQuota,
-          CapacityPolicy::PriorityReserve}) {
-        if (name == capacityPolicyName(p)) {
-            out = p;
-            return true;
-        }
-    }
-    return false;
-}
-
 TenantArbiter::TenantArbiter(CapacityPolicy policy, unsigned total_lines)
     : _policy(policy), _totalLines(total_lines)
 {

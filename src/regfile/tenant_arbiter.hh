@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -47,10 +46,6 @@ enum class CapacityPolicy : std::uint8_t
 
 /** Name for a CapacityPolicy ("free_for_all", ...). */
 const char *capacityPolicyName(CapacityPolicy policy);
-
-/** Parse a capacityPolicyName() string; false on unknown. */
-bool tryCapacityPolicyFromName(const std::string &name,
-                               CapacityPolicy &out);
 
 /** Admission gate over the SM-wide staging-line pool. */
 class TenantArbiter
@@ -81,8 +76,6 @@ class TenantArbiter
     bool mayReserve(unsigned tenant, unsigned lines) const;
 
     CapacityPolicy policy() const { return _policy; }
-    unsigned totalLines() const { return _totalLines; }
-    std::size_t numTenants() const { return _tenants.size(); }
 
     /** Live footprint of one tenant (for figures and reports). */
     std::uint64_t linesInUse(unsigned tenant) const;

@@ -142,12 +142,6 @@ class CapacityManager
         return _reservedFuture.at(bank);
     }
 
-    /** Remaining allocation budget of @a warp in @a bank. */
-    int warpBudget(WarpId warp, unsigned bank) const
-    {
-        return ctx(warp).budget.at(bank);
-    }
-
     /** Current region of @a warp (invalidRegion when inactive). */
     compiler::RegionId warpRegion(WarpId warp) const
     {

@@ -65,12 +65,7 @@ ExperimentEngine::jobFingerprint(const SimJob &job)
     text += "kernel=" + job.kernel + "\n";
     text += "sms=" + std::to_string(job.sms) + "\n";
     text += "schema=" + std::to_string(kJobCacheSchemaVersion) + "\n";
-    std::uint64_t hash = 1469598103934665603ULL;
-    for (unsigned char c : text) {
-        hash ^= c;
-        hash *= 1099511628211ULL;
-    }
-    return hash;
+    return fnv1a(text);
 }
 
 std::string
@@ -125,11 +120,6 @@ ExperimentEngine::ExperimentEngine() : ExperimentEngine(Options{}) {}
 ExperimentEngine::ExperimentEngine(Options options)
     : _options(std::move(options)), _cache(cacheOptions(_options))
 {
-    if (_options.shardCount > 1 &&
-        (_options.shardIndex < 1 ||
-         _options.shardIndex > _options.shardCount))
-        panic("ExperimentEngine: shard index ", _options.shardIndex,
-              " outside 1..", _options.shardCount);
 }
 
 ExperimentEngine::JobId
@@ -272,10 +262,7 @@ ExperimentEngine::loadFromCache(Entry &entry)
             record))
         return false;
     // Entries are keyed by fingerprint, so a provider mismatch means
-    // the file was tampered with or collided; a Skipped record can
-    // only be hand-placed (shards never store them). Miss on both.
-    if (record.status == JobStatus::Skipped)
-        return false;
+    // the file was tampered with or collided: miss.
     if (record.status == JobStatus::Ok &&
         record.stats.provider != entry.job.config.provider)
         return false;
@@ -290,10 +277,6 @@ ExperimentEngine::loadFromCache(Entry &entry)
 void
 ExperimentEngine::storeToCache(const Entry &entry)
 {
-    // Skipped results carry no data: the owning shard publishes the
-    // real entry. Never negative-cache them.
-    if (entry.result.status == JobStatus::Skipped)
-        return;
     JobRecord record;
     record.schema = kJobCacheSchemaVersion;
     record.status = entry.result.status;
@@ -351,23 +334,6 @@ ExperimentEngine::flush()
             ++_cacheHits;
             continue;
         }
-        // The shard filter applies to *simulation* only: a shard run
-        // still serves any cross-shard cache hit (above), so figures
-        // of a late shard render everything earlier shards published.
-        if (_options.shardCount > 1 &&
-            entry.fingerprint % _options.shardCount !=
-                _options.shardIndex - 1) {
-            entry.result.status = JobStatus::Skipped;
-            entry.result.error =
-                "left to shard " +
-                std::to_string(entry.fingerprint %
-                                   _options.shardCount +
-                               1) +
-                "/" + std::to_string(_options.shardCount) +
-                " of this partitioned run";
-            entry.done = true;
-            continue;
-        }
         to_run.push_back(&entry);
     }
     if (to_run.empty())
@@ -420,11 +386,8 @@ ExperimentEngine::failedJobs() const
 {
     std::vector<JobId> out;
     for (JobId id = 0; id < _entries.size(); ++id) {
-        // Skipped is not a failure: the footer counts those
-        // separately instead of diagnosing each one.
         if (_entries[id].done &&
-            _entries[id].result.status != JobStatus::Ok &&
-            _entries[id].result.status != JobStatus::Skipped)
+            _entries[id].result.status != JobStatus::Ok)
             out.push_back(id);
     }
     return out;

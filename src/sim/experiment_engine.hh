@@ -18,9 +18,8 @@
  * The on-disk cache is the JobCache subsystem (DESIGN.md §15):
  * sharded, crash-tolerant, safe under concurrent writer processes,
  * and degrading structurally (read-only / disabled, surfaced in the
- * report footer) instead of ever failing a run. Options::shardIndex/
- * shardCount partition one report's simulation work across a fleet
- * of processes that share a cache directory.
+ * report footer) instead of ever failing a run. Processes may share
+ * one cache directory; each simulates only what is not cached yet.
  */
 
 #ifndef REGLESS_SIM_EXPERIMENT_ENGINE_HH
@@ -127,19 +126,6 @@ class ExperimentEngine
 
         /** Chaos injection into the cache layer (tests only). */
         CacheFaultPlan cacheFaults;
-
-        /**
-         * Deterministic job partitioner for fleet runs: with
-         * shardCount n > 1, only jobs whose fingerprint lands on
-         * shard shardIndex (1-based, 1 <= shardIndex <= n) are
-         * simulated; the rest are served from the cache when present
-         * and otherwise finish as JobStatus::Skipped. The union of
-         * the n shard runs over one shared cache directory is
-         * byte-identical to an unsharded run (the shard-parity
-         * oracle). shardCount == 0 or 1 disables partitioning.
-         */
-        unsigned shardIndex = 0;
-        unsigned shardCount = 0;
     };
 
     /** Handle to a submitted job, valid for this engine's lifetime. */
@@ -206,11 +192,6 @@ class ExperimentEngine
     {
         return countStatus(JobStatus::Deadlocked);
     }
-    /** Jobs left to other shards of a partitioned run. */
-    std::uint64_t skipped() const
-    {
-        return countStatus(JobStatus::Skipped);
-    }
     /** Re-executions performed after transient failures. */
     std::uint64_t retried() const;
     /// @}
@@ -244,8 +225,8 @@ class ExperimentEngine
      * subdirectory included ("ab/kernel-provider-0sm-….json"). */
     static std::filesystem::path cacheEntryPath(const SimJob &job);
 
-    /** The sharding fingerprint of @a job (config + kernel + sms +
-     * schema), as used for the cache key and `--shard` partition. */
+    /** The fingerprint of @a job (config + kernel + sms + schema):
+     * the cache key, which also picks the entry's shard directory. */
     static std::uint64_t jobFingerprint(const SimJob &job);
 
   private:

@@ -267,15 +267,20 @@ compilerConfigText(const compiler::CompilerConfig &config)
 }
 
 std::uint64_t
-configFingerprint(const GpuConfig &config)
+fnv1a(std::string_view text)
 {
-    const std::string text = configCanonicalText(config);
     std::uint64_t hash = 1469598103934665603ULL;
     for (unsigned char c : text) {
         hash ^= c;
         hash *= 1099511628211ULL;
     }
     return hash;
+}
+
+std::uint64_t
+configFingerprint(const GpuConfig &config)
+{
+    return fnv1a(configCanonicalText(config));
 }
 
 } // namespace regless::sim

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <array>
@@ -177,6 +178,10 @@ std::string configCanonicalText(const GpuConfig &config);
  * memo key for lint-once-per-kernel gating.
  */
 std::string compilerConfigText(const compiler::CompilerConfig &config);
+
+/** FNV-1a 64-bit hash of @a text: the digest behind
+ *  configFingerprint() and ExperimentEngine::jobFingerprint(). */
+std::uint64_t fnv1a(std::string_view text);
 
 /** FNV-1a 64-bit hash of configCanonicalText(). */
 std::uint64_t configFingerprint(const GpuConfig &config);

@@ -171,12 +171,8 @@ GpuSimulator::assemble(std::shared_ptr<mem::DramModel> shared_dram)
         unsigned wpb = _cks[0]->kernel().warpsPerBlock();
         unsigned fit = _config.baselineRfEntries / regs;
         fit = std::max(wpb, fit - fit % wpb); // block granularity
-        if (fit < _config.sm.numWarps) {
-            inform("occupancy limited to ", fit, " of ",
-                   _config.sm.numWarps, " resident warps (", regs,
-                   " registers per warp)");
+        if (fit < _config.sm.numWarps)
             _config.sm.maxResidentWarps = fit;
-        }
     }
 
     if (_config.sm.numWarps % num_tenants != 0) {

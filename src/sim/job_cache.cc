@@ -563,8 +563,6 @@ surveyFile(const fs::path &root, const fs::path &path,
       case JobStatus::Deadlocked:
         ++survey.deadlockedRecords;
         break;
-      case JobStatus::Skipped:
-        break; // never stored; tolerated if hand-placed
     }
 }
 

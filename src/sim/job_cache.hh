@@ -1,7 +1,7 @@
 /**
  * @file
  * JobCache: the experiment engine's on-disk memoization store, built
- * to be shared by a fleet of report processes (CI shards, sweep
+ * to be shared by a fleet of report processes (CI jobs, sweep
  * workers on several machines) hammering one directory. Entries are
  * JobRecords (stats_io) keyed by the job's config fingerprint and
  * partitioned into 256 shard subdirectories (the fingerprint's low

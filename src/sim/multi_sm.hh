@@ -95,11 +95,6 @@ class MultiSmSimulator
     /** Per-SM results (valid after run()). */
     const std::vector<RunStats> &perSm() const { return _perSm; }
 
-    unsigned numSms() const
-    {
-        return static_cast<unsigned>(_sms.size());
-    }
-
     /** The shared DRAM model (for queueing statistics). */
     mem::DramModel &dram() { return *_dram; }
 

@@ -78,12 +78,6 @@ class ProgressMonitor
      */
     bool checkTenant(unsigned t, Cycle now, std::uint64_t progress,
                      bool exempt);
-
-    /** Last cycle tenant @a t progressed (or was exempt). */
-    Cycle tenantLastProgressCycle(unsigned t) const
-    {
-        return _tenants[t].lastProgressCycle;
-    }
     /// @}
 
     Cycle window() const { return _window; }

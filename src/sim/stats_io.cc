@@ -462,8 +462,6 @@ jobStatusName(JobStatus status)
         return "failed";
       case JobStatus::Deadlocked:
         return "deadlocked";
-      case JobStatus::Skipped:
-        return "skipped";
     }
     return "?";
 }
@@ -471,8 +469,8 @@ jobStatusName(JobStatus status)
 bool
 tryJobStatusFromName(const std::string &name, JobStatus &out)
 {
-    for (JobStatus s : {JobStatus::Ok, JobStatus::Failed,
-                        JobStatus::Deadlocked, JobStatus::Skipped}) {
+    for (JobStatus s :
+         {JobStatus::Ok, JobStatus::Failed, JobStatus::Deadlocked}) {
         if (name == jobStatusName(s)) {
             out = s;
             return true;

@@ -30,13 +30,6 @@ enum class JobStatus
     Ok,         ///< simulated to completion
     Failed,     ///< threw (config error, internal bug, wall timeout)
     Deadlocked, ///< forward-progress watchdog fired
-    /**
-     * Left for another shard of a partitioned run (`--shard i/n`):
-     * neither simulated nor an error. Skipped results are never
-     * written to the cache — the owning shard publishes the real
-     * entry — and never counted as failures.
-     */
-    Skipped,
 };
 
 /** Name for a JobStatus ("ok", "failed", "deadlocked"). */

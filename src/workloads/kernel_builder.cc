@@ -194,12 +194,6 @@ KernelBuilder::iaddiTo(RegId dst, RegId a, std::int64_t imm)
 }
 
 void
-KernelBuilder::ffmaTo(RegId dst, RegId a, RegId b, RegId c)
-{
-    emitTo(Opcode::FFma, dst, {a, b, c});
-}
-
-void
 KernelBuilder::ldTo(RegId dst, RegId addr, std::int64_t offset)
 {
     emitTo(Opcode::LdGlobal, dst, {addr}, offset);

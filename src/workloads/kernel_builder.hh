@@ -81,7 +81,6 @@ class KernelBuilder
     void moviTo(RegId dst, std::int64_t imm);
     void iaddTo(RegId dst, RegId a, RegId b);
     void iaddiTo(RegId dst, RegId a, std::int64_t imm);
-    void ffmaTo(RegId dst, RegId a, RegId b, RegId c);
     void ldTo(RegId dst, RegId addr, std::int64_t offset = 0);
     /// @}
 

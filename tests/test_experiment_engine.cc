@@ -4,7 +4,8 @@
  * top-level GpuConfig field, duplicate submissions collapse onto one
  * job, the on-disk cache hits on identical configs and misses on any
  * change or corruption, and results are identical for every worker
- * count. Also the report's numeric flags, which must parse whole.
+ * count. Also the report's flags: numeric values must parse whole,
+ * and an unknown flag is a usage error.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/sim_error.hh"
 #include "figures/figures.hh"
 #include "sim/experiment_engine.hh"
@@ -489,12 +491,22 @@ TEST(ReportFlags, JobTimeoutMustBeOneNonNegativeNumber)
     expectRejected("--job-timeout", "nan");
 }
 
-TEST(ReportFlags, ShardSidesMustBeWholeNumbers)
+TEST(ReportFlags, UnknownFlagIsAUsageError)
 {
-    const figures::ReportOptions options = parseFlags({"--shard", "2/4"});
-    EXPECT_EQ(options.shardIndex, 2u);
-    EXPECT_EQ(options.shardCount, 4u);
-    expectRejected("--shard", "1/-1");
+    // The library throws and lets main() pick the exit status (2).
+    auto expect_usage_error = [](const std::vector<std::string> &args) {
+        try {
+            parseFlags(args);
+            ADD_FAILURE() << args[0] << " was accepted";
+        } catch (const FlagError &e) {
+            EXPECT_NE(std::string(e.what()).find(args[0]),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expect_usage_error({"--shard", "1/2"});
+    expect_usage_error({"--bogus"});
+    expect_usage_error({"--jobs"}); // missing value
 }
 
 } // namespace

@@ -5,8 +5,8 @@
  * chaos oracle (under every injected environmental fault the engine
  * never crashes, never serves a corrupt entry, and produces results
  * byte-identical to a cache-disabled run), the degradation ladder,
- * gc/survey maintenance, the `--shard i/n` partition parity oracle,
- * and real multi-process stress over one shared directory.
+ * gc/survey maintenance, and real multi-process stress over one
+ * shared directory.
  */
 
 #include <gtest/gtest.h>
@@ -31,7 +31,6 @@
 #include "sim/job_cache.hh"
 #include "sim/stats_io.hh"
 #include "workloads/kernel_builder.hh"
-#include "workloads/rodinia.hh"
 
 namespace regless
 {
@@ -546,100 +545,6 @@ INSTANTIATE_TEST_SUITE_P(
                 c = 'X';
         return name;
     });
-
-// ---------------------------------------------------------------------
-// Shard partition parity.
-// ---------------------------------------------------------------------
-
-TEST(ShardParity, SkippedJobsAreNeitherFailuresNorCached)
-{
-    const fs::path dir = freshDir("skip-status");
-    sim::ExperimentEngine::Options options;
-    options.cacheDir = dir.string();
-    options.shardIndex = 1;
-    options.shardCount = 1u << 30; // no fingerprint lands on shard 1
-                                   // of 2^30 with any likelihood
-    sim::ExperimentEngine engine(options);
-    const sim::SimJob job = tinyJob(sim::ProviderKind::Baseline);
-    const auto id = engine.submit(job);
-    engine.flush();
-
-    const sim::JobResult &result = engine.result(id);
-    if (result.status == sim::JobStatus::Ok)
-        GTEST_SKIP() << "fingerprint landed on shard 1; astronomically"
-                        " unlikely but not impossible";
-    EXPECT_EQ(result.status, sim::JobStatus::Skipped);
-    EXPECT_NE(result.error.find("shard"), std::string::npos);
-    EXPECT_EQ(engine.skipped(), 1u);
-    EXPECT_EQ(engine.failed(), 0u);
-    EXPECT_TRUE(engine.failedJobs().empty());
-    EXPECT_EQ(engine.tryStats(id), nullptr);
-    EXPECT_THROW(engine.stats(id), sim::SimError);
-    // Nothing was negative-cached: the owning shard publishes the
-    // real entry, a skip must not shadow it.
-    EXPECT_FALSE(fs::exists(
-        dir / sim::ExperimentEngine::cacheEntryPath(job)));
-    EXPECT_TRUE(engine.allStats().empty());
-}
-
-TEST(ShardParity, UnionOfShardRunsEqualsTheUnshardedRun)
-{
-    // The full Rodinia set under both headline providers, split
-    // three ways over one shared cache directory: after all three
-    // shard runs, a warm unsharded run simulates nothing and its
-    // stats are byte-identical to a cache-disabled reference.
-    std::vector<sim::SimJob> jobs;
-    for (const std::string &kernel : workloads::rodiniaNames()) {
-        jobs.push_back({kernel,
-                        sim::GpuConfig::forProvider(
-                            sim::ProviderKind::Baseline),
-                        0,
-                        {}});
-        jobs.push_back({kernel,
-                        sim::GpuConfig::forProvider(
-                            sim::ProviderKind::Regless),
-                        0,
-                        {}});
-    }
-    const std::string reference =
-        runGridJson(jobs, sim::ExperimentEngine::Options{});
-
-    const fs::path dir = freshDir("shard-parity");
-    const unsigned shards = 3;
-    std::uint64_t simulated_total = 0;
-    for (unsigned i = 1; i <= shards; ++i) {
-        sim::ExperimentEngine::Options options;
-        options.cacheDir = dir.string();
-        options.shardIndex = i;
-        options.shardCount = shards;
-        sim::ExperimentEngine engine(options);
-        for (const sim::SimJob &job : jobs)
-            engine.submit(job);
-        engine.flush();
-        // Every job is accounted for: simulated here, already
-        // published by an earlier shard (cache hit), or left to a
-        // later one.
-        EXPECT_EQ(engine.simulated() + engine.cacheHits() +
-                      engine.skipped(),
-                  jobs.size())
-            << "shard " << i;
-        EXPECT_GT(engine.simulated(), 0u) << "shard " << i;
-        simulated_total += engine.simulated();
-    }
-    // The union covers every job exactly once.
-    EXPECT_EQ(simulated_total, jobs.size());
-
-    sim::ExperimentEngine::Options warm_options;
-    warm_options.cacheDir = dir.string();
-    sim::ExperimentEngine warm(warm_options);
-    for (const sim::SimJob &job : jobs)
-        warm.submit(job);
-    std::ostringstream merged;
-    sim::writeJson(merged, warm.allStats());
-    EXPECT_EQ(warm.simulated(), 0u);
-    EXPECT_EQ(warm.cacheHits(), jobs.size());
-    EXPECT_EQ(merged.str(), reference);
-}
 
 // ---------------------------------------------------------------------
 // Multi-process stress over one shared directory.

@@ -150,17 +150,11 @@ TEST(JobRecordForwardCompat, NewerSchemaParsesIntactForTheGate)
     EXPECT_EQ(record.stats.cycles, 42u);
 }
 
-TEST(JobRecordForwardCompat, SkippedStatusRoundTrips)
+TEST(JobRecordForwardCompat, UnknownStatusNameIsRejected)
 {
-    // JobStatus::Skipped exists for --shard runs; it is never cached,
-    // but the name must still round-trip for reports and for any
-    // record that does carry it.
-    EXPECT_STREQ(sim::jobStatusName(sim::JobStatus::Skipped),
-                 "skipped");
     sim::JobStatus status = sim::JobStatus::Ok;
-    ASSERT_TRUE(sim::tryJobStatusFromName("skipped", status));
-    EXPECT_EQ(status, sim::JobStatus::Skipped);
     EXPECT_FALSE(sim::tryJobStatusFromName("postponed", status));
+    EXPECT_EQ(status, sim::JobStatus::Ok);
 }
 
 // ---------------------------------------------------------------------
