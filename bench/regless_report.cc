@@ -143,10 +143,8 @@ printFailures(sim::ExperimentEngine &engine, std::ostream &os)
     }
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     // Library code throws SimError; this main is the process-exit
     // boundary.
@@ -218,4 +216,12 @@ main(int argc, char **argv)
         std::cerr << "fatal: " << e.what() << "\n";
         return 1;
     }
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return finishStdout(run(argc, argv));
 }

@@ -1,9 +1,10 @@
 /**
  * @file
  * Region explorer: dump the RegLess compiler's view of a kernel — the
- * disassembly, the live-register curve with its seams, the region
- * partition, and every hardware annotation (preload / erase / evict /
- * cache-invalidate). The window into paper section 4.
+ * disassembly, the region partition, and every hardware annotation
+ * (preload / erase / evict / cache-invalidate). The window into paper
+ * section 4; the live-register curve with its seams is Figure 5
+ * (regless_report --filter fig05_liveness_seams).
  *
  *   ./build/examples/region_explorer [benchmark]   (default: hotspot)
  */
@@ -12,8 +13,6 @@
 #include <string>
 
 #include "compiler/compiler.hh"
-#include "ir/cfg_analysis.hh"
-#include "ir/liveness.hh"
 #include "workloads/rodinia.hh"
 
 using namespace regless;
@@ -26,8 +25,6 @@ runExample(int argc, char **argv)
 
     std::cout << kernel.disassemble() << "\n";
 
-    ir::CfgAnalysis cfg(kernel);
-    ir::Liveness live(kernel, cfg);
     compiler::CompiledKernel ck = compiler::compile(kernel);
 
     std::cout << "=== regions (" << ck.regions().size() << ") ===\n";

@@ -30,8 +30,11 @@
 #      MSHR array, the functional word pages and their written bitsets,
 #      and the OSU's write(), so they run under ASan as well, as do the
 #      config-fingerprint tests, whose canonical text writer formats
-#      numbers into a fixed char buffer; the multi-SM epoch loop skips
-#      under worker threads).
+#      numbers into a fixed char buffer, and the compiled-kernel
+#      analysis tests, which copy and move compiled kernels that share
+#      one analysis bundle; the multi-SM epoch loop skips under worker
+#      threads, and the worker threads of a multi-SM co-run read the
+#      compiled kernels all SMs share).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -118,8 +121,10 @@ python3 perfbench/test_perfbench.py
 # Skip-enabled determinism subset under AddressSanitizer: the oracle
 # sweep, the property fuzzer (random kernels + fault plans), the
 # stall-accounting tests, the unit tests of the flat cache, memory
-# and OSU structures, and the config-fingerprint tests. Each filter
-# pattern must select a test (scripts/gtest_filtered.sh).
+# and OSU structures, the config-fingerprint tests, and the compiled
+# kernel's shared analyses (copied and moved compiled kernels, and the
+# pinned lint that reads them). Each filter pattern must select a test
+# (scripts/gtest_filtered.sh).
 ASAN_DIR=${ASAN_BUILD_DIR:-build-asan}
 cmake -B "$ASAN_DIR" -S . -DREGLESS_SANITIZE=address
 cmake --build "$ASAN_DIR" -j "$(nproc)" --target regless_tests \
@@ -127,14 +132,16 @@ cmake --build "$ASAN_DIR" -j "$(nproc)" --target regless_tests \
 scripts/gtest_filtered.sh "$ASAN_DIR"/tests/regless_oracle_tests \
     '*CycleSkipOracle*:CycleSkip*'
 scripts/gtest_filtered.sh "$ASAN_DIR"/tests/regless_tests \
-    '*CycleSkipFuzz*:SlotInvariant.*:StallTrace.*:DeadlockBreakdown.*:CacheTest.*:MemorySystemTest.*:OsuTest.*:ConfigFingerprint.*'
+    '*CycleSkipFuzz*:SlotInvariant.*:StallTrace.*:DeadlockBreakdown.*:CacheTest.*:MemorySystemTest.*:OsuTest.*:ConfigFingerprint.*:CompiledKernelAnalyses.*:LintPinned.*'
 
 # Same subset's parallel face under ThreadSanitizer: epoch-clamped
-# skipping on worker threads must stay race-free.
+# skipping on worker threads must stay race-free, and so must the
+# worker threads' reads of the compiled kernels every SM shares (the
+# nn+hotspot co-run at 8 threads).
 TSAN_DIR=${TSAN_BUILD_DIR:-build-tsan}
 cmake -B "$TSAN_DIR" -S . -DREGLESS_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$(nproc)" --target regless_oracle_tests
 scripts/gtest_filtered.sh "$TSAN_DIR"/tests/regless_oracle_tests \
-    '*MultiSmCycleSkipOracle*'
+    '*MultiSmCycleSkipOracle*:MultiTenantMultiSm.*'
 
 echo "check: tier-1, release, oracle, perfbench, asan, and tsan subsets all passed"

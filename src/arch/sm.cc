@@ -23,7 +23,6 @@ Sm::Tenant::Tenant(const SmTenantSpec &spec, WarpId warp_base,
     : ck(spec.ck),
       kernel(&spec.ck->kernel()),
       provider(spec.provider),
-      cfgAnalysis(spec.ck->kernel()),
       scoreboard(warp_count, spec.ck->kernel().numRegs(), warp_base),
       warpBase(warp_base),
       warpCount(warp_count),
@@ -221,7 +220,8 @@ Sm::pollSuspends(Cycle now)
 Pc
 Sm::reconvergePcFor(const Tenant &tn, ir::BlockId block) const
 {
-    ir::BlockId ipdom = tn.cfgAnalysis.immediatePostdominator(block);
+    ir::BlockId ipdom =
+        tn.ck->analyses().cfg.immediatePostdominator(block);
     if (ipdom == ir::invalidBlock)
         return invalidPc;
     return tn.kernel->block(ipdom).firstPc();

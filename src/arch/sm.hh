@@ -36,7 +36,6 @@
 #include "arch/warp.hh"
 #include "common/stats.hh"
 #include "compiler/compiler.hh"
-#include "ir/cfg_analysis.hh"
 #include "mem/memory_system.hh"
 #include "regfile/register_provider.hh"
 
@@ -254,7 +253,6 @@ class Sm
         const compiler::CompiledKernel *ck;
         const ir::Kernel *kernel;
         regfile::RegisterProvider *provider;
-        ir::CfgAnalysis cfgAnalysis;
         Scoreboard scoreboard;
         WarpId warpBase;
         unsigned warpCount;

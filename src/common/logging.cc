@@ -1,5 +1,6 @@
 #include "common/logging.hh"
 
+#include <cstdio>
 #include <iostream>
 
 #include "common/sim_error.hh"
@@ -45,5 +46,15 @@ logAndDie(LogLevel level, const std::string &msg)
 }
 
 } // namespace detail
+
+int
+finishStdout(int status)
+{
+    std::cout.flush();
+    if (std::cout && std::fflush(stdout) == 0 && !std::ferror(stdout))
+        return status;
+    detail::logMessage(LogLevel::Fatal, "cannot write standard output");
+    return 1;
+}
 
 } // namespace regless

@@ -71,6 +71,14 @@ panic(Args &&...args)
                       detail::formatMessage(std::forward<Args>(args)...));
 }
 
+/**
+ * The exit status of a CLI main that finished with @a status: flush
+ * standard output and, when its bytes could not all be written (a
+ * full disk, a closed pipe), say so on stderr and return 1, so a lost
+ * report never exits 0.
+ */
+int finishStdout(int status);
+
 /** Report suspicious but survivable behaviour. */
 template <typename... Args>
 void

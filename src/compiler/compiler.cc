@@ -6,7 +6,6 @@
 #include "compiler/bank_assigner.hh"
 #include "compiler/metadata_encoder.hh"
 #include "compiler/region_builder.hh"
-#include "compiler/value_range.hh"
 #include "ir/cfg_analysis.hh"
 #include "ir/liveness.hh"
 
@@ -17,17 +16,28 @@ CompiledKernel::CompiledKernel(ir::Kernel kernel,
                                std::vector<Region> regions,
                                LifetimeAnnotator::Stats lifetime_stats,
                                unsigned metadata_insns)
-    : _kernel(std::move(kernel)),
+    : CompiledKernel(
+          std::make_shared<const KernelAnalyses>(std::move(kernel)),
+          std::move(regions), lifetime_stats, metadata_insns)
+{
+}
+
+CompiledKernel::CompiledKernel(std::shared_ptr<const KernelAnalyses> facts,
+                               std::vector<Region> regions,
+                               LifetimeAnnotator::Stats lifetime_stats,
+                               unsigned metadata_insns)
+    : _facts(std::move(facts)),
       _regions(std::move(regions)),
       _lifetimeStats(lifetime_stats),
       _metadataInsns(metadata_insns)
 {
-    _pcToRegion.assign(_kernel.numInsns(), invalidRegion);
+    const ir::Kernel &kernel = _facts->kernel;
+    _pcToRegion.assign(kernel.numInsns(), invalidRegion);
     for (const Region &region : _regions) {
         for (Pc pc = region.startPc; pc <= region.endPc; ++pc)
             _pcToRegion[pc] = region.id;
     }
-    for (Pc pc = 0; pc < _kernel.numInsns(); ++pc) {
+    for (Pc pc = 0; pc < kernel.numInsns(); ++pc) {
         if (_pcToRegion[pc] == invalidRegion)
             panic("pc ", pc, " not covered by any region");
     }
@@ -39,25 +49,8 @@ CompiledKernel::CompiledKernel(ir::Kernel kernel,
     // the post-def facts over every definition site covers every value
     // the register can ever hold, making the table sound for arbitrary
     // eviction times.
-    _staticEncodings.assign(_kernel.numRegs(), StaticEncoding::None);
-    if (!_regions.empty()) {
-        ir::CfgAnalysis cfg(_kernel);
-        ir::Liveness live(_kernel, cfg);
-        ValueRangeAnalysis vra(_kernel, cfg, live);
-        std::vector<ValueFacts> all_defs(_kernel.numRegs(),
-                                         ValueFacts{});
-        for (Pc pc = 0; pc < _kernel.numInsns(); ++pc) {
-            const ir::Instruction &insn = _kernel.insn(pc);
-            if (!insn.writesReg() ||
-                !cfg.reachable(_kernel.blockOf(pc))) {
-                continue;
-            }
-            all_defs[insn.dst()] =
-                join(all_defs[insn.dst()], vra.after(pc, insn.dst()));
-        }
-        for (RegId r = 0; r < _kernel.numRegs(); ++r)
-            _staticEncodings[r] = classifyEncoding(all_defs[r]);
-    }
+    for (const ValueFacts &facts : _facts->vra.joinedDefFacts())
+        _staticEncodings.push_back(classifyEncoding(facts));
 }
 
 RegionId
@@ -112,30 +105,28 @@ CompiledKernel::describeRegions() const
 CompiledKernel
 compile(const ir::Kernel &input, const CompilerConfig &config)
 {
-    // Analyses on the incoming register numbering.
-    ir::CfgAnalysis cfg_in(input);
-    ir::Liveness live_in(input, cfg_in);
-
-    // Optional bank-aware renumbering, then re-analyse.
+    // Optional bank-aware renumbering, on the incoming numbering's
+    // liveness.
     ir::Kernel kernel = [&]() {
         if (!config.reassignBanks)
             return input;
+        const ir::CfgAnalysis cfg_in(input);
+        const ir::Liveness live_in(input, cfg_in);
         BankAssigner assigner(input, live_in);
         return BankAssigner::apply(input, assigner.computeMapping());
     }();
 
-    ir::CfgAnalysis cfg(kernel);
-    ir::Liveness live(kernel, cfg);
+    auto facts = std::make_shared<const KernelAnalyses>(std::move(kernel));
 
-    RegionBuilder builder(kernel, live, config);
+    RegionBuilder builder(facts->kernel, facts->live, config);
     std::vector<Region> regions = builder.build();
 
-    LifetimeAnnotator annotator(kernel, cfg, live);
+    LifetimeAnnotator annotator(*facts);
     annotator.annotate(regions);
 
     unsigned metadata = MetadataEncoder::encode(regions);
 
-    return CompiledKernel(std::move(kernel), std::move(regions),
+    return CompiledKernel(std::move(facts), std::move(regions),
                           annotator.stats(), metadata);
 }
 

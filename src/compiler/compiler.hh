@@ -7,10 +7,12 @@
 #ifndef REGLESS_COMPILER_COMPILER_HH
 #define REGLESS_COMPILER_COMPILER_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "compiler/config.hh"
+#include "compiler/kernel_analyses.hh"
 #include "compiler/lifetime_annotator.hh"
 #include "compiler/region.hh"
 #include "ir/kernel.hh"
@@ -20,16 +22,31 @@ namespace regless::compiler
 
 /**
  * A kernel compiled for RegLess: the (possibly renumbered) instruction
- * stream plus the region partition and all hardware annotations.
+ * stream plus the region partition and all hardware annotations. Its
+ * kernel and that kernel's analyses sit in one immutable bundle that
+ * every copy shares, so a copy or a move never rebuilds an analysis
+ * nor leaves one pointing at a moved-from kernel.
  */
 class CompiledKernel
 {
   public:
+    /**
+     * Wrap @a kernel with annotated @a regions, building the kernel's
+     * analyses from @a kernel itself. The tests and the mutation
+     * checks build deliberately corrupted kernels this way.
+     */
     CompiledKernel(ir::Kernel kernel, std::vector<Region> regions,
                    LifetimeAnnotator::Stats lifetime_stats,
                    unsigned metadata_insns);
 
-    const ir::Kernel &kernel() const { return _kernel; }
+    const ir::Kernel &kernel() const { return _facts->kernel; }
+
+    /**
+     * CFG, liveness and value ranges of kernel(), built once from its
+     * own instructions; every consumer reads these instead of building
+     * its own.
+     */
+    const KernelAnalyses &analyses() const { return *_facts; }
     const std::vector<Region> &regions() const { return _regions; }
     const Region &region(RegionId id) const { return _regions.at(id); }
 
@@ -73,7 +90,16 @@ class CompiledKernel
     std::string describeRegions() const;
 
   private:
-    ir::Kernel _kernel;
+    friend CompiledKernel compile(const ir::Kernel &kernel,
+                                  const CompilerConfig &config);
+
+    /** Wrap regions annotated over @a facts' kernel. */
+    CompiledKernel(std::shared_ptr<const KernelAnalyses> facts,
+                   std::vector<Region> regions,
+                   LifetimeAnnotator::Stats lifetime_stats,
+                   unsigned metadata_insns);
+
+    std::shared_ptr<const KernelAnalyses> _facts;
     std::vector<Region> _regions;
     std::vector<RegionId> _pcToRegion;
     std::vector<StaticEncoding> _staticEncodings;
@@ -83,7 +109,9 @@ class CompiledKernel
 
 /**
  * Run the full pass pipeline: (optional) bank-aware renumbering,
- * region creation, lifetime annotation, metadata encoding.
+ * region creation, lifetime annotation, metadata encoding. The
+ * analyses of the renumbered kernel are built once and travel with the
+ * result.
  */
 CompiledKernel compile(const ir::Kernel &kernel,
                        const CompilerConfig &config = CompilerConfig());

@@ -10,30 +10,29 @@
 namespace regless::compiler
 {
 
-LifetimeAnnotator::LifetimeAnnotator(const ir::Kernel &kernel,
-                                     const ir::CfgAnalysis &cfg,
-                                     const ir::Liveness &liveness)
-    : _kernel(kernel), _cfg(cfg), _live(liveness)
+LifetimeAnnotator::LifetimeAnnotator(const KernelAnalyses &facts)
+    : _kernel(facts.kernel),
+      _cfg(facts.cfg),
+      _live(facts.live),
+      _vra(facts.vra)
 {
 }
 
 void
 LifetimeAnnotator::annotate(std::vector<Region> &regions)
 {
-    const ValueRangeAnalysis vra(_kernel, _cfg, _live);
     for (Region &region : regions) {
         classifyRegisters(region);
         placePreloads(region);
         placeEraseEvict(region);
-        recordEncodings(region, vra);
+        recordEncodings(region);
         computeCapacity(region);
     }
     placeCacheInvalidations(regions);
 }
 
 void
-LifetimeAnnotator::recordEncodings(Region &region,
-                                   const ValueRangeAnalysis &vra) const
+LifetimeAnnotator::recordEncodings(Region &region) const
 {
     region.encodings.clear();
     // A line marked evictable at pc keeps the value it holds there
@@ -41,7 +40,7 @@ LifetimeAnnotator::recordEncodings(Region &region,
     // after the evict point are exactly what an eviction would see.
     for (const auto &[pc, regs] : region.evicts) {
         for (RegId reg : regs) {
-            StaticEncoding enc = classifyEncoding(vra.after(pc, reg));
+            StaticEncoding enc = classifyEncoding(_vra.after(pc, reg));
             if (enc != StaticEncoding::None)
                 region.encodings[reg] = enc;
         }

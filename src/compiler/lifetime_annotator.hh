@@ -16,11 +16,8 @@
 
 #include <vector>
 
+#include "compiler/kernel_analyses.hh"
 #include "compiler/region.hh"
-#include "compiler/value_range.hh"
-#include "ir/cfg_analysis.hh"
-#include "ir/kernel.hh"
-#include "ir/liveness.hh"
 
 namespace regless::compiler
 {
@@ -50,9 +47,8 @@ class LifetimeAnnotator
         unsigned softDefRegs = 0;
     };
 
-    LifetimeAnnotator(const ir::Kernel &kernel,
-                      const ir::CfgAnalysis &cfg,
-                      const ir::Liveness &liveness);
+    /** Annotates regions of @a facts' kernel, reading its analyses. */
+    explicit LifetimeAnnotator(const KernelAnalyses &facts);
 
     /**
      * Fill inputs/outputs/interiors, preloads, erases, evicts,
@@ -72,8 +68,7 @@ class LifetimeAnnotator
      * Record the compression encoding the value-range analysis proves
      * for each boundary register at its evict point (DESIGN.md §14).
      */
-    void recordEncodings(Region &region,
-                         const ValueRangeAnalysis &vra) const;
+    void recordEncodings(Region &region) const;
     void placeCacheInvalidations(std::vector<Region> &regions);
     void computeCapacity(Region &region) const;
 
@@ -83,6 +78,7 @@ class LifetimeAnnotator
     const ir::Kernel &_kernel;
     const ir::CfgAnalysis &_cfg;
     const ir::Liveness &_live;
+    const ValueRangeAnalysis &_vra;
     Stats _stats;
 };
 

@@ -2,18 +2,15 @@
 
 #include <algorithm>
 
-#include "ir/cfg_analysis.hh"
-#include "ir/liveness.hh"
-
 namespace regless::compiler
 {
 
 std::vector<bool>
-rfCacheableRegs(const ir::Kernel &kernel,
+rfCacheableRegs(const KernelAnalyses &facts,
                 const RfCacheHintParams &params)
 {
-    const ir::CfgAnalysis cfg(kernel);
-    const ir::Liveness live(kernel, cfg);
+    const ir::Kernel &kernel = facts.kernel;
+    const ir::Liveness &live = facts.live;
     const unsigned num_regs = kernel.numRegs();
     std::vector<bool> cacheable(num_regs, false);
 

@@ -7,12 +7,12 @@
  * marked registers, so the cache is never polluted by long-lived
  * values that would be evicted before reuse.
  *
- * The pass reuses the divergence-corrected liveness analysis the
- * lifetime annotator is built on: a register is cacheable when every
- * definition's value is consumed soon (short def-to-last-use
- * distance), entirely within the defining basic block, and never
- * written by a soft definition (partial lane masks force a merge with
- * the backing file's copy).
+ * The pass reads the divergence-corrected liveness the lifetime
+ * annotator is built on (the compiled kernel's own analyses): a
+ * register is cacheable when every definition's value is consumed
+ * soon (short def-to-last-use distance), entirely within the defining
+ * basic block, and never written by a soft definition (partial lane
+ * masks force a merge with the backing file's copy).
  */
 
 #ifndef REGLESS_COMPILER_RF_CACHE_HINTS_HH
@@ -20,7 +20,7 @@
 
 #include <vector>
 
-#include "ir/kernel.hh"
+#include "compiler/kernel_analyses.hh"
 
 namespace regless::compiler
 {
@@ -33,10 +33,10 @@ struct RfCacheHintParams
 };
 
 /**
- * Per-register cacheability verdicts for @a kernel, indexed by RegId.
- * Pure function of the kernel and @a params.
+ * Per-register cacheability verdicts for @a facts' kernel, indexed by
+ * RegId. Pure function of the kernel and @a params.
  */
-std::vector<bool> rfCacheableRegs(const ir::Kernel &kernel,
+std::vector<bool> rfCacheableRegs(const KernelAnalyses &facts,
                                   const RfCacheHintParams &params);
 
 } // namespace regless::compiler

@@ -10,8 +10,6 @@
 #include "compiler/region_builder.hh"
 #include "compiler/value_range.hh"
 #include "compiler/verifier.hh"
-#include "ir/cfg_analysis.hh"
-#include "ir/liveness.hh"
 
 namespace regless::compiler
 {
@@ -49,8 +47,8 @@ class StagingChecker
     explicit StagingChecker(const CompiledKernel &ck)
         : _ck(ck),
           _kernel(ck.kernel()),
-          _cfg(_kernel),
-          _live(_kernel, _cfg)
+          _cfg(ck.analyses().cfg),
+          _live(ck.analyses().live)
     {
     }
 
@@ -435,8 +433,8 @@ class StagingChecker
 
     const CompiledKernel &_ck;
     const ir::Kernel &_kernel;
-    ir::CfgAnalysis _cfg;
-    ir::Liveness _live;
+    const ir::CfgAnalysis &_cfg;
+    const ir::Liveness &_live;
 
     std::vector<std::vector<RegionId>> _succs;
     std::vector<State> _entry;
@@ -462,9 +460,7 @@ checkValueRanges(const CompiledKernel &ck, bool advisory)
         ck.regions().empty()) {
         return {};
     }
-    ir::CfgAnalysis cfg(kernel);
-    ir::Liveness live(kernel, cfg);
-    ValueRangeAnalysis vra(kernel, cfg, live);
+    const ValueRangeAnalysis &vra = ck.analyses().vra;
 
     std::vector<Finding> findings;
     auto add = [&](const char *code, Severity severity, RegionId rid,

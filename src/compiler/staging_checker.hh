@@ -48,12 +48,14 @@ namespace regless::compiler
 std::vector<Finding> checkStagingStates(const CompiledKernel &ck);
 
 /**
- * Re-derive the value-range analysis (compiler/value_range.hh) and
- * cross-check every recorded StaticEncoding annotation against it:
- * an encoding the recomputed facts do not imply, or recorded for a
- * register the region never evicts, is an encoding-unsound Error (a
- * compressor trusting it would mis-decode without the runtime guard).
- * With @a advisory set, also emit Warnings for provable waste:
+ * Cross-check every recorded StaticEncoding annotation against the
+ * value-range analysis (compiler/value_range.hh) that @a ck built from
+ * its own instruction stream: an encoding those facts do not imply, or
+ * recorded for a register the region never evicts, is an
+ * encoding-unsound Error (a compressor trusting it would mis-decode
+ * without the runtime guard). The facts are read, not recomputed, yet
+ * this stays a check: a caller supplies regions and annotations but
+ * never the facts. With @a advisory set, also emit Warnings for provable waste:
  * bank-overclaim (a staged register with a proven narrow encoding
  * still claims a full 128-byte line) and dead-staged-line (a preload
  * of a provably compile-time-constant value).

@@ -645,35 +645,52 @@ ValueRangeAnalysis::solve()
             }
         }
     }
-
-    // Record per-PC states by replaying each reachable block once.
-    _beforePc.assign(_kernel.numInsns(), State(num_regs));
-    for (const ir::BasicBlock &bb : _kernel.blocks()) {
-        if (!_cfg.reachable(bb.id()))
-            continue;
-        State state = _blockIn[bb.id()];
-        for (Pc pc = bb.firstPc(); pc <= bb.lastPc(); ++pc) {
-            _beforePc[pc] = state;
-            applyInsn(pc, state);
-        }
-    }
 }
 
-const ValueFacts &
+ValueRangeAnalysis::State
+ValueRangeAnalysis::stateBefore(Pc pc) const
+{
+    const ir::BasicBlock &bb = _kernel.block(_kernel.blockOf(pc));
+    if (!_cfg.reachable(bb.id()))
+        return State(_kernel.numRegs());
+    State state = _blockIn[bb.id()];
+    for (Pc p = bb.firstPc(); p < pc; ++p)
+        applyInsn(p, state);
+    return state;
+}
+
+ValueFacts
 ValueRangeAnalysis::before(Pc pc, RegId reg) const
 {
-    return _beforePc.at(pc).at(reg);
+    return stateBefore(pc).at(reg);
 }
 
 ValueFacts
 ValueRangeAnalysis::after(Pc pc, RegId reg) const
 {
-    const ir::Instruction &insn = _kernel.insn(pc);
-    if (!insn.writesReg() || insn.dst() != reg)
-        return before(pc, reg);
-    State state = _beforePc.at(pc);
+    State state = stateBefore(pc);
     applyInsn(pc, state);
     return state.at(reg);
+}
+
+std::vector<ValueFacts>
+ValueRangeAnalysis::joinedDefFacts() const
+{
+    std::vector<ValueFacts> joined(_kernel.numRegs(), ValueFacts{});
+    for (const ir::BasicBlock &bb : _kernel.blocks()) {
+        if (!_cfg.reachable(bb.id()))
+            continue;
+        State state = _blockIn[bb.id()];
+        for (Pc pc = bb.firstPc(); pc <= bb.lastPc(); ++pc) {
+            applyInsn(pc, state);
+            const ir::Instruction &insn = _kernel.insn(pc);
+            if (insn.writesReg()) {
+                joined[insn.dst()] =
+                    join(joined[insn.dst()], state[insn.dst()]);
+            }
+        }
+    }
+    return joined;
 }
 
 } // namespace regless::compiler

@@ -134,7 +134,9 @@ unsigned encodingBytes(StaticEncoding enc);
 /**
  * The kernel-wide fixpoint. Facts are per (pc, register): before() is
  * the state in which the instruction at @a pc executes, after() the
- * state it leaves. Unreachable code reports Bottom.
+ * state it leaves. Unreachable code reports Bottom. Only each block's
+ * entry state is kept; a query replays the block up to @a pc, so the
+ * analysis a compiled kernel carries for the whole run stays small.
  */
 class ValueRangeAnalysis
 {
@@ -144,10 +146,17 @@ class ValueRangeAnalysis
                        const ir::Liveness &live);
 
     /** Facts immediately before the instruction at @a pc executes. */
-    const ValueFacts &before(Pc pc, RegId reg) const;
+    ValueFacts before(Pc pc, RegId reg) const;
 
     /** Facts immediately after the instruction at @a pc executes. */
     ValueFacts after(Pc pc, RegId reg) const;
+
+    /**
+     * Per register (indexed by RegId), the join of after() over every
+     * reachable instruction that defines it; Bottom when none does.
+     * Replays each block once.
+     */
+    std::vector<ValueFacts> joinedDefFacts() const;
 
     /**
      * @return true when every dynamic execution of @a b runs with the
@@ -166,12 +175,15 @@ class ValueRangeAnalysis
     void solve();
     void applyInsn(Pc pc, State &state) const;
 
+    /** The state @a pc executes in, replayed from its block's entry. */
+    State stateBefore(Pc pc) const;
+
     const ir::Kernel &_kernel;
     const ir::CfgAnalysis &_cfg;
     const ir::Liveness &_live;
     ir::BlockSet _partialMask;
+    /** Fixpoint state at each block's entry (Bottom if unreachable). */
     std::vector<State> _blockIn;
-    std::vector<State> _beforePc;
 };
 
 } // namespace regless::compiler

@@ -5,8 +5,6 @@
 #include <sstream>
 
 #include "compiler/region_builder.hh"
-#include "ir/cfg_analysis.hh"
-#include "ir/liveness.hh"
 
 namespace regless::compiler
 {
@@ -56,8 +54,7 @@ verifyStructure(const CompiledKernel &ck, bool check_load_use)
 {
     Findings findings;
     const ir::Kernel &kernel = ck.kernel();
-    ir::CfgAnalysis cfg(kernel);
-    ir::Liveness live(kernel, cfg);
+    const ir::Liveness &live = ck.analyses().live;
 
     // 1. Coverage: every PC in exactly one region, regions inside one
     //    basic block, ids consistent.

@@ -28,6 +28,7 @@ CfgAnalysis::CfgAnalysis(const Kernel &kernel)
     computeReachability();
     computeDominators();
     computePostdominators();
+    computeImmediatePostdominators();
     findLoops();
 }
 
@@ -125,6 +126,34 @@ CfgAnalysis::computePostdominators()
 }
 
 void
+CfgAnalysis::computeImmediatePostdominators()
+{
+    // The nearest strict postdominator p of b: no other strict
+    // postdominator q of b lies between b and p (p postdominates q).
+    // Candidates are tried in block-id order and the first closest one
+    // wins, which also fixes the answer for unreachable blocks, whose
+    // postdominator sets are full.
+    const std::size_t n = _kernel.blocks().size();
+    _ipdom.assign(n, invalidBlock);
+    for (BlockId b = 0; b < n; ++b) {
+        const BlockSet &pdoms = _pdom[b];
+        for (BlockId p = 0; p < n && _ipdom[b] == invalidBlock; ++p) {
+            if (p == b || !pdoms.test(p))
+                continue;
+            bool closest = true;
+            for (BlockId q = 0; q < n && closest; ++q) {
+                if (q != b && q != p && pdoms.test(q) &&
+                    _pdom[q].test(p)) {
+                    closest = false;
+                }
+            }
+            if (closest)
+                _ipdom[b] = p;
+        }
+    }
+}
+
+void
 CfgAnalysis::findLoops()
 {
     for (const BasicBlock &bb : _kernel.blocks()) {
@@ -153,28 +182,6 @@ CfgAnalysis::postdominates(BlockId a, BlockId b) const
     return _pdom.at(b).test(a);
 }
 
-std::vector<BlockId>
-CfgAnalysis::dominatorsOf(BlockId b) const
-{
-    std::vector<BlockId> out;
-    for (BlockId i = 0; i < _dom.at(b).size(); ++i) {
-        if (_dom[b].test(i))
-            out.push_back(i);
-    }
-    return out;
-}
-
-std::vector<BlockId>
-CfgAnalysis::postdominatorsOf(BlockId b) const
-{
-    std::vector<BlockId> out;
-    for (BlockId i = 0; i < _pdom.at(b).size(); ++i) {
-        if (_pdom[b].test(i))
-            out.push_back(i);
-    }
-    return out;
-}
-
 bool
 CfgAnalysis::isBackEdge(BlockId from, BlockId to) const
 {
@@ -183,36 +190,6 @@ CfgAnalysis::isBackEdge(BlockId from, BlockId to) const
             return true;
     }
     return false;
-}
-
-BlockId
-CfgAnalysis::immediatePostdominator(BlockId b) const
-{
-    // The nearest strict postdominator: the one that every other
-    // strict postdominator of b also postdominates... from the other
-    // side: p is immediate iff no other strict pdom q of b has p as a
-    // strict pdom of q (p is the closest to b).
-    BlockId best = invalidBlock;
-    for (BlockId p : postdominatorsOf(b)) {
-        if (p == b)
-            continue;
-        bool closest = true;
-        for (BlockId q : postdominatorsOf(b)) {
-            if (q == b || q == p)
-                continue;
-            // If p postdominates q, then q is between b and p: p is
-            // not the closest.
-            if (postdominates(p, q)) {
-                closest = false;
-                break;
-            }
-        }
-        if (closest) {
-            best = p;
-            break;
-        }
-    }
-    return best;
 }
 
 std::vector<BlockId>

@@ -56,12 +56,6 @@ class CfgAnalysis
     /** @return true when control must pass @a a after leaving @a b. */
     bool postdominates(BlockId a, BlockId b) const;
 
-    /** Blocks dominating @a b, including @a b itself. */
-    std::vector<BlockId> dominatorsOf(BlockId b) const;
-
-    /** Blocks postdominating @a b, including @a b itself. */
-    std::vector<BlockId> postdominatorsOf(BlockId b) const;
-
     /** @return true when @a b is reachable from the entry block. */
     bool reachable(BlockId b) const { return _reachable.test(b); }
 
@@ -88,19 +82,25 @@ class CfgAnalysis
     /**
      * Immediate postdominator of @a b: the nearest strict
      * postdominator, used as the SIMT reconvergence point for branches
-     * terminating @a b. Returns invalidBlock for exit blocks.
+     * terminating @a b. Returns invalidBlock for exit blocks. A table
+     * read: the constructor fills it for every block.
      */
-    BlockId immediatePostdominator(BlockId b) const;
+    BlockId immediatePostdominator(BlockId b) const
+    {
+        return _ipdom.at(b);
+    }
 
   private:
     void computeReachability();
     void computeDominators();
     void computePostdominators();
+    void computeImmediatePostdominators();
     void findLoops();
 
     const Kernel &_kernel;
     std::vector<BlockSet> _dom;
     std::vector<BlockSet> _pdom;
+    std::vector<BlockId> _ipdom;
     BlockSet _reachable;
     BlockSet _inLoop;
     std::vector<std::pair<BlockId, BlockId>> _backEdges;

@@ -144,6 +144,7 @@ Liveness::detectSoftDefs()
     // uses pass-1 (conventional) block liveness, matching the paper's
     // staging: softness is a property of the def site's control
     // conditions relative to other defs that reach uses.
+    const std::size_t num_blocks = _kernel.blocks().size();
     for (Pc pc = 0; pc < _kernel.numInsns(); ++pc) {
         const Instruction &insn = _kernel.insn(pc);
         if (!insn.writesReg())
@@ -154,15 +155,18 @@ Liveness::detectSoftDefs()
             continue;
 
         bool soft = false;
-        for (BlockId dom_bb : _cfg.dominatorsOf(insn_bb)) {
-            if (dom_bb == insn_bb || !_cfg.reachable(dom_bb))
+        for (BlockId dom_bb = 0; dom_bb < num_blocks; ++dom_bb) {
+            if (dom_bb == insn_bb || !_cfg.dominates(dom_bb, insn_bb) ||
+                !_cfg.reachable(dom_bb)) {
                 continue;
+            }
             // Skip dominators separated from the candidate by a
             // reconvergence point: a strict postdominator of domBB that
             // also dominates the candidate block.
             bool reconverged = false;
-            for (BlockId pd : _cfg.postdominatorsOf(dom_bb)) {
-                if (pd != dom_bb && _cfg.dominates(pd, insn_bb)) {
+            for (BlockId pd = 0; pd < num_blocks; ++pd) {
+                if (pd != dom_bb && _cfg.postdominates(pd, dom_bb) &&
+                    _cfg.dominates(pd, insn_bb)) {
                     reconverged = true;
                     break;
                 }

@@ -28,7 +28,7 @@ CompilerRfCache::CompilerRfCache(const compiler::CompiledKernel &ck,
 {
     compiler::RfCacheHintParams hints;
     hints.maxDefUseDistance = params.maxDefUseDistance;
-    _cacheable = compiler::rfCacheableRegs(ck.kernel(), hints);
+    _cacheable = compiler::rfCacheableRegs(ck.analyses(), hints);
 }
 
 void

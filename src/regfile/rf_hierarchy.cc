@@ -19,8 +19,7 @@ constexpr unsigned kOrfMaxDistance = 20;
 RfHierarchy::RfHierarchy(const compiler::CompiledKernel &ck)
     : RegisterProvider("rfh"),
       _ck(ck),
-      _cfg(ck.kernel()),
-      _live(ck.kernel(), _cfg),
+      _live(ck.analyses().live),
       _level(ck.kernel().numRegs(), RfLevel::Mrf),
       _mrfSeries(100),
       _lrfReads(_stats.counter("lrf_reads")),

@@ -18,8 +18,6 @@
 #include <vector>
 
 #include "compiler/compiler.hh"
-#include "ir/cfg_analysis.hh"
-#include "ir/liveness.hh"
 #include "regfile/register_provider.hh"
 
 namespace regless::regfile
@@ -59,8 +57,7 @@ class RfHierarchy : public RegisterProvider
     void assignLevels();
 
     const compiler::CompiledKernel &_ck;
-    ir::CfgAnalysis _cfg;
-    ir::Liveness _live;
+    const ir::Liveness &_live;
     std::vector<RfLevel> _level;
     WindowedSeries _mrfSeries;
     Counter &_lrfReads;

@@ -9,9 +9,7 @@ RfVirtualization::RfVirtualization(const compiler::CompiledKernel &ck,
                                    unsigned physical_entries,
                                    Cycle spill_penalty)
     : RegisterProvider("rfv"),
-      _ck(ck),
-      _cfg(ck.kernel()),
-      _live(ck.kernel(), _cfg),
+      _live(ck.analyses().live),
       _physEntries(physical_entries),
       _spillPenalty(spill_penalty),
       _reads(_stats.counter("reads")),

@@ -18,8 +18,6 @@
 #include <unordered_set>
 
 #include "compiler/compiler.hh"
-#include "ir/cfg_analysis.hh"
-#include "ir/liveness.hh"
 #include "regfile/register_provider.hh"
 
 namespace regless::regfile
@@ -65,9 +63,7 @@ class RfVirtualization : public RegisterProvider
     /** Map (warp, reg), spilling the LRU value when full. */
     void mapRegister(std::uint32_t k);
 
-    const compiler::CompiledKernel &_ck;
-    ir::CfgAnalysis _cfg;
-    ir::Liveness _live;
+    const ir::Liveness &_live;
     unsigned _physEntries;
     Cycle _spillPenalty;
     std::unordered_map<std::uint32_t, std::uint64_t> _mapped;

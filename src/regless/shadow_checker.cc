@@ -6,7 +6,7 @@ namespace regless::staging
 {
 
 ShadowChecker::ShadowChecker(const compiler::CompiledKernel &ck)
-    : _ck(ck), _cfg(ck.kernel()), _live(ck.kernel(), _cfg)
+    : _live(ck.analyses().live)
 {
 }
 

@@ -28,8 +28,6 @@
 
 #include "compiler/compiler.hh"
 #include "compiler/finding.hh"
-#include "ir/cfg_analysis.hh"
-#include "ir/liveness.hh"
 #include "regless/operand_staging_unit.hh"
 
 namespace regless::staging
@@ -111,9 +109,7 @@ class ShadowChecker
     void flag(const char *code, compiler::RegionId region, Pc pc,
               RegId reg, std::string message);
 
-    const compiler::CompiledKernel &_ck;
-    ir::CfgAnalysis _cfg;
-    ir::Liveness _live;
+    const ir::Liveness &_live;
 
     /** Values with no staged and no backing copy, by loss kind. */
     std::unordered_map<std::uint32_t, Loss> _lost;

@@ -69,36 +69,29 @@ GpuSimulator::valueGenerator(const ir::ValueProfile &profile)
 }
 
 GpuSimulator::GpuSimulator(const ir::Kernel &kernel, GpuConfig config)
-    : GpuSimulator(kernel, std::move(config), nullptr)
-{
-}
-
-GpuSimulator::GpuSimulator(const ir::Kernel &kernel, GpuConfig config,
-                           std::shared_ptr<mem::DramModel> shared_dram)
     : _config(std::move(config))
 {
-    _cks.push_back(std::make_unique<compiler::CompiledKernel>(
+    _cks.push_back(std::make_shared<const compiler::CompiledKernel>(
         compiler::compile(kernel, _config.compiler)));
-    assemble(std::move(shared_dram));
+    assemble(nullptr);
 }
 
 GpuSimulator::GpuSimulator(const std::vector<ir::Kernel> &kernels,
                            GpuConfig config)
-    : GpuSimulator(kernels, std::move(config), nullptr)
-{
-}
-
-GpuSimulator::GpuSimulator(const std::vector<ir::Kernel> &kernels,
-                           GpuConfig config,
-                           std::shared_ptr<mem::DramModel> shared_dram)
     : _config(std::move(config))
 {
-    if (kernels.empty())
-        fatal("multi-tenant launch needs at least one kernel");
     for (const ir::Kernel &kernel : kernels) {
-        _cks.push_back(std::make_unique<compiler::CompiledKernel>(
+        _cks.push_back(std::make_shared<const compiler::CompiledKernel>(
             compiler::compile(kernel, _config.compiler)));
     }
+    assemble(nullptr);
+}
+
+GpuSimulator::GpuSimulator(
+    std::vector<std::shared_ptr<const compiler::CompiledKernel>> cks,
+    GpuConfig config, std::shared_ptr<mem::DramModel> shared_dram)
+    : _config(std::move(config)), _cks(std::move(cks))
+{
     assemble(std::move(shared_dram));
 }
 
@@ -106,13 +99,15 @@ GpuSimulator::GpuSimulator(compiler::CompiledKernel ck, GpuConfig config)
     : _config(std::move(config))
 {
     _cks.push_back(
-        std::make_unique<compiler::CompiledKernel>(std::move(ck)));
+        std::make_shared<const compiler::CompiledKernel>(std::move(ck)));
     assemble(nullptr);
 }
 
 void
 GpuSimulator::assemble(std::shared_ptr<mem::DramModel> shared_dram)
 {
+    if (_cks.empty())
+        fatal("multi-tenant launch needs at least one kernel");
     const auto num_tenants = static_cast<unsigned>(_cks.size());
 
     _mem = shared_dram
@@ -233,7 +228,7 @@ GpuSimulator::assemble(std::shared_ptr<mem::DramModel> shared_dram)
             // Tenant lane prefix only under co-residency, so single-
             // tenant traces stay byte-identical.
             const std::string prefix =
-                num_tenants >= 2 ? "t" + std::to_string(t) + " " : "";
+                num_tenants >= 2 ? 't' + std::to_string(t) + " " : "";
             _providers[t]->setActivationObserver(
                 [this, prefix](WarpId warp, compiler::RegionId region,
                                Cycle now) {

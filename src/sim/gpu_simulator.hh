@@ -54,10 +54,6 @@ class GpuSimulator
      */
     GpuSimulator(const ir::Kernel &kernel, GpuConfig config);
 
-    /** Variant with an externally shared DRAM (multi-SM simulation). */
-    GpuSimulator(const ir::Kernel &kernel, GpuConfig config,
-                 std::shared_ptr<mem::DramModel> shared_dram);
-
     /**
      * Multi-tenant launch (DESIGN.md §16): each kernel becomes one
      * SM tenant with its own warp partition, scheduler groups,
@@ -68,10 +64,14 @@ class GpuSimulator
     GpuSimulator(const std::vector<ir::Kernel> &kernels,
                  GpuConfig config);
 
-    /** Multi-tenant variant with an externally shared DRAM. */
-    GpuSimulator(const std::vector<ir::Kernel> &kernels,
-                 GpuConfig config,
-                 std::shared_ptr<mem::DramModel> shared_dram);
+    /**
+     * Assemble around already compiled kernels, one per tenant, on an
+     * externally shared DRAM (multi-SM simulation). Compiled kernels
+     * are read-only, so every SM of a chip may share the same ones.
+     */
+    GpuSimulator(
+        std::vector<std::shared_ptr<const compiler::CompiledKernel>> cks,
+        GpuConfig config, std::shared_ptr<mem::DramModel> shared_dram);
 
     /**
      * Run a pre-compiled kernel as-is, bypassing the compiler. The
@@ -211,7 +211,7 @@ class GpuSimulator
     void harvest(RunStats &stats);
 
     GpuConfig _config;
-    std::vector<std::unique_ptr<compiler::CompiledKernel>> _cks;
+    std::vector<std::shared_ptr<const compiler::CompiledKernel>> _cks;
     std::unique_ptr<mem::MemorySystem> _mem;
     std::vector<std::unique_ptr<regfile::RegisterProvider>> _providers;
     std::unique_ptr<regfile::TenantArbiter> _arbiter;

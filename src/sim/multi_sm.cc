@@ -44,9 +44,16 @@ MultiSmSimulator::MultiSmSimulator(const std::vector<ir::Kernel> &kernels,
         std::max(64u * 1024u, _config.mem.l2.sizeBytes / num_sms);
     _dram = std::make_shared<mem::DramModel>(_config.mem.dram);
 
+    // Every SM runs the same tenants: compile each kernel once and
+    // share the read-only result across the SMs and their threads.
+    std::vector<std::shared_ptr<const compiler::CompiledKernel>> cks;
+    for (const ir::Kernel &kernel : kernels) {
+        cks.push_back(std::make_shared<const compiler::CompiledKernel>(
+            compiler::compile(kernel, _config.compiler)));
+    }
     for (unsigned i = 0; i < num_sms; ++i) {
         _sms.push_back(std::make_unique<Instance>(
-            std::make_unique<GpuSimulator>(kernels, _config, _dram)));
+            std::make_unique<GpuSimulator>(cks, _config, _dram)));
     }
 
     // Deterministic sharing: each SM submits DRAM traffic through its

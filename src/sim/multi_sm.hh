@@ -9,9 +9,10 @@
  * Modelling notes: every SM executes the same kernel over its own
  * 64-warp grid slice (functional state is per-SM, so there is no
  * cross-SM data sharing — matching how Rodinia kernels partition
- * work). The shared L2 is approximated as per-SM slices of the 2 MB
- * total, which is how physically banked GPU L2s behave for
- * interleaved, non-shared working sets.
+ * work). Each kernel is compiled once, and every SM reads the same
+ * read-only CompiledKernel. The shared L2 is approximated as per-SM
+ * slices of the 2 MB total, which is how physically banked GPU L2s
+ * behave for interleaved, non-shared working sets.
  *
  * Execution model: SMs advance in barrier-synchronized epochs of
  * epochCycles cycles. Within an epoch each SM touches only its own

@@ -21,7 +21,6 @@
 #include "compiler/staging_checker.hh"
 #include "compiler/value_range.hh"
 #include "golden_runs.hh"
-#include "ir/cfg_analysis.hh"
 #include "regless/operand_staging_unit.hh"
 #include "regless/regless_provider.hh"
 #include "ir/liveness.hh"
@@ -305,8 +304,7 @@ flipInvalidateOn(const compiler::CompiledKernel &ck,
     // Only non-invalidating preloads of still-needed values are
     // eligible; flipping one reintroduces the premature-invalidation
     // bug class (§4.3).
-    ir::CfgAnalysis cfg(ck.kernel());
-    ir::Liveness live(ck.kernel(), cfg);
+    const ir::Liveness &live = ck.analyses().live;
     for (compiler::Region &region : regions) {
         for (compiler::Preload &p : region.preloads) {
             if (!p.invalidate &&
@@ -361,8 +359,8 @@ bogusCacheInvalidation(const compiler::CompiledKernel &,
 }
 
 /**
- * Record @a enc on the first evicted register whose recomputed value
- * facts do NOT imply it: a compile-time compression claim the value
+ * Record @a enc on the first evicted register whose value facts do
+ * NOT imply it: a compile-time compression claim the value
  * can escape at runtime (codes::encodingUnsound).
  */
 bool
@@ -370,9 +368,8 @@ forgeEncoding(const compiler::CompiledKernel &ck,
               std::vector<compiler::Region> &regions,
               compiler::StaticEncoding enc)
 {
-    ir::CfgAnalysis cfg(ck.kernel());
-    ir::Liveness live(ck.kernel(), cfg);
-    compiler::ValueRangeAnalysis vra(ck.kernel(), cfg, live);
+    const compiler::ValueRangeAnalysis &vra =
+        ck.analyses().vra;
     for (compiler::Region &region : regions) {
         for (const auto &[pc, regs] : region.evicts) {
             for (RegId r : regs) {
@@ -593,8 +590,7 @@ TEST(MutationHarness, RestoredDivergentInvalidateIsCaughtAtRuntime)
     // reclaimed — the runtime shadow checker.
     compiler::CompiledKernel ck =
         compiler::compile(workloads::makeRodinia("heartwall"));
-    ir::CfgAnalysis cfg_a(ck.kernel());
-    ir::Liveness live(ck.kernel(), cfg_a);
+    const ir::Liveness &live = ck.analyses().live;
     auto regions = ck.regions();
     unsigned flipped = 0;
     for (compiler::Region &region : regions) {

@@ -175,9 +175,9 @@ TEST(RfCacheHints, ShortLivedSameBlockValueIsCacheable)
     RegId x = b.iaddi(t, 1); // consumed by the very next instruction
     RegId y = b.imul(x, x);
     b.st(y, addr);
-    const ir::Kernel kernel = b.build();
+    const compiler::KernelAnalyses facts(b.build());
     const std::vector<bool> cacheable =
-        compiler::rfCacheableRegs(kernel, compiler::RfCacheHintParams{});
+        compiler::rfCacheableRegs(facts, compiler::RfCacheHintParams{});
     EXPECT_TRUE(cacheable.at(x));
     EXPECT_TRUE(cacheable.at(y));
 }
@@ -196,9 +196,9 @@ TEST(RfCacheHints, CrossBlockValueIsNotCacheable)
     b.st(keep, b.imuli(t, 4));
     b.bind(skip);
     b.st(keep, b.imuli(t, 4), 8192);
-    const ir::Kernel kernel = b.build();
+    const compiler::KernelAnalyses facts(b.build());
     const std::vector<bool> cacheable =
-        compiler::rfCacheableRegs(kernel, compiler::RfCacheHintParams{});
+        compiler::rfCacheableRegs(facts, compiler::RfCacheHintParams{});
     EXPECT_FALSE(cacheable.at(keep));
 }
 
@@ -211,13 +211,13 @@ TEST(RfCacheHints, DistantUseIsNotCacheable)
     for (int i = 0; i < 6; ++i)
         t = b.iaddi(t, 1); // filler between def and last use
     b.st(x, b.imuli(t, 4));
-    const ir::Kernel kernel = b.build();
+    const compiler::KernelAnalyses facts(b.build());
     compiler::RfCacheHintParams tight;
     tight.maxDefUseDistance = 2;
     compiler::RfCacheHintParams loose;
     loose.maxDefUseDistance = 32;
-    EXPECT_FALSE(compiler::rfCacheableRegs(kernel, tight).at(x));
-    EXPECT_TRUE(compiler::rfCacheableRegs(kernel, loose).at(x));
+    EXPECT_FALSE(compiler::rfCacheableRegs(facts, tight).at(x));
+    EXPECT_TRUE(compiler::rfCacheableRegs(facts, loose).at(x));
 }
 
 TEST(CompilerRfCacheTest, HitsShortLivedValuesEndToEnd)

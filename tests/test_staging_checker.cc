@@ -17,7 +17,6 @@
 #include "compiler/compiler.hh"
 #include "compiler/staging_checker.hh"
 #include "compiler/verifier.hh"
-#include "ir/cfg_analysis.hh"
 #include "ir/liveness.hh"
 #include "regless/operand_staging_unit.hh"
 #include "regless/shadow_checker.hh"
@@ -159,16 +158,14 @@ TEST(StagingCheckerTest, FlipInvalidateOnLiveValueReported)
     auto [ck, idx] = findKernelWith(
         [](const compiler::CompiledKernel &k,
            const compiler::Region &region) {
-            ir::CfgAnalysis cfg(k.kernel());
-            ir::Liveness live(k.kernel(), cfg);
+            const ir::Liveness &live = k.analyses().live;
             for (const compiler::Preload &p : region.preloads) {
                 if (!p.invalidate && live.liveAfter(region.endPc, p.reg))
                     return true;
             }
             return false;
         });
-    ir::CfgAnalysis cfg(ck.kernel());
-    ir::Liveness live(ck.kernel(), cfg);
+    const ir::Liveness &live = ck.analyses().live;
     auto regions = ck.regions();
     for (compiler::Preload &p : regions[idx].preloads) {
         if (!p.invalidate &&
@@ -246,8 +243,7 @@ TEST(StagingCheckerTest, EraseOfLiveValueReported)
     auto [ck, idx] = findKernelWith(
         [](const compiler::CompiledKernel &k,
            const compiler::Region &region) {
-            ir::CfgAnalysis cfg(k.kernel());
-            ir::Liveness live(k.kernel(), cfg);
+            const ir::Liveness &live = k.analyses().live;
             for (const auto &[pc, regs] : region.evicts) {
                 for (RegId r : regs) {
                     if (live.liveAfter(pc, r) && !live.hasSoftDef(r))
@@ -256,8 +252,7 @@ TEST(StagingCheckerTest, EraseOfLiveValueReported)
             }
             return false;
         });
-    ir::CfgAnalysis cfg(ck.kernel());
-    ir::Liveness live(ck.kernel(), cfg);
+    const ir::Liveness &live = ck.analyses().live;
     auto regions = ck.regions();
     bool mutated = false;
     for (auto &[pc, regs] : regions[idx].evicts) {
@@ -688,8 +683,7 @@ TEST(StagingCheckerTest, EraseOfSoftDefValueReported)
     auto [ck, idx] = findKernelWith(
         [](const compiler::CompiledKernel &k,
            const compiler::Region &region) {
-            ir::CfgAnalysis cfg(k.kernel());
-            ir::Liveness live(k.kernel(), cfg);
+            const ir::Liveness &live = k.analyses().live;
             for (const auto &[pc, regs] : region.evicts) {
                 for (RegId r : regs) {
                     if (live.liveAfter(pc, r) && live.hasSoftDef(r))
@@ -698,8 +692,7 @@ TEST(StagingCheckerTest, EraseOfSoftDefValueReported)
             }
             return false;
         });
-    ir::CfgAnalysis cfg(ck.kernel());
-    ir::Liveness live(ck.kernel(), cfg);
+    const ir::Liveness &live = ck.analyses().live;
     auto regions = ck.regions();
     bool mutated = false;
     for (auto &[pc, regs] : regions[idx].evicts) {

@@ -19,8 +19,6 @@
 #include "compiler/staging_checker.hh"
 #include "compiler/value_range.hh"
 #include "golden_runs.hh"
-#include "ir/cfg_analysis.hh"
-#include "ir/liveness.hh"
 #include "regless/compressor.hh"
 #include "regless/shadow_checker.hh"
 #include "mem/memory_system.hh"
@@ -418,20 +416,6 @@ TEST(StaticEncodingTest, BytesMatchTheLineBudget)
 
 /* ---------------- whole-kernel fixpoint ---------------- */
 
-struct AnalyzedKernel
-{
-    explicit AnalyzedKernel(ir::Kernel k)
-        : kernel(std::move(k)), cfg(kernel), live(kernel, cfg),
-          vra(kernel, cfg, live)
-    {
-    }
-
-    ir::Kernel kernel;
-    ir::CfgAnalysis cfg;
-    ir::Liveness live;
-    ValueRangeAnalysis vra;
-};
-
 TEST(ValueRangeAnalysisTest, StraightLineFactsAreExact)
 {
     KernelBuilder b("straight");
@@ -440,7 +424,7 @@ TEST(ValueRangeAnalysisTest, StraightLineFactsAreExact)
     RegId d = b.iaddi(c, 20);
     RegId addr = b.imuli(t, 4);
     b.st(d, addr);
-    AnalyzedKernel a(b.build());
+    const compiler::KernelAnalyses a(b.build());
 
     // Find the store and ask for the operand facts right before it.
     for (Pc pc = 0; pc < a.kernel.numInsns(); ++pc) {
@@ -474,7 +458,7 @@ TEST(ValueRangeAnalysisTest, BranchMergeJoinsBothArms)
     b.moviTo(x, 1);
     b.bind(merged);
     b.st(x, b.imuli(t, 4));
-    AnalyzedKernel a(b.build());
+    const compiler::KernelAnalyses a(b.build());
 
     for (Pc pc = 0; pc < a.kernel.numInsns(); ++pc) {
         if (a.kernel.insn(pc).op() != ir::Opcode::StGlobal)
@@ -509,7 +493,7 @@ TEST(ValueRangeAnalysisTest, LoopWidensInsteadOfDiverging)
     RegId p = b.setLt(i, lim);
     b.braIf(p, head);
     b.st(i, b.imuli(t, 4));
-    AnalyzedKernel a(b.build());
+    const compiler::KernelAnalyses a(b.build());
 
     for (Pc pc = 0; pc < a.kernel.numInsns(); ++pc) {
         if (a.kernel.insn(pc).op() != ir::Opcode::StGlobal)
@@ -532,9 +516,29 @@ TEST(ValueRangeAnalysisTest, StraightLineKernelsRunFullMask)
 {
     KernelBuilder b("flat");
     b.st(b.movi(1), b.imuli(b.tid(), 4));
-    AnalyzedKernel a(b.build());
+    const compiler::KernelAnalyses a(b.build());
     for (const ir::BasicBlock &bb : a.kernel.blocks())
         EXPECT_TRUE(a.vra.fullMaskBlock(bb.id()));
+}
+
+TEST(ValueRangeAnalysisTest, FactsFlowThroughEachBlock)
+{
+    // Only block-entry states are kept and a query replays its block:
+    // what one instruction leaves is what the next one sees.
+    for (const std::string &name : workloads::rodiniaNames()) {
+        const compiler::KernelAnalyses a(workloads::makeRodinia(name));
+        for (const ir::BasicBlock &bb : a.kernel.blocks()) {
+            for (Pc pc = bb.firstPc(); pc < bb.lastPc(); ++pc) {
+                for (RegId r = 0; r < a.kernel.numRegs(); ++r) {
+                    const ValueFacts left = a.vra.after(pc, r);
+                    const ValueFacts seen = a.vra.before(pc + 1, r);
+                    ASSERT_TRUE(left == seen)
+                        << name << " pc " << pc << " r" << r << ": "
+                        << left.toString() << " vs " << seen.toString();
+                }
+            }
+        }
+    }
 }
 
 TEST(ValueRangeAnalysisTest, KernelWideTableCoversEveryDef)
@@ -636,16 +640,15 @@ rebuild(const compiler::CompiledKernel &ck,
 }
 
 /**
- * Forge @a enc onto the first evicted register whose recomputed facts
+ * Forge @a enc onto the first evicted register whose value facts
  * do NOT imply it. @return the mutated region list, empty if no
  * eligible site exists in @a ck.
  */
 std::vector<compiler::Region>
 forgeEncoding(const compiler::CompiledKernel &ck, StaticEncoding enc)
 {
-    ir::CfgAnalysis cfg(ck.kernel());
-    ir::Liveness live(ck.kernel(), cfg);
-    ValueRangeAnalysis vra(ck.kernel(), cfg, live);
+    const ValueRangeAnalysis &vra =
+        ck.analyses().vra;
     auto regions = ck.regions();
     for (compiler::Region &region : regions) {
         for (const auto &[pc, regs] : region.evicts) {
@@ -743,9 +746,8 @@ TEST(ValueRangeLint, PreloadedConstantIsAdvisedDead)
 {
     compiler::CompiledKernel ck =
         compiler::compile(workloads::makeRodinia("nn"));
-    ir::CfgAnalysis cfg(ck.kernel());
-    ir::Liveness live(ck.kernel(), cfg);
-    ValueRangeAnalysis vra(ck.kernel(), cfg, live);
+    const ValueRangeAnalysis &vra =
+        ck.analyses().vra;
     auto regions = ck.regions();
     // Forge a preload of a register that provably holds a compile-time
     // constant at the region entry: the staged line is pure waste.

@@ -107,10 +107,8 @@ runGc(const std::string &dir, const sim::CacheGcOptions &options)
     return 0;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     // Library code throws SimError; this main is the process-exit
     // boundary.
@@ -164,4 +162,12 @@ main(int argc, char **argv)
         std::cerr << "fatal: " << e.what() << "\n";
         return 1;
     }
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return finishStdout(run(argc, argv));
 }

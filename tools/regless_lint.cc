@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/flags.hh"
+#include "common/logging.hh"
 #include "common/sim_error.hh"
 #include "compiler/compiler.hh"
 #include "compiler/staging_checker.hh"
@@ -173,10 +174,8 @@ printJson(const std::vector<KernelReport> &reports)
     std::printf("%s}\n}\n", by_code.empty() ? "" : "\n  ");
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Options opt;
 
@@ -250,4 +249,12 @@ main(int argc, char **argv)
         std::fprintf(stderr, "regless_lint: %s\n", e.what());
         return 2;
     }
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return finishStdout(run(argc, argv));
 }
