@@ -38,8 +38,8 @@ BENCHMARK(BM_CompressorMatch)->Arg(0)->Arg(1)->Arg(3);
 void
 BM_OsuAllocateErase(benchmark::State &state)
 {
-    staging::OperandStagingUnit osu(
-        "bench", 128, staging::VictimOrder::FreeCleanDirty);
+    staging::OperandStagingUnit osu(128,
+                                    staging::VictimOrder::FreeCleanDirty);
     RegId reg = 0;
     for (auto _ : state) {
         osu.allocate(3, reg, false);
@@ -52,8 +52,8 @@ BENCHMARK(BM_OsuAllocateErase);
 void
 BM_OsuReclaimPath(benchmark::State &state)
 {
-    staging::OperandStagingUnit osu(
-        "bench", 64, staging::VictimOrder::FreeCleanDirty);
+    staging::OperandStagingUnit osu(64,
+                                    staging::VictimOrder::FreeCleanDirty);
     // Fill bank 0 with evictable lines so every allocation reclaims.
     for (unsigned i = 0; i < 8; ++i) {
         osu.allocate(0, static_cast<RegId>(i * 8), true);

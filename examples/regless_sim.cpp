@@ -5,7 +5,7 @@
  * design, and print run statistics.
  *
  *   regless_sim --bench hotspot --provider regless --capacity 512
- *   regless_sim --asm mykernel.rasm --provider baseline --dump-stats
+ *   regless_sim --asm mykernel.rasm --provider baseline --json
  *   regless_sim --bench lud --dump-asm
  *   regless_sim --list
  */
@@ -56,7 +56,6 @@ usage()
         "  --compact            compact register names first\n"
         "  --dump-asm           print the kernel as assembly and exit\n"
         "  --dump-regions       print the region partition and exit\n"
-        "  --dump-stats         print raw component statistics\n"
         "  --json               print RunStats as JSON\n"
         "  --list               list built-in benchmarks\n";
 }
@@ -85,7 +84,6 @@ runExample(int argc, char **argv)
     bool compact = false;
     bool dump_asm = false;
     bool dump_regions = false;
-    bool dump_stats = false;
     bool as_json = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -113,8 +111,6 @@ runExample(int argc, char **argv)
             dump_asm = true;
         else if (arg == "--dump-regions")
             dump_regions = true;
-        else if (arg == "--dump-stats")
-            dump_stats = true;
         else if (arg == "--json")
             as_json = true;
         else if (arg == "--list") {
@@ -191,10 +187,6 @@ runExample(int argc, char **argv)
                   << " insns each; " << stats.regionCyclesMean
                   << " cycles active\n";
     }
-    if (dump_stats) {
-        std::cout << "\n--- raw statistics ---\n";
-        simulator.dumpStats(std::cout);
-    }
     return 0;
 }
 
@@ -203,13 +195,15 @@ main(int argc, char **argv)
 {
     // Library code throws SimError; the example main is the
     // process-exit boundary.
+    int status = 0;
     try {
-        return runExample(argc, argv);
+        status = runExample(argc, argv);
     } catch (const FlagError &e) {
         std::cerr << "fatal: " << e.what() << "\n";
-        return 2;
+        status = 2;
     } catch (const std::exception &e) {
         std::cerr << "fatal: " << e.what() << "\n";
-        return 1;
+        status = 1;
     }
+    return finishStdout(status);
 }

@@ -50,17 +50,6 @@ if grep -rn "dynamic_cast<[^>]*Provider" src tests bench examples tools; then
     exit 1
 fi
 
-# Counter-read guard: StatGroup::counter() creates the name it is
-# given, so `.counter("x").value()` reads a misspelled counter as a
-# silent zero. Reads go through StatGroup::value(), which panics on
-# an unregistered name. -z lets the pattern span a line break.
-if grep -rlzP '\.counter\([^()]*\)\s*\.value\(\)' \
-        src tests bench examples tools; then
-    echo "check: counter read through counter(); use" \
-         "StatGroup::value() so a typo is an error" >&2
-    exit 1
-fi
-
 # Number-parsing guard: strtoul and its kin read a prefix ("512abc"
 # is 512), stop at an exponent ("1e6" is 1) and wrap negatives ("-1"
 # is 4294967295), so a mistyped flag runs the wrong job instead of

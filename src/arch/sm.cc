@@ -45,22 +45,10 @@ Sm::Sm(std::vector<SmTenantSpec> tenants, mem::MemorySystem &mem,
        const SmConfig &config)
     : _mem(mem),
       _cfg(config),
-      _stats("sm"),
-      _issued(_stats.counter("insns_issued")),
-      _slotIssued(_stats.counter("issued_slots")),
-      _divergentBranches(_stats.counter("divergent_branches")),
-      _memTransactions(_stats.counter("global_mem_transactions")),
-      _skippedCycles(_stats.counter("skipped_cycles")),
-      _skipEvents(_stats.counter("skip_events")),
       _warpStalls(config.numWarps),
       _stallMemo(config.numWarps),
       _scan(config.numWarps)
 {
-    for (std::size_t c = 0; c < kNumStallCauses; ++c) {
-        _stallSlots[c] = &_stats.counter(
-            std::string("stall_") +
-            stallCauseName(static_cast<StallCause>(c)));
-    }
     if (_cfg.numWarps % _cfg.numSchedulers != 0)
         fatal("warps must divide evenly among schedulers");
     if (tenants.empty())
@@ -376,7 +364,6 @@ Sm::execGlobalLoad(Tenant &tn, Warp &warp, const ir::Instruction &insn,
 
     Cycle ready = now;
     for (Addr line : coalesce(addrs, mask)) {
-        ++_memTransactions;
         Cycle t = std::max(now, _mem.l1PortNextFree());
         mem::MemAccessResult res =
             _mem.access(line, /*is_write=*/false, mem::MemSpace::Data, t);
@@ -394,7 +381,6 @@ Sm::execGlobalStore(Tenant &tn, Warp &warp, const ir::Instruction &insn,
     const mem::LaneAddrs addrs = laneAddrs(warp, insn, tn.dataBase);
     _mem.writeWords(addrs, mask, warp.regValue(insn.srcs().at(0)));
     for (Addr line : coalesce(addrs, mask)) {
-        ++_memTransactions;
         Cycle t = std::max(now, _mem.l1PortNextFree());
         _mem.access(line, /*is_write=*/true, mem::MemSpace::Data, t);
     }
@@ -434,7 +420,7 @@ Sm::execBranch(Tenant &tn, Warp &warp, const ir::Instruction &insn,
     }
     Pc rpc = reconvergePcFor(tn, tn.kernel->blockOf(warp.pc()));
     if (warp.stack().branch(taken, insn.target(), rpc))
-        ++_divergentBranches;
+        ++_stats.divergentBranches;
 }
 
 void
@@ -549,7 +535,6 @@ Sm::issue(Tenant &tn, Warp &warp, Cycle now)
     }
 
     warp.countInsn();
-    ++_issued;
     ++tn.insns;
     Cycle writeback = insn.writesReg()
                           ? tn.scoreboard.readyAt(warp.id(), insn.dst())
@@ -672,14 +657,11 @@ Sm::stepImpl(SkipProbe *probe)
         }
         const int picked = any ? sched->pick(gs.can) : -1;
         if (picked >= 0) {
-            ++_slotIssued;
             ++tn.slotIssued;
         } else if (any) {
             // An eligible warp existed but the policy declined the
             // slot (e.g. two-level promotion delay): no warp was
             // available *to the selector*.
-            ++*_stallSlots[static_cast<std::size_t>(
-                StallCause::NoWarp)];
             ++tn.stallSlots[static_cast<std::size_t>(
                 StallCause::NoWarp)];
         } else {
@@ -692,7 +674,6 @@ Sm::stepImpl(SkipProbe *probe)
                     charge = cause;
                 }
             }
-            ++*_stallSlots[static_cast<std::size_t>(charge)];
             ++tn.stallSlots[static_cast<std::size_t>(charge)];
             gs.charge = charge;
         }
@@ -759,13 +740,12 @@ Sm::stepSkipping(Cycle limit)
     // across the window.
     for (std::size_t g = 0; g < _groups.size(); ++g) {
         const auto charge = static_cast<std::size_t>(_groups[g].charge);
-        *_stallSlots[charge] += n;
         _tenants[_groupTenant[g]]->stallSlots[charge] += n;
     }
     for (auto &tn : _tenants)
         tn->provider->onCyclesSkipped(_now, n);
-    _skippedCycles += n;
-    ++_skipEvents;
+    _stats.skippedCycles += n;
+    ++_stats.skipEvents;
     _now = target;
 }
 
@@ -814,13 +794,24 @@ Sm::warpStalls(WarpId warp) const
     return stalls;
 }
 
+std::uint64_t
+Sm::totalInsns() const
+{
+    std::uint64_t insns = 0;
+    for (const auto &tn : _tenants)
+        insns += tn->insns;
+    return insns;
+}
+
 StallSnapshot
 Sm::slotSnapshot() const
 {
     StallSnapshot snap;
-    snap.issuedSlots = _slotIssued.value();
-    for (std::size_t c = 0; c < kNumStallCauses; ++c)
-        snap.stallSlots[c] = _stallSlots[c]->value();
+    for (const auto &tn : _tenants) {
+        snap.issuedSlots += tn->slotIssued;
+        for (std::size_t c = 0; c < kNumStallCauses; ++c)
+            snap.stallSlots[c] += tn->stallSlots[c];
+    }
     return snap;
 }
 

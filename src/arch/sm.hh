@@ -34,7 +34,6 @@
 #include "arch/scoreboard.hh"
 #include "arch/stall.hh"
 #include "arch/warp.hh"
-#include "common/stats.hh"
 #include "compiler/compiler.hh"
 #include "mem/memory_system.hh"
 #include "regfile/register_provider.hh"
@@ -102,6 +101,18 @@ struct SmTenantSpec
 class Sm
 {
   public:
+    /** SM-wide event counts. Issues and slot charges are counted once,
+     *  in the tenant accounts, and summed on demand. */
+    struct Stats
+    {
+        /** Branches that split a warp's active mask. */
+        std::uint64_t divergentBranches = 0;
+        /** Cycles collapsed by stepSkipping(). */
+        std::uint64_t skippedCycles = 0;
+        /** Skip jumps taken. */
+        std::uint64_t skipEvents = 0;
+    };
+
     /**
      * Single-tenant launch (the classic configuration).
      *
@@ -140,11 +151,6 @@ class Sm
      */
     void stepSkipping(Cycle limit);
 
-    /** Cycles collapsed by stepSkipping() so far. */
-    std::uint64_t skippedCycles() const { return _skippedCycles.value(); }
-    /** Number of skip jumps taken. */
-    std::uint64_t skipEvents() const { return _skipEvents.value(); }
-
     /** @return true when every warp has finished. */
     bool done() const { return _finishedWarps == _warps.size(); }
 
@@ -152,8 +158,9 @@ class Sm
     const std::vector<Warp> &warps() const { return _warps; }
     const Warp &warp(WarpId id) const { return _warps.at(id); }
 
-    StatGroup &stats() { return _stats; }
-    std::uint64_t totalInsns() const { return _issued.value(); }
+    const Stats &stats() const { return _stats; }
+    /** Instructions issued, summed over the tenants. */
+    std::uint64_t totalInsns() const;
 
     /** Observer invoked for every issued instruction (tracing). */
     using IssueHook = std::function<void(
@@ -173,11 +180,7 @@ class Sm
 
     /** @name Issue-slot attribution (one slot per scheduler-cycle). */
     ///@{
-    std::uint64_t issuedSlots() const { return _slotIssued.value(); }
-    std::uint64_t stallSlots(StallCause cause) const
-    {
-        return _stallSlots[static_cast<std::size_t>(cause)]->value();
-    }
+    /** Issued and stalled slots, summed over the tenants. */
     StallSnapshot slotSnapshot() const;
     /**
      * Cumulative per-warp stall cycles by cause (Running warps only):
@@ -272,8 +275,8 @@ class Sm
         ///@}
         bool finished = false;
         Cycle finishCycle = 0;
-        /** @name Closed per-tenant account (plain counters: they
-         *  shadow the SM-wide Counter objects slot for slot). */
+        /** @name Closed per-tenant account (the only count of issues
+         *  and slot charges; SM-wide totals sum these). */
         ///@{
         std::uint64_t insns = 0;
         std::uint64_t slotIssued = 0;
@@ -485,14 +488,7 @@ class Sm
     /** Any tenant between requestSuspend and its boundary? Gates the
      *  per-cycle poll and disables cycle skipping while set. */
     bool _anySuspendPending = false;
-    StatGroup _stats;
-    Counter &_issued;
-    Counter &_slotIssued;
-    std::array<Counter *, kNumStallCauses> _stallSlots{};
-    Counter &_divergentBranches;
-    Counter &_memTransactions;
-    Counter &_skippedCycles;
-    Counter &_skipEvents;
+    Stats _stats;
     /** Per-warp stall cycles of settled runs (see WarpScan). */
     std::vector<std::array<std::uint64_t, kNumStallCauses>> _warpStalls;
     /** Per-warp replayed scoreboard verdicts, indexed by warp id. */

@@ -35,12 +35,6 @@ Distribution::stddev() const
 }
 
 void
-Distribution::reset()
-{
-    *this = Distribution();
-}
-
-void
 WindowedSeries::record(Cycle now, double delta)
 {
     if (!_open) {
@@ -74,49 +68,6 @@ WindowedSeries::meanPerWindow() const
     for (double p : _points)
         total += p;
     return total / static_cast<double>(_points.size());
-}
-
-void
-WindowedSeries::reset()
-{
-    _accum = 0.0;
-    _open = false;
-    _points.clear();
-}
-
-Counter &
-StatGroup::counter(const std::string &stat_name)
-{
-    return _counters[stat_name];
-}
-
-std::uint64_t
-StatGroup::value(const std::string &stat_name) const
-{
-    const auto it = _counters.find(stat_name);
-    if (it == _counters.end())
-        panic("stat group '", _name, "' has no counter '", stat_name,
-              "'");
-    return it->second.value();
-}
-
-Distribution &
-StatGroup::distribution(const std::string &stat_name)
-{
-    return _distributions[stat_name];
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    for (const auto &[stat_name, ctr] : _counters)
-        os << _name << "." << stat_name << " " << ctr.value() << "\n";
-    for (const auto &[stat_name, dist] : _distributions) {
-        os << _name << "." << stat_name << ".mean " << dist.mean() << "\n";
-        os << _name << "." << stat_name << ".stddev " << dist.stddev()
-           << "\n";
-        os << _name << "." << stat_name << ".count " << dist.count() << "\n";
-    }
 }
 
 double

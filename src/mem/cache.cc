@@ -7,17 +7,10 @@
 namespace regless::mem
 {
 
-Cache::Cache(std::string name, const CacheConfig &config)
+Cache::Cache(const CacheConfig &config)
     : _ways(config.ways),
       _numMshrs(config.mshrs),
-      _writeAllocate(config.writeAllocate),
-      _stats(std::move(name)),
-      _hits(_stats.counter("hits")),
-      _misses(_stats.counter("misses")),
-      _evictions(_stats.counter("evictions")),
-      _writebacks(_stats.counter("writebacks")),
-      _mshrMerges(_stats.counter("mshr_merges")),
-      _mshrRejects(_stats.counter("mshr_rejects"))
+      _writeAllocate(config.writeAllocate)
 {
     if (config.sizeBytes % (lineBytes * _ways) != 0)
         fatal("cache size ", config.sizeBytes,
@@ -100,7 +93,7 @@ Cache::access(Addr addr, bool is_write, bool write_back_line, Cycle now)
 
     if (Line *line = findLine(addr)) {
         result.hit = true;
-        ++_hits;
+        ++_stats.hits;
         line->lruStamp = ++_lruCounter;
         if (is_write) {
             if (write_back_line) {
@@ -115,13 +108,13 @@ Cache::access(Addr addr, bool is_write, bool write_back_line, Cycle now)
         return result;
     }
 
-    ++_misses;
+    ++_stats.misses;
     // Write-back register lines are written whole (the preload rule
     // guarantees it), so a write miss allocates without a fill and
     // needs no MSHR.
     const bool needs_fill = !(is_write && write_back_line);
     if (needs_fill && _mshrs.size() >= _numMshrs) {
-        ++_mshrRejects;
+        ++_stats.mshrRejects;
         result.rejected = true;
         return result;
     }
@@ -144,9 +137,8 @@ Cache::access(Addr addr, bool is_write, bool write_back_line, Cycle now)
             victim = &line;
     }
     if (victim->valid) {
-        ++_evictions;
+        ++_stats.evictions;
         if (victim->dirty) {
-            ++_writebacks;
             result.writeback = true;
             result.writebackAddr = victim->tag;
         }

@@ -16,7 +16,6 @@
 #include <limits>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace regless::mem
@@ -65,7 +64,17 @@ struct CacheConfig
 class Cache
 {
   public:
-    Cache(std::string name, const CacheConfig &config);
+    /** Event counts of one cache level. */
+    struct Stats
+    {
+        std::uint64_t hits = 0;
+        std::uint64_t misses = 0;
+        std::uint64_t evictions = 0;
+        /** Fill requests refused because every MSHR was busy. */
+        std::uint64_t mshrRejects = 0;
+    };
+
+    explicit Cache(const CacheConfig &config);
 
     /**
      * Look up @a addr, allocating on miss per policy.
@@ -106,8 +115,7 @@ class Cache
     /** Outstanding misses whose fills land after @a now. */
     std::size_t mshrsInUse(Cycle now) const;
 
-    StatGroup &stats() { return _stats; }
-    const StatGroup &stats() const { return _stats; }
+    const Stats &stats() const { return _stats; }
 
     unsigned numSets() const { return _numSets; }
 
@@ -144,13 +152,7 @@ class Cache
      *  lowers it, and each walk in expireMshrs recomputes it. */
     Cycle _mshrMinReady = std::numeric_limits<Cycle>::max();
     std::uint64_t _lruCounter = 0;
-    StatGroup _stats;
-    Counter &_hits;
-    Counter &_misses;
-    Counter &_evictions;
-    Counter &_writebacks;
-    Counter &_mshrMerges;
-    Counter &_mshrRejects;
+    Stats _stats;
 };
 
 } // namespace regless::mem

@@ -10,10 +10,7 @@ namespace regless::mem
 
 DramModel::DramModel(const DramConfig &config)
     : _cfg(config),
-      _channelNextFree(config.channels, 0.0),
-      _stats("dram"),
-      _accesses(_stats.counter("accesses")),
-      _queueing(_stats.distribution("queueing_cycles"))
+      _channelNextFree(config.channels, 0.0)
 {
     if (_cfg.channels == 0)
         fatal("DRAM needs at least one channel");
@@ -34,11 +31,10 @@ DramModel::access(Addr addr, Cycle now)
     if (epochMode())
         panic("direct DRAM access on an epoch-mode model; "
               "route through portAccess()");
-    ++_accesses;
+    ++_stats.accesses;
     unsigned channel = channelOf(addr);
     double start = std::max(static_cast<double>(now),
                             _channelNextFree[channel]);
-    _queueing.sample(start - static_cast<double>(now));
     _channelNextFree[channel] = start + _effectiveCyclesPerLine;
     return static_cast<Cycle>(start) + _cfg.accessLatency;
 }
@@ -48,7 +44,7 @@ DramModel::enableEpochMode(unsigned num_ports)
 {
     if (num_ports == 0)
         fatal("epoch-mode DRAM needs at least one port");
-    if (_accesses.value() != 0)
+    if (_stats.accesses != 0)
         fatal("enableEpochMode() after traffic was issued");
     _ports.assign(num_ports, Port{_channelNextFree, {}});
 }
@@ -72,11 +68,10 @@ DramModel::drainEpoch()
 {
     for (Port &p : _ports) {
         for (const auto &[addr, now] : p.pending) {
-            ++_accesses;
+            ++_stats.accesses;
             unsigned channel = channelOf(addr);
             double start = std::max(static_cast<double>(now),
                                     _channelNextFree[channel]);
-            _queueing.sample(start - static_cast<double>(now));
             _channelNextFree[channel] = start + _effectiveCyclesPerLine;
         }
         p.pending.clear();

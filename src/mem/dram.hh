@@ -28,9 +28,10 @@
 #define REGLESS_MEM_DRAM_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace regless::mem
@@ -54,6 +55,13 @@ struct DramConfig
 class DramModel
 {
   public:
+    /** Event counts of the DRAM channels. */
+    struct Stats
+    {
+        /** Line transfers (epoch-port ones once drained). */
+        std::uint64_t accesses = 0;
+    };
+
     explicit DramModel(const DramConfig &config);
 
     /**
@@ -83,15 +91,14 @@ class DramModel
 
     /**
      * Epoch barrier: replay every queued request against the shared
-     * channel state in (port id, issue order), update the access and
-     * queueing statistics, and resnapshot each port. Single-threaded.
+     * channel state in (port id, issue order), count the accesses,
+     * and resnapshot each port. Single-threaded.
      */
     void drainEpoch();
 
     /// @}
 
-    StatGroup &stats() { return _stats; }
-    const StatGroup &stats() const { return _stats; }
+    const Stats &stats() const { return _stats; }
 
   private:
     unsigned channelOf(Addr addr) const;
@@ -109,9 +116,7 @@ class DramModel
     double _effectiveCyclesPerLine;
     std::vector<double> _channelNextFree;
     std::vector<Port> _ports;
-    StatGroup _stats;
-    Counter &_accesses;
-    Distribution &_queueing;
+    Stats _stats;
 };
 
 } // namespace regless::mem

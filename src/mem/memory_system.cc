@@ -34,15 +34,10 @@ MemorySystem::MemorySystem(const MemConfig &config)
 MemorySystem::MemorySystem(const MemConfig &config,
                            std::shared_ptr<DramModel> shared_dram)
     : _cfg(config),
-      _l1("l1", config.l1),
-      _l2("l2", config.l2),
+      _l1(config.l1),
+      _l2(config.l2),
       _dram(std::move(shared_dram)),
-      _valueGen(hashWord),
-      _stats("mem"),
-      _l1PortUses(_stats.counter("l1_port_uses")),
-      _dataAccesses(_stats.counter("data_accesses")),
-      _registerAccesses(_stats.counter("register_accesses")),
-      _invalidations(_stats.counter("register_invalidations"))
+      _valueGen(hashWord)
 {
 }
 
@@ -114,10 +109,8 @@ MemorySystem::accessImpl(Addr addr, bool is_write, MemSpace space,
         return result;
     }
     _l1NextFree = now + 1;
-    ++_l1PortUses;
 
     if (space == MemSpace::Data) {
-        ++_dataAccesses;
         if (_cfg.bypassL1Data)
             return accessL2(addr, is_write, now + kL1Latency);
         // Non-bypass mode: write-through, write-no-allocate L1.
@@ -143,7 +136,6 @@ MemorySystem::accessImpl(Addr addr, bool is_write, MemSpace space,
 
     // Register space: cached in L1 with write-back lines and no
     // fetch-on-write (the preload guarantees full-line writes).
-    ++_registerAccesses;
     CacheResult cr =
         _l1.access(addr, is_write, /*write_back_line=*/true, now);
     if (cr.rejected) {
@@ -182,8 +174,6 @@ MemorySystem::invalidateRegisterLine(Addr addr, Cycle now)
     if (!l1PortFree(now))
         return false;
     _l1NextFree = now + 1;
-    ++_l1PortUses;
-    ++_invalidations;
     _l1.invalidate(addr);
     _l2.invalidate(addr);
     return true;

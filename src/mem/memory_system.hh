@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/fault_injector.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
@@ -167,7 +166,6 @@ class MemorySystem
     Cache &l1() { return _l1; }
     Cache &l2() { return _l2; }
     DramModel &dram() { return *_dram; }
-    StatGroup &stats() { return _stats; }
 
     const MemConfig &config() const { return _cfg; }
 
@@ -224,11 +222,6 @@ class MemorySystem
     std::vector<Addr> _pageKeys;
     std::vector<std::unique_ptr<WordPage>> _pages;
     std::function<std::uint32_t(Addr)> _valueGen;
-    StatGroup _stats;
-    Counter &_l1PortUses;
-    Counter &_dataAccesses;
-    Counter &_registerAccesses;
-    Counter &_invalidations;
 };
 
 } // namespace regless::mem

@@ -7,14 +7,10 @@ namespace regless::regfile
 
 BaselineRf::BaselineRf(Cycle window, unsigned num_banks,
                        Cycle collector_penalty)
-    : RegisterProvider("rf"),
-      _window(window),
+    : _window(window),
       _numBanks(num_banks),
       _collectorPenalty(collector_penalty),
-      _accessSeries(window),
-      _reads(_stats.counter("reads")),
-      _writes(_stats.counter("writes")),
-      _bankConflicts(_stats.counter("bank_conflicts"))
+      _accessSeries(window)
 {
 }
 
@@ -35,7 +31,7 @@ BaselineRf::operandDelay(const arch::Warp &warp,
         worst = std::max(worst, ++uses[bank]);
     }
     if (worst > 1) {
-        ++_bankConflicts;
+        ++_stats.bankConflicts;
         return (worst - 1) * _collectorPenalty;
     }
     return 0;
@@ -60,12 +56,12 @@ BaselineRf::onIssue(const arch::Warp &warp, Pc, const ir::Instruction &insn,
     }
 
     for (RegId src : insn.srcs()) {
-        ++_reads;
+        ++_stats.reads;
         _accessSeries.record(now, 1.0);
         _windowRegs.emplace(warp.id(), src);
     }
     if (insn.writesReg()) {
-        ++_writes;
+        ++_stats.writes;
         _accessSeries.record(now, 1.0);
         _windowRegs.emplace(warp.id(), insn.dst());
     }

@@ -11,6 +11,7 @@
 #include <set>
 #include <utility>
 
+#include "common/stats.hh"
 #include "regfile/register_provider.hh"
 
 namespace regless::regfile
@@ -20,6 +21,15 @@ namespace regless::regfile
 class BaselineRf : public RegisterProvider
 {
   public:
+    /** Access counts of the register file. */
+    struct Stats
+    {
+        std::uint64_t reads = 0;
+        std::uint64_t writes = 0;
+        /** Instructions whose sources share a bank. */
+        std::uint64_t bankConflicts = 0;
+    };
+
     /**
      * @param window Cycles per working-set measurement window
      *        (Figure 2 uses 100).
@@ -50,6 +60,8 @@ class BaselineRf : public RegisterProvider
     /** Finalise open windows before reading series data. */
     void flushSeries();
 
+    const Stats &stats() const { return _stats; }
+
   private:
     Cycle _window;
     unsigned _numBanks;
@@ -58,9 +70,7 @@ class BaselineRf : public RegisterProvider
     std::set<std::pair<WarpId, RegId>> _windowRegs;
     Distribution _workingSet;
     WindowedSeries _accessSeries;
-    Counter &_reads;
-    Counter &_writes;
-    Counter &_bankConflicts;
+    Stats _stats;
 };
 
 } // namespace regless::regfile

@@ -17,14 +17,8 @@ constexpr Cycle kMissPenalty = 3;
 
 CompilerRfCache::CompilerRfCache(const compiler::CompiledKernel &ck,
                                  const Params &params)
-    : RegisterProvider("rfcache"),
-      _params(params),
-      _perWarp(1, 0),
-      _hits(_stats.counter("cache_hits")),
-      _misses(_stats.counter("cache_misses")),
-      _mrfReads(_stats.counter("mrf_reads")),
-      _mrfWrites(_stats.counter("mrf_writes")),
-      _evictions(_stats.counter("evictions"))
+    : _params(params),
+      _perWarp(1, 0)
 {
     compiler::RfCacheHintParams hints;
     hints.maxDefUseDistance = params.maxDefUseDistance;
@@ -93,8 +87,8 @@ CompilerRfCache::insert(WarpId warp, std::uint32_t k)
         }
         _resident.erase(victim);
         --_perWarp[warp];
-        ++_evictions;
-        ++_mrfWrites;
+        ++_stats.evictions;
+        ++_stats.mrfWrites;
     }
     _resident.emplace(k, ++_lruCounter);
     ++_perWarp[warp];
@@ -122,13 +116,13 @@ CompilerRfCache::onIssue(const arch::Warp &warp, Pc,
     for (RegId src : insn.srcs()) {
         std::uint32_t k = key(warp.id(), src);
         if (_cacheable[src] && lookup(k)) {
-            ++_hits;
+            ++_stats.cacheHits;
             continue;
         }
-        ++_mrfReads;
+        ++_stats.mrfReads;
         if (_cacheable[src]) {
             // Evicted before reuse: refill alongside the MRF read.
-            ++_misses;
+            ++_stats.cacheMisses;
             insert(warp.id(), k);
         }
     }
@@ -137,7 +131,7 @@ CompilerRfCache::onIssue(const arch::Warp &warp, Pc,
         if (_cacheable[dst])
             insert(warp.id(), key(warp.id(), dst));
         else
-            ++_mrfWrites;
+            ++_stats.mrfWrites;
     }
 }
 

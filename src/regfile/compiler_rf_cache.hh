@@ -35,6 +35,16 @@ class CompilerRfCache : public RegisterProvider
         unsigned maxDefUseDistance = 12;
     };
 
+    /** Cache and backing-MRF access counts. */
+    struct Stats
+    {
+        std::uint64_t cacheHits = 0;
+        std::uint64_t cacheMisses = 0;
+        std::uint64_t mrfReads = 0;
+        std::uint64_t mrfWrites = 0;
+        std::uint64_t evictions = 0;
+    };
+
     CompilerRfCache(const compiler::CompiledKernel &ck,
                     const Params &params);
 
@@ -54,6 +64,8 @@ class CompilerRfCache : public RegisterProvider
 
     /** Static cacheability of a register (exposed for tests). */
     bool cacheable(RegId reg) const { return _cacheable.at(reg); }
+
+    const Stats &stats() const { return _stats; }
 
   private:
     static std::uint32_t
@@ -76,11 +88,7 @@ class CompilerRfCache : public RegisterProvider
     std::vector<unsigned> _perWarp;
     std::uint64_t _lruCounter = 0;
     FaultInjector *_faults = nullptr;
-    Counter &_hits;
-    Counter &_misses;
-    Counter &_mrfReads;
-    Counter &_mrfWrites;
-    Counter &_evictions;
+    Stats _stats;
 };
 
 } // namespace regless::regfile

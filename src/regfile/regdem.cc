@@ -18,15 +18,9 @@ constexpr Addr kSpillBase = 0x5000'0000;
 
 RegDemProvider::RegDemProvider(const compiler::CompiledKernel &ck,
                                mem::MemorySystem &mem)
-    : RegisterProvider("regdem"),
-      _kernel(ck.kernel()),
+    : _kernel(ck.kernel()),
       _mem(mem),
-      _demoted(ck.kernel().numRegs(), false),
-      _rfReads(_stats.counter("rf_reads")),
-      _rfWrites(_stats.counter("rf_writes")),
-      _fillLoads(_stats.counter("fill_loads")),
-      _spillStores(_stats.counter("spill_stores")),
-      _portStalls(_stats.counter("port_stalls"))
+      _demoted(ck.kernel().numRegs(), false)
 {
     // Static demotion (the RegDem compiler pass, simplified): rank
     // registers by static access count and keep the hottest N per
@@ -108,10 +102,7 @@ RegDemProvider::canIssue(const arch::Warp &warp, Cycle now)
         return true;
     if (!touchesDemoted(_kernel.insn(warp.pc())))
         return true;
-    if (_mem.l1PortFree(now))
-        return true;
-    ++_portStalls;
-    return false;
+    return _mem.l1PortFree(now);
 }
 
 arch::StallCause
@@ -137,7 +128,7 @@ RegDemProvider::operandDelay(const arch::Warp &warp,
         mem::MemAccessResult mr =
             _mem.access(spillAddr(warp.id(), src), /*is_write=*/false,
                         mem::MemSpace::Register, t);
-        ++_fillLoads;
+        ++_stats.fillLoads;
         if (mr.readyCycle > now)
             delay = std::max(delay, mr.readyCycle - now);
     }
@@ -150,14 +141,14 @@ RegDemProvider::onIssue(const arch::Warp &warp, Pc,
 {
     for (RegId src : insn.srcs()) {
         if (!_demoted[src])
-            ++_rfReads;
+            ++_stats.rfReads;
         // Demoted sources were charged as fill loads in operandDelay.
     }
     if (!insn.writesReg())
         return;
     const RegId dst = insn.dst();
     if (!_demoted[dst]) {
-        ++_rfWrites;
+        ++_stats.rfWrites;
         return;
     }
     // Spill the demoted result; the store queues behind any fills
@@ -165,7 +156,7 @@ RegDemProvider::onIssue(const arch::Warp &warp, Pc,
     Cycle t = std::max(now, _mem.l1PortNextFree());
     _mem.access(spillAddr(warp.id(), dst), /*is_write=*/true,
                 mem::MemSpace::Register, t);
-    ++_spillStores;
+    ++_stats.spillStores;
 }
 
 } // namespace regless::regfile

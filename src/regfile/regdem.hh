@@ -29,6 +29,17 @@ class RegDemProvider : public RegisterProvider
     /** Registers per warp retained in the shrunken RF. */
     static constexpr unsigned kHotRegsPerWarp = 16;
 
+    /** Accesses to the shrunken RF and the spill space. */
+    struct Stats
+    {
+        std::uint64_t rfReads = 0;
+        std::uint64_t rfWrites = 0;
+        /** Demoted-source reads served from the spill space. */
+        std::uint64_t fillLoads = 0;
+        /** Demoted-destination writes to the spill space. */
+        std::uint64_t spillStores = 0;
+    };
+
     RegDemProvider(const compiler::CompiledKernel &ck, mem::MemorySystem &mem);
 
     void tick(Cycle now) override;
@@ -52,6 +63,8 @@ class RegDemProvider : public RegisterProvider
     /** Retained (hot) registers per warp after demotion. */
     unsigned hotRegs() const { return _hotRegs; }
 
+    const Stats &stats() const { return _stats; }
+
   private:
     /** Spill-space line of one warp's copy of one register. */
     Addr spillAddr(WarpId warp, RegId reg) const;
@@ -64,11 +77,7 @@ class RegDemProvider : public RegisterProvider
     std::vector<bool> _demoted;
     unsigned _hotRegs = 0;
     FaultInjector *_faults = nullptr;
-    Counter &_rfReads;
-    Counter &_rfWrites;
-    Counter &_fillLoads;
-    Counter &_spillStores;
-    Counter &_portStalls;
+    Stats _stats;
 };
 
 } // namespace regless::regfile

@@ -6,9 +6,9 @@
  * The SM asks the provider whether a warp's registers are available
  * before issuing, notifies it of every issued instruction (so it can
  * count accesses and manage its structures), and gives it a tick each
- * cycle for background work (RegLess preloading, evictions). Providers
- * expose their activity through named counters that the energy model
- * consumes.
+ * cycle for background work (RegLess preloading, evictions). Each
+ * provider counts its activity in its own `Stats` struct of typed
+ * fields, which its registry collect hook reads for the energy model.
  */
 
 #ifndef REGLESS_REGFILE_REGISTER_PROVIDER_HH
@@ -22,7 +22,6 @@
 #include "arch/stall.hh"
 #include "arch/warp.hh"
 #include "common/fault_injector.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "compiler/finding.hh"
 #include "compiler/region.hh"
@@ -45,10 +44,7 @@ inline constexpr Cycle kNoProviderEvent =
 class RegisterProvider
 {
   public:
-    explicit RegisterProvider(std::string name) : _stats(std::move(name))
-    {
-    }
-
+    RegisterProvider() = default;
     virtual ~RegisterProvider() = default;
 
     RegisterProvider(const RegisterProvider &) = delete;
@@ -275,19 +271,6 @@ class RegisterProvider
      */
     virtual std::uint64_t stagedLinesInUse() const { return 0; }
     /// @}
-
-    StatGroup &stats() { return _stats; }
-    const StatGroup &stats() const { return _stats; }
-
-    /** Write every stat this provider owns as "group.name value". */
-    virtual void
-    dumpStats(std::ostream &os) const
-    {
-        _stats.dump(os);
-    }
-
-  protected:
-    StatGroup _stats;
 };
 
 } // namespace regless::regfile

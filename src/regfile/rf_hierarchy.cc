@@ -17,17 +17,10 @@ constexpr unsigned kOrfMaxDistance = 20;
 } // namespace
 
 RfHierarchy::RfHierarchy(const compiler::CompiledKernel &ck)
-    : RegisterProvider("rfh"),
-      _ck(ck),
+    : _ck(ck),
       _live(ck.analyses().live),
       _level(ck.kernel().numRegs(), RfLevel::Mrf),
-      _mrfSeries(100),
-      _lrfReads(_stats.counter("lrf_reads")),
-      _lrfWrites(_stats.counter("lrf_writes")),
-      _orfReads(_stats.counter("orf_reads")),
-      _orfWrites(_stats.counter("orf_writes")),
-      _mrfReads(_stats.counter("mrf_reads")),
-      _mrfWrites(_stats.counter("mrf_writes"))
+      _mrfSeries(100)
 {
     assignLevels();
 }
@@ -143,13 +136,13 @@ RfHierarchy::onIssue(const arch::Warp &, Pc, const ir::Instruction &insn,
     for (RegId src : insn.srcs()) {
         switch (_level[src]) {
           case RfLevel::Lrf:
-            ++_lrfReads;
+            ++_stats.lrfReads;
             break;
           case RfLevel::Orf:
-            ++_orfReads;
+            ++_stats.orfReads;
             break;
           case RfLevel::Mrf:
-            ++_mrfReads;
+            ++_stats.mrfReads;
             _mrfSeries.record(now, 1.0);
             break;
         }
@@ -157,13 +150,13 @@ RfHierarchy::onIssue(const arch::Warp &, Pc, const ir::Instruction &insn,
     if (insn.writesReg()) {
         switch (_level[insn.dst()]) {
           case RfLevel::Lrf:
-            ++_lrfWrites;
+            ++_stats.lrfWrites;
             break;
           case RfLevel::Orf:
-            ++_orfWrites;
+            ++_stats.orfWrites;
             break;
           case RfLevel::Mrf:
-            ++_mrfWrites;
+            ++_stats.mrfWrites;
             _mrfSeries.record(now, 1.0);
             break;
         }

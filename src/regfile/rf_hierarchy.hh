@@ -17,6 +17,7 @@
 
 #include <vector>
 
+#include "common/stats.hh"
 #include "compiler/compiler.hh"
 #include "regfile/register_provider.hh"
 
@@ -38,6 +39,17 @@ class RfHierarchy : public RegisterProvider
     /** ORF entries per warp (capacity of the middle level). */
     static constexpr unsigned kOrfEntriesPerWarp = 6;
 
+    /** Accesses to each level. */
+    struct Stats
+    {
+        std::uint64_t lrfReads = 0;
+        std::uint64_t lrfWrites = 0;
+        std::uint64_t orfReads = 0;
+        std::uint64_t orfWrites = 0;
+        std::uint64_t mrfReads = 0;
+        std::uint64_t mrfWrites = 0;
+    };
+
     explicit RfHierarchy(const compiler::CompiledKernel &ck);
 
     bool canIssue(const arch::Warp &warp, Cycle now) override;
@@ -52,6 +64,8 @@ class RfHierarchy : public RegisterProvider
     /** Per-window MRF accesses (the Figure 3 "RF hierarchy" series). */
     WindowedSeries &mrfSeries() { return _mrfSeries; }
 
+    const Stats &stats() const { return _stats; }
+
   private:
     /** Run the static assignment pass. */
     void assignLevels();
@@ -60,12 +74,7 @@ class RfHierarchy : public RegisterProvider
     const ir::Liveness &_live;
     std::vector<RfLevel> _level;
     WindowedSeries _mrfSeries;
-    Counter &_lrfReads;
-    Counter &_lrfWrites;
-    Counter &_orfReads;
-    Counter &_orfWrites;
-    Counter &_mrfReads;
-    Counter &_mrfWrites;
+    Stats _stats;
 };
 
 } // namespace regless::regfile

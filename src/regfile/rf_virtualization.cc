@@ -8,17 +8,9 @@ namespace regless::regfile
 RfVirtualization::RfVirtualization(const compiler::CompiledKernel &ck,
                                    unsigned physical_entries,
                                    Cycle spill_penalty)
-    : RegisterProvider("rfv"),
-      _live(ck.analyses().live),
+    : _live(ck.analyses().live),
       _physEntries(physical_entries),
-      _spillPenalty(spill_penalty),
-      _reads(_stats.counter("reads")),
-      _writes(_stats.counter("writes")),
-      _renameLookups(_stats.counter("rename_lookups")),
-      _spillStores(_stats.counter("spill_stores")),
-      _spillLoads(_stats.counter("spill_loads")),
-      _releases(_stats.counter("releases")),
-      _occupancy(_stats.distribution("occupancy"))
+      _spillPenalty(spill_penalty)
 {
 }
 
@@ -45,7 +37,7 @@ RfVirtualization::mapRegister(std::uint32_t k)
         }
         _spilled.insert(victim->first);
         _mapped.erase(victim);
-        ++_spillStores;
+        ++_stats.spillStores;
     }
     _mapped.emplace(k, ++_lruCounter);
 }
@@ -70,28 +62,25 @@ RfVirtualization::onIssue(const arch::Warp &warp, Pc pc,
 {
     (void)now;
     (void)writeback;
-    ++_renameLookups;
+    ++_stats.renameLookups;
     for (RegId src : insn.srcs()) {
-        ++_reads;
+        ++_stats.reads;
         std::uint32_t k = key(warp.id(), src);
         // A spilled source refills into the physical file first.
-        if (_spilled.erase(k)) {
-            ++_spillLoads;
+        if (_spilled.erase(k))
             mapRegister(k);
-        }
         if (_live.isLastUse(pc, src)) {
             if (_mapped.erase(k))
-                ++_releases;
+                ++_stats.releases;
             _spilled.erase(k);
         }
     }
     if (insn.writesReg()) {
-        ++_writes;
+        ++_stats.writes;
         std::uint32_t k = key(warp.id(), insn.dst());
         _spilled.erase(k); // a fresh definition supersedes any spill
         mapRegister(k);
     }
-    _occupancy.sample(static_cast<double>(_mapped.size()));
 }
 
 void

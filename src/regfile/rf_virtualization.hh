@@ -27,6 +27,18 @@ namespace regless::regfile
 class RfVirtualization : public RegisterProvider
 {
   public:
+    /** Access and spill counts. */
+    struct Stats
+    {
+        std::uint64_t reads = 0;
+        std::uint64_t writes = 0;
+        /** One rename-table lookup per issued instruction. */
+        std::uint64_t renameLookups = 0;
+        std::uint64_t spillStores = 0;
+        /** Physical registers freed at a last read. */
+        std::uint64_t releases = 0;
+    };
+
     /**
      * @param ck Compiled kernel (instruction stream + analyses input).
      * @param physical_entries Physical registers (baseline / 2).
@@ -53,6 +65,8 @@ class RfVirtualization : public RegisterProvider
         return static_cast<unsigned>(_mapped.size());
     }
 
+    const Stats &stats() const { return _stats; }
+
   private:
     static std::uint32_t
     key(WarpId warp, RegId reg)
@@ -69,13 +83,7 @@ class RfVirtualization : public RegisterProvider
     std::unordered_map<std::uint32_t, std::uint64_t> _mapped;
     std::unordered_set<std::uint32_t> _spilled;
     std::uint64_t _lruCounter = 0;
-    Counter &_reads;
-    Counter &_writes;
-    Counter &_renameLookups;
-    Counter &_spillStores;
-    Counter &_spillLoads;
-    Counter &_releases;
-    Distribution &_occupancy;
+    Stats _stats;
 };
 
 } // namespace regless::regfile

@@ -25,8 +25,7 @@ backingKey(WarpId warp, RegId reg)
 
 } // namespace
 
-CapacityManager::CapacityManager(std::string name,
-                                 std::vector<WarpId> shard_warps,
+CapacityManager::CapacityManager(std::vector<WarpId> shard_warps,
                                  const compiler::CompiledKernel &ck,
                                  OperandStagingUnit &osu,
                                  Compressor *compressor,
@@ -40,19 +39,7 @@ CapacityManager::CapacityManager(std::string name,
       _mem(mem),
       _cfg(cfg),
       _numWarps(num_warps),
-      _stats(std::move(name)),
-      _l1Series(100),
-      _activations(_stats.counter("activations")),
-      _preloadSrcOsu(_stats.counter("preload_src_osu")),
-      _preloadSrcCompressor(_stats.counter("preload_src_compressor")),
-      _preloadSrcL1(_stats.counter("preload_src_l1")),
-      _preloadSrcL2Dram(_stats.counter("preload_src_l2dram")),
-      _l1PreloadReqs(_stats.counter("l1_preload_reqs")),
-      _l1StoreReqs(_stats.counter("l1_store_reqs")),
-      _l1InvalidateReqs(_stats.counter("l1_invalidate_reqs")),
-      _activationBlocked(_stats.counter("activation_blocked_cycles")),
-      _metadataInsns(_stats.counter("metadata_insns")),
-      _gatedBankCycles(_stats.counter("gated_bank_cycles"))
+      _l1Series(100)
 {
     WarpId max_id = 0;
     for (WarpId w : _shardWarps)
@@ -112,7 +99,7 @@ CapacityManager::writeBackLine(WarpId warp, RegId reg, Cycle now)
                 mem::MemSpace::Register, t);
     _inBackingStore.insert(backingKey(warp, reg));
     _inL1.insert(backingKey(warp, reg));
-    ++_l1StoreReqs;
+    ++_stats.l1StoreReqs;
     _l1Series.record(now, 1.0);
 }
 
@@ -175,7 +162,7 @@ CapacityManager::invalidateBacking(WarpId warp, RegId reg,
     if (charge_l1 && _inL1.erase(backingKey(warp, reg))) {
         Cycle t = std::max(now, _mem.l1PortNextFree());
         _mem.invalidateRegisterLine(regAddr(warp, reg), t);
-        ++_l1InvalidateReqs;
+        ++_stats.l1InvalidateReqs;
         _l1Series.record(now, 1.0);
     }
 }
@@ -221,7 +208,7 @@ CapacityManager::processPreloads(WarpCtx &wc, WarpId warp, Cycle now,
                 --wc.budget[bank];
                 --_reservedFuture[bank];
             }
-            ++_preloadSrcOsu;
+            ++_stats.preloadSrcOsu;
             bank_busy[bank] = true;
             ++wc.preloadCount;
             it = wc.preloads.erase(it);
@@ -244,16 +231,16 @@ CapacityManager::processPreloads(WarpCtx &wc, WarpId warp, Cycle now,
                 via_compressor = true;
                 ready = cr.ready;
                 if (cr.cacheHit) {
-                    ++_preloadSrcCompressor;
+                    ++_stats.preloadSrcCompressor;
                 } else {
                     // Compressed line fetched through L1.
-                    ++_l1PreloadReqs;
+                    ++_stats.l1PreloadReqs;
                     _l1Series.record(now, 1.0);
                     source = cr.source;
                     if (source == mem::MemSource::L1)
-                        ++_preloadSrcL1;
+                        ++_stats.preloadSrcL1;
                     else
-                        ++_preloadSrcL2Dram;
+                        ++_stats.preloadSrcL2Dram;
                 }
             }
         }
@@ -274,12 +261,12 @@ CapacityManager::processPreloads(WarpCtx &wc, WarpId warp, Cycle now,
             }
             ready = mr.readyCycle;
             source = mr.source;
-            ++_l1PreloadReqs;
+            ++_stats.l1PreloadReqs;
             _l1Series.record(now, 1.0);
             if (source == mem::MemSource::L1)
-                ++_preloadSrcL1;
+                ++_stats.preloadSrcL1;
             else
-                ++_preloadSrcL2Dram;
+                ++_stats.preloadSrcL2Dram;
         }
 
         if (_shadow)
@@ -415,8 +402,6 @@ CapacityManager::tryActivate(Cycle now)
             }
         }
         if (!fits) {
-            ++_activationBlocked;
-            _activationWasBlocked = true;
             wc.blockCause = arch::StallCause::CmNoCapacity;
             return;
         }
@@ -431,8 +416,6 @@ CapacityManager::tryActivate(Cycle now)
             for (unsigned b = 0; b < osuBanks; ++b)
                 new_lines += need[b];
             if (!_admissionGate(new_lines)) {
-                ++_activationBlocked;
-                _activationWasBlocked = true;
                 _gateBlocked = true;
                 wc.blockCause = arch::StallCause::CmNoCapacity;
                 return;
@@ -476,7 +459,7 @@ CapacityManager::tryActivate(Cycle now)
 
         // Commit the activation. The region's metadata instructions
         // are fetched and decoded as the region enters the pipeline.
-        _metadataInsns += region.metadataInsns;
+        _stats.metadataInsns += region.metadataInsns;
         _stack.erase(pick);
         setState(wc, CmState::Preloading);
         wc.blockCause = arch::StallCause::MemPending;
@@ -498,7 +481,7 @@ CapacityManager::tryActivate(Cycle now)
         for (const compiler::Preload &p : region.preloads) {
             if (std::find(pinned.begin(), pinned.end(), p.reg) !=
                 pinned.end()) {
-                ++_preloadSrcOsu;
+                ++_stats.preloadSrcOsu;
                 ++wc.preloadCount;
                 if (p.invalidate &&
                     _inBackingStore.count(backingKey(warp, p.reg))) {
@@ -515,7 +498,7 @@ CapacityManager::tryActivate(Cycle now)
             setState(wc, CmState::Active);
             wc.blockCause = arch::StallCause::CmNotStaged;
             wc.activatedAt = now;
-            ++_activations;
+            ++_stats.activations;
             if (_onActivate)
                 _onActivate(warp, rid, now);
         }
@@ -525,7 +508,6 @@ CapacityManager::tryActivate(Cycle now)
 void
 CapacityManager::tick(Cycle now)
 {
-    _activationWasBlocked = false;
     _gateBlocked = false;
 
     // Injected staging-space leak: phantom reservations permanently
@@ -570,7 +552,7 @@ CapacityManager::tick(Cycle now)
                 setState(wc, CmState::Active);
                 wc.blockCause = arch::StallCause::CmNotStaged;
                 wc.activatedAt = now;
-                ++_activations;
+                ++_stats.activations;
                 if (_onActivate)
                     _onActivate(w, wc.region, now);
             }
@@ -593,7 +575,7 @@ CapacityManager::tick(Cycle now)
             }
         }
         _lastGatedBanks = gated;
-        _gatedBankCycles += gated;
+        _stats.gatedBankCycles += gated;
     }
 }
 
@@ -636,13 +618,10 @@ void
 CapacityManager::onCyclesSkipped(Cycle from, Cycle n)
 {
     (void)from;
-    // Each skipped tick would have retried (and re-blocked) the same
-    // activation: the counter is defined as blocked *cycles*.
-    if (_activationWasBlocked)
-        _activationBlocked += n;
     // Skippable windows cannot change OSU occupancy or reservations,
     // so every skipped tick would have counted the same gated banks.
-    _gatedBankCycles += static_cast<std::uint64_t>(n) * _lastGatedBanks;
+    _stats.gatedBankCycles +=
+        static_cast<std::uint64_t>(n) * _lastGatedBanks;
 }
 
 bool

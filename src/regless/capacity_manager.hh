@@ -56,8 +56,27 @@ class CapacityManager
     /** Accessor for a warp's architectural state (PC, status, values). */
     using WarpSource = std::function<const arch::Warp &(WarpId)>;
 
+    /** Staging events of one shard (summed over shards for RunStats). */
+    struct Stats
+    {
+        /** Region activations (a forward-progress event). */
+        std::uint64_t activations = 0;
+        /** Preloads by the level that served them (Figure 17). */
+        std::uint64_t preloadSrcOsu = 0;
+        std::uint64_t preloadSrcCompressor = 0;
+        std::uint64_t preloadSrcL1 = 0;
+        std::uint64_t preloadSrcL2Dram = 0;
+        /** L1 requests issued by the CM (Figure 18). */
+        std::uint64_t l1PreloadReqs = 0;
+        std::uint64_t l1StoreReqs = 0;
+        std::uint64_t l1InvalidateReqs = 0;
+        /** Region metadata instructions of activated regions. */
+        std::uint64_t metadataInsns = 0;
+        /** OSU banks gated, summed over cycles (DESIGN.md §14). */
+        std::uint64_t gatedBankCycles = 0;
+    };
+
     /**
-     * @param name Stats prefix.
      * @param shard_warps Warps supervised by this CM's scheduler.
      * @param ck Compiled kernel with region annotations.
      * @param osu This shard's staging unit.
@@ -67,7 +86,7 @@ class CapacityManager
      * @param cfg RegLess configuration.
      * @param num_warps Warps per SM (register address layout).
      */
-    CapacityManager(std::string name, std::vector<WarpId> shard_warps,
+    CapacityManager(std::vector<WarpId> shard_warps,
                     const compiler::CompiledKernel &ck,
                     OperandStagingUnit &osu, Compressor *compressor,
                     mem::MemorySystem &mem, const ReglessConfig &cfg,
@@ -154,9 +173,6 @@ class CapacityManager
         return ctx(warp).preloads.size();
     }
 
-    /** Region activations so far (a forward-progress event). */
-    std::uint64_t activations() const { return _activations.value(); }
-
     /** @name Multi-tenant hooks (DESIGN.md §16). */
     /// @{
 
@@ -205,8 +221,7 @@ class CapacityManager
     std::uint64_t linesInUse() const;
     /// @}
 
-    StatGroup &stats() { return _stats; }
-    const StatGroup &stats() const { return _stats; }
+    const Stats &stats() const { return _stats; }
 
     /** L1 transactions attributable to RegLess (Figures 3 and 18). */
     WindowedSeries &l1Series() { return _l1Series; }
@@ -307,8 +322,6 @@ class CapacityManager
      * and onWarpFinished recompute it as warps leave that state.
      */
     Cycle _drainBound = kNever;
-    /** Did the last tick charge a blocked activation? (skip replay) */
-    bool _activationWasBlocked = false;
     /**
      * Last activation attempt was refused by the admission gate. The
      * gate's answer depends on *other* tenants' usage, invisible to
@@ -328,23 +341,12 @@ class CapacityManager
     /** Subset whose copy is an uncompressed L1/L2 line. */
     std::unordered_set<std::uint32_t> _inL1;
 
-    StatGroup _stats;
+    Stats _stats;
     WindowedSeries _l1Series;
     Distribution _regionPreloads;
     Distribution _regionLive;
     Distribution _regionCycles;
     Distribution _regionInsns;
-    Counter &_activations;
-    Counter &_preloadSrcOsu;
-    Counter &_preloadSrcCompressor;
-    Counter &_preloadSrcL1;
-    Counter &_preloadSrcL2Dram;
-    Counter &_l1PreloadReqs;
-    Counter &_l1StoreReqs;
-    Counter &_l1InvalidateReqs;
-    Counter &_activationBlocked;
-    Counter &_metadataInsns;
-    Counter &_gatedBankCycles;
 };
 
 } // namespace regless::staging

@@ -25,28 +25,13 @@ isStriding(const ir::LaneValues &v, unsigned lo, unsigned hi,
 
 } // namespace
 
-Compressor::Compressor(std::string name, const CompressorConfig &config,
+Compressor::Compressor(const CompressorConfig &config,
                        mem::MemorySystem &mem, Addr compressed_base,
                        unsigned num_warps)
     : _cfg(config),
       _mem(mem),
       _compressedBase(compressed_base),
-      _numWarps(num_warps),
-      _stats(std::move(name)),
-      _matches(_stats.counter("matches")),
-      _misses(_stats.counter("incompressible")),
-      _staticHits(_stats.counter("static_hits")),
-      _staticUnsound(_stats.counter("static_unsound")),
-      _cacheHits(_stats.counter("cache_hits")),
-      _cacheMisses(_stats.counter("cache_misses")),
-      _lineFetches(_stats.counter("line_fetches")),
-      _lineFlushes(_stats.counter("line_flushes")),
-      _patternCounts{&_stats.counter("pattern_none"),
-                     &_stats.counter("pattern_constant"),
-                     &_stats.counter("pattern_stride1"),
-                     &_stats.counter("pattern_stride4"),
-                     &_stats.counter("pattern_half_stride1"),
-                     &_stats.counter("pattern_half_stride4")}
+      _numWarps(num_warps)
 {
 }
 
@@ -113,8 +98,8 @@ Compressor::compressEvict(WarpId warp, RegId reg,
             enc = (*_encodings)[reg];
         if (enc != compiler::StaticEncoding::None) {
             if (compiler::encodingHolds(enc, value)) {
-                ++_staticHits;
-                ++_matches;
+                ++_stats.staticHits;
+                ++_stats.matches;
                 _bitVector.insert(regIndex(warp, reg));
                 installLine(lineOf(warp, reg), /*dirty=*/true);
                 result.compressed = true;
@@ -122,17 +107,17 @@ Compressor::compressEvict(WarpId warp, RegId reg,
                 return result;
             }
             // The value escaped its proven range.
-            ++_staticUnsound;
+            ++_stats.staticUnsound;
             result.unsound = true;
             if (_mode == CompressionMode::Static) {
-                ++_misses;
+                ++_stats.incompressible;
                 _bitVector.erase(regIndex(warp, reg));
                 return result;
             }
             // Hybrid falls through to the matcher.
         } else if (_mode == CompressionMode::Static) {
             // Nothing proven and no matcher in static mode.
-            ++_misses;
+            ++_stats.incompressible;
             _bitVector.erase(regIndex(warp, reg));
             return result;
         }
@@ -143,13 +128,12 @@ Compressor::compressEvict(WarpId warp, RegId reg,
         !((_cfg.patternMask >> static_cast<unsigned>(pattern)) & 1u)) {
         pattern = Pattern::None; // class disabled by configuration
     }
-    ++*_patternCounts[static_cast<unsigned>(pattern)];
     if (pattern == Pattern::None) {
-        ++_misses;
+        ++_stats.incompressible;
         _bitVector.erase(regIndex(warp, reg));
         return result;
     }
-    ++_matches;
+    ++_stats.matches;
     _bitVector.insert(regIndex(warp, reg));
     installLine(lineOf(warp, reg), /*dirty=*/true);
     result.compressed = true;
@@ -169,14 +153,14 @@ Compressor::preload(WarpId warp, RegId reg, Cycle now)
     std::uint32_t line = lineOf(warp, reg);
     auto it = _cache.find(line);
     if (it != _cache.end()) {
-        ++_cacheHits;
+        ++_stats.cacheHits;
         it->second.lruStamp = ++_lruCounter;
         result.cacheHit = true;
         result.ready = now + _cfg.checkLatency + kCompressorHitLatency;
         return result;
     }
     // Fetch the compressed line from the memory system.
-    ++_cacheMisses;
+    ++_stats.cacheMisses;
     if (!_mem.l1PortFree(now)) {
         result.accepted = false;
         return result;
@@ -187,7 +171,6 @@ Compressor::preload(WarpId warp, RegId reg, Cycle now)
         result.accepted = false;
         return result;
     }
-    ++_lineFetches;
     installLine(line, /*dirty=*/false);
     // The bit-vector check precedes the fetch, so a miss pays
     // checkLatency just like the hit and not-compressed paths (it was
@@ -220,7 +203,7 @@ Compressor::tick(Cycle now)
         lineAddr(line), /*is_write=*/true, mem::MemSpace::Register, now);
     if (!mr.accepted)
         return;
-    ++_lineFlushes;
+    ++_stats.lineFlushes;
     _flushQueue.pop_front();
 }
 

@@ -20,7 +20,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "compiler/region.hh"
 #include "ir/instruction.hh"
@@ -63,16 +62,31 @@ class Compressor
         mem::MemSource source = mem::MemSource::L1;
     };
 
+    /** Compression outcomes and internal-cache traffic. */
+    struct Stats
+    {
+        /** Dirty evictions stored compressed. */
+        std::uint64_t matches = 0;
+        /** Dirty evictions left to the caller as full lines. */
+        std::uint64_t incompressible = 0;
+        /** Matches won by a compile-time proven encoding. */
+        std::uint64_t staticHits = 0;
+        /** Values that escaped their proven encoding. */
+        std::uint64_t staticUnsound = 0;
+        std::uint64_t cacheHits = 0;
+        std::uint64_t cacheMisses = 0;
+        /** Dirty compressed lines written to L1. */
+        std::uint64_t lineFlushes = 0;
+    };
+
     /**
-     * @param name Stats prefix.
      * @param config Compressor parameters.
      * @param mem Shared memory hierarchy (for line fetch/flush).
      * @param compressed_base Base address of the compressed space.
      * @param num_warps Warps per SM (for the register index layout).
      */
-    Compressor(std::string name, const CompressorConfig &config,
-               mem::MemorySystem &mem, Addr compressed_base,
-               unsigned num_warps);
+    Compressor(const CompressorConfig &config, mem::MemorySystem &mem,
+               Addr compressed_base, unsigned num_warps);
 
     /** Classify @a value (pure; exposed for tests and benches). */
     static Pattern matchPattern(const ir::LaneValues &value);
@@ -136,8 +150,7 @@ class Compressor
      */
     bool flushPending() const { return !_flushQueue.empty(); }
 
-    StatGroup &stats() { return _stats; }
-    const StatGroup &stats() const { return _stats; }
+    const Stats &stats() const { return _stats; }
 
   private:
     std::uint32_t
@@ -181,16 +194,7 @@ class Compressor
     /** Dirty lines waiting for an L1 port slot. */
     std::list<std::uint32_t> _flushQueue;
     std::uint64_t _lruCounter = 0;
-    StatGroup _stats;
-    Counter &_matches;
-    Counter &_misses;
-    Counter &_staticHits;
-    Counter &_staticUnsound;
-    Counter &_cacheHits;
-    Counter &_cacheMisses;
-    Counter &_lineFetches;
-    Counter &_lineFlushes;
-    std::array<Counter *, 6> _patternCounts;
+    Stats _stats;
 };
 
 } // namespace regless::staging

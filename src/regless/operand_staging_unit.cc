@@ -5,16 +5,9 @@
 namespace regless::staging
 {
 
-OperandStagingUnit::OperandStagingUnit(std::string name,
-                                       unsigned total_lines,
+OperandStagingUnit::OperandStagingUnit(unsigned total_lines,
                                        VictimOrder order)
-    : _order(order),
-      _stats(std::move(name)),
-      _reads(_stats.counter("reads")),
-      _writes(_stats.counter("writes")),
-      _tagLookups(_stats.counter("tag_lookups")),
-      _reclaims(_stats.counter("reclaims")),
-      _dirtyReclaims(_stats.counter("dirty_reclaims"))
+    : _order(order)
 {
     if (total_lines % osuBanks != 0)
         fatal("OSU lines (", total_lines, ") must divide into ", osuBanks,
@@ -83,7 +76,6 @@ OperandStagingUnit::allocate(WarpId warp, RegId reg, bool dirty)
     Reclaim reclaim;
     if (_counts[b].free == 0) {
         reclaim.needed = true;
-        ++_reclaims;
         // Choose a victim state by policy, then LRU within it.
         LineState prefer = LineState::EvictClean;
         LineState fallback = LineState::EvictDirty;
@@ -119,7 +111,6 @@ OperandStagingUnit::allocate(WarpId warp, RegId reg, bool dirty)
         reclaim.victimReg = static_cast<RegId>(victim->first & 0xffff);
         if (victim->second.state == LineState::EvictDirty) {
             reclaim.writeback = true;
-            ++_dirtyReclaims;
             --_counts[b].dirty;
         } else {
             --_counts[b].clean;

@@ -19,7 +19,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "regless/regless_config.hh"
 
@@ -67,13 +66,19 @@ class OperandStagingUnit
         RegId victimReg = invalidReg;
     };
 
+    /** Accesses counted for the energy model. */
+    struct Stats
+    {
+        std::uint64_t reads = 0;
+        std::uint64_t writes = 0;
+        std::uint64_t tagLookups = 0;
+    };
+
     /**
-     * @param name Stats prefix.
      * @param total_lines Lines in this OSU (entries / shards).
      * @param order Victim preference for reclaims.
      */
-    OperandStagingUnit(std::string name, unsigned total_lines,
-                       VictimOrder order);
+    OperandStagingUnit(unsigned total_lines, VictimOrder order);
 
     /** Bank of register @a reg for warp @a warp. */
     static unsigned
@@ -133,9 +138,9 @@ class OperandStagingUnit
 
     /** @name Access counting for the energy model. */
     /// @{
-    void countRead() { ++_reads; }
-    void countWrite() { ++_writes; }
-    void countTagLookup() { ++_tagLookups; }
+    void countRead() { ++_stats.reads; }
+    void countWrite() { ++_stats.writes; }
+    void countTagLookup() { ++_stats.tagLookups; }
     /// @}
 
     /** Total lines currently occupied (for occupancy stats). */
@@ -150,8 +155,7 @@ class OperandStagingUnit
     };
     std::vector<EntryInfo> bankEntries(unsigned bank) const;
 
-    StatGroup &stats() { return _stats; }
-    const StatGroup &stats() const { return _stats; }
+    const Stats &stats() const { return _stats; }
 
   private:
     struct Entry
@@ -176,12 +180,7 @@ class OperandStagingUnit
     std::array<BankCounts, osuBanks> _counts;
     std::uint64_t _lruCounter = 0;
     unsigned _occupied = 0;
-    StatGroup _stats;
-    Counter &_reads;
-    Counter &_writes;
-    Counter &_tagLookups;
-    Counter &_reclaims;
-    Counter &_dirtyReclaims;
+    Stats _stats;
 };
 
 } // namespace regless::staging

@@ -32,10 +32,7 @@ ReglessProvider::ReglessProvider(const compiler::CompiledKernel &ck,
                                  const ReglessConfig &cfg,
                                  unsigned num_warps, WarpId warp_base,
                                  unsigned warp_count)
-    : RegisterProvider("regless"),
-      _ck(ck),
-      _cfg(cfg),
-      _bankConflicts(_stats.counter("osu_bank_conflicts"))
+    : _ck(ck), _cfg(cfg)
 {
     if (cfg.osuEntriesPerSm % kNumShards != 0)
         fatal("OSU entries (", cfg.osuEntriesPerSm,
@@ -48,13 +45,12 @@ ReglessProvider::ReglessProvider(const compiler::CompiledKernel &ck,
 
     for (unsigned s = 0; s < kNumShards; ++s) {
         _osus.push_back(std::make_unique<OperandStagingUnit>(
-            "osu" + std::to_string(s), lines_per_shard, cfg.victimOrder));
+            lines_per_shard, cfg.victimOrder));
     }
     if (cfg.compressorEnabled) {
         for (unsigned s = 0; s < kNumShards; ++s) {
             _compressors.push_back(std::make_unique<Compressor>(
-                "compressor" + std::to_string(s), cfg.compressor, mem,
-                kCompressedBase, num_warps));
+                cfg.compressor, mem, kCompressedBase, num_warps));
             _compressors.back()->setStaticEncodings(
                 cfg.compressionMode, &ck.staticEncodings());
         }
@@ -66,8 +62,7 @@ ReglessProvider::ReglessProvider(const compiler::CompiledKernel &ck,
                 shard_warps.push_back(w);
         }
         _cms.push_back(std::make_unique<CapacityManager>(
-            "cm" + std::to_string(s), std::move(shard_warps), ck,
-            *_osus[s],
+            std::move(shard_warps), ck, *_osus[s],
             cfg.compressorEnabled ? _compressors[s].get() : nullptr, mem,
             cfg, num_warps));
     }
@@ -135,7 +130,7 @@ ReglessProvider::progressEvents() const
 {
     std::uint64_t total = 0;
     for (const auto &cm : _cms)
-        total += cm->activations();
+        total += cm->stats().activations;
     return total;
 }
 
@@ -236,31 +231,10 @@ ReglessProvider::operandDelay(const arch::Warp &warp,
         worst = std::max(worst, ++uses[b]);
     }
     if (worst > 1) {
-        ++_bankConflicts;
+        ++_stats.osuBankConflicts;
         return worst - 1;
     }
     return 0;
-}
-
-void
-ReglessProvider::dumpStats(std::ostream &os) const
-{
-    _stats.dump(os);
-    for (const auto &osu : _osus)
-        osu->stats().dump(os);
-    for (const auto &comp : _compressors)
-        comp->stats().dump(os);
-    for (const auto &cm : _cms)
-        cm->stats().dump(os);
-}
-
-std::uint64_t
-ReglessProvider::cmCounter(const char *counter_name) const
-{
-    std::uint64_t total = 0;
-    for (const auto &cm : _cms)
-        total += cm->stats().value(counter_name);
-    return total;
 }
 
 namespace

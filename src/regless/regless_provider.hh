@@ -27,6 +27,13 @@ namespace regless::staging
 class ReglessProvider : public regfile::RegisterProvider
 {
   public:
+    /** Provider-level counts; the shards' units keep their own. */
+    struct Stats
+    {
+        /** Instructions whose sources share an OSU bank. */
+        std::uint64_t osuBankConflicts = 0;
+    };
+
     /**
      * @param ck Compiled kernel with region annotations.
      * @param mem The SM's memory hierarchy.
@@ -87,8 +94,6 @@ class ReglessProvider : public regfile::RegisterProvider
     Cycle operandDelay(const arch::Warp &warp,
                        const ir::Instruction &insn, Cycle now) override;
 
-    void dumpStats(std::ostream &os) const override;
-
     /** CM activations across shards: background forward progress. */
     std::uint64_t progressEvents() const override;
 
@@ -119,6 +124,8 @@ class ReglessProvider : public regfile::RegisterProvider
 
     const ReglessConfig &config() const { return _cfg; }
 
+    const Stats &stats() const { return _stats; }
+
     /**
      * Dynamic staging violations seen so far (always empty unless
      * ReglessConfig::runtimeCheck is set).
@@ -137,10 +144,8 @@ class ReglessProvider : public regfile::RegisterProvider
     void
     describeStorage(std::vector<std::string> &out) const override;
 
-    /** @name Aggregates across shards (Figures 3, 17, 18, 19). */
+    /** @name Aggregates across shards (Figures 3, 19). */
     /// @{
-    /** Counter @a counter_name summed over the shards' CMs. */
-    std::uint64_t cmCounter(const char *counter_name) const;
     double meanRegionPreloads();
     double meanRegionLive();
     double stddevRegionLive();
@@ -161,7 +166,7 @@ class ReglessProvider : public regfile::RegisterProvider
     std::unique_ptr<ShadowChecker> _shadow;
     FaultInjector *_faults = nullptr;
     Cycle _tickRotation = 0;
-    Counter &_bankConflicts;
+    Stats _stats;
 };
 
 } // namespace regless::staging

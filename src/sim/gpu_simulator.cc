@@ -287,6 +287,27 @@ GpuSimulator::providerProgressEvents() const
     return events;
 }
 
+int
+GpuSimulator::starvedTenant(ProgressMonitor &monitor, unsigned first_track,
+                            Cycle now) const
+{
+    // The summed metric cannot see one tenant pinned while its
+    // co-runner progresses. Suspended and finished tenants are exempt
+    // (their window restarts); a suspend still draining is not — a
+    // stuck handoff is exactly what this must catch.
+    int starved = -1;
+    for (unsigned t = 0; t < tenantCount(); ++t) {
+        const bool exempt = _sm->tenantSuspended(t) || _sm->tenantDone(t);
+        const std::uint64_t progress =
+            _sm->tenantInsns(t) + _providers[t]->progressEvents();
+        if (monitor.checkTenant(first_track + t, now, progress, exempt) &&
+            starved < 0) {
+            starved = static_cast<int>(t);
+        }
+    }
+    return starved;
+}
+
 void
 GpuSimulator::qosPoll(Cycle now)
 {
@@ -354,25 +375,23 @@ GpuSimulator::harvest(RunStats &stats)
 
     // Issue-slot attribution (provider-independent): issued + stalled
     // slots sum to numSchedulers * cycles exactly.
-    stats.issuedSlots = _sm->issuedSlots();
-    for (std::size_t c = 0; c < arch::kNumStallCauses; ++c) {
-        stats.stallSlots[c] =
-            _sm->stallSlots(static_cast<arch::StallCause>(c));
-    }
+    const arch::StallSnapshot slots = _sm->slotSnapshot();
+    stats.issuedSlots = slots.issuedSlots;
+    stats.stallSlots = slots.stallSlots;
 
     // Cycle-skip meta-counters: how much of the run was collapsed.
     // Definitionally zero in skip-off reference runs; the differential
     // oracle zeroes them on both sides before comparing.
-    stats.skippedCycles = _sm->skippedCycles();
-    stats.skipEvents = _sm->skipEvents();
+    stats.skippedCycles = _sm->stats().skippedCycles;
+    stats.skipEvents = _sm->stats().skipEvents;
 
     // Memory hierarchy counts.
     auto cache_accesses = [](const mem::Cache &cache) {
-        return cache.stats().value("hits") + cache.stats().value("misses");
+        return cache.stats().hits + cache.stats().misses;
     };
     stats.l1Accesses = cache_accesses(_mem->l1());
     stats.l2Accesses = cache_accesses(_mem->l2());
-    stats.dramAccesses = _mem->dram().stats().value("accesses");
+    stats.dramAccesses = _mem->dram().stats().accesses;
 
     // Provider-specific counters: each registry descriptor knows how
     // to harvest its own design. Multi-tenant runs collect tenant 0
@@ -409,18 +428,6 @@ GpuSimulator::harvest(RunStats &stats)
         static_cast<unsigned>(_cks[0]->regions().size());
 
     computeEnergy(stats, _config);
-}
-
-void
-GpuSimulator::dumpStats(std::ostream &os)
-{
-    _sm->stats().dump(os);
-    for (auto &provider : _providers)
-        provider->dumpStats(os);
-    _mem->stats().dump(os);
-    _mem->l1().stats().dump(os);
-    _mem->l2().stats().dump(os);
-    _mem->dram().stats().dump(os);
 }
 
 DeadlockReport
@@ -603,23 +610,7 @@ GpuSimulator::run(double wall_timeout_sec)
         int starved = -1;
         if (verdict == ProgressMonitor::Verdict::Ok &&
             num_tenants >= 2) {
-            // Per-tenant starvation: the summed metric above cannot
-            // see one tenant pinned while its co-runner progresses.
-            // Suspended and finished tenants are exempt (their window
-            // restarts); a suspend still draining is not — a stuck
-            // handoff is exactly what this must catch.
-            for (unsigned t = 0; t < num_tenants; ++t) {
-                const bool exempt =
-                    _sm->tenantSuspended(t) || _sm->tenantDone(t);
-                const std::uint64_t progress =
-                    _sm->tenantInsns(t) +
-                    _providers[t]->progressEvents();
-                if (monitor.checkTenant(t, _sm->now(), progress,
-                                        exempt) &&
-                    starved < 0) {
-                    starved = static_cast<int>(t);
-                }
-            }
+            starved = starvedTenant(monitor, 0, _sm->now());
             if (starved >= 0)
                 verdict = ProgressMonitor::Verdict::Stalled;
         }

@@ -10,7 +10,6 @@
 #define REGLESS_SIM_GPU_SIMULATOR_HH
 
 #include <memory>
-#include <ostream>
 
 #include "arch/sm.hh"
 #include "compiler/compiler.hh"
@@ -132,6 +131,15 @@ class GpuSimulator
     /** Sum of every tenant's provider progress events (the watchdog
      *  metric's provider half; exposed for the multi-SM runner). */
     std::uint64_t providerProgressEvents() const;
+
+    /**
+     * Per-tenant watchdog (DESIGN.md §16.2), shared by the one-SM and
+     * multi-SM run loops: feed tenant t's own progress metric to
+     * @a monitor's tenant track @a first_track + t.
+     * @return the lowest starved tenant, or -1.
+     */
+    int starvedTenant(ProgressMonitor &monitor, unsigned first_track,
+                      Cycle now) const;
     /// @}
 
     /**
@@ -166,9 +174,6 @@ class GpuSimulator
      * ReglessConfig::runtimeCheck set.
      */
     std::vector<compiler::Finding> runtimeViolations() const;
-
-    /** Dump every component's raw statistics as text. */
-    void dumpStats(std::ostream &os);
 
     /**
      * Build the synthetic memory-value generator for @a profile

@@ -82,6 +82,13 @@ MultiSmSimulator::run(double wall_timeout_sec)
     // own and the barrier rethrows the lowest SM id's (deterministic
     // for every thread count).
     std::vector<std::exception_ptr> errors(_sms.size());
+    // Per-tenant starvation is judged SM by SM: SM i's tenant t uses
+    // tenant track i * num_tenants + t.
+    const unsigned num_tenants = _sms.front()->simulator->tenantCount();
+    if (num_tenants >= 2) {
+        monitor.trackTenants(static_cast<unsigned>(_sms.size()) *
+                             num_tenants);
+    }
     Cycle last_progress = monitor.lastProgressCycle();
     bool all_done = false;
     while (!all_done) {
@@ -125,16 +132,32 @@ MultiSmSimulator::run(double wall_timeout_sec)
             break;
 
         auto verdict = monitor.check(now, progress);
-        if (verdict != ProgressMonitor::Verdict::Ok) {
+        // A starved tenant is reported by its SM (the lowest id if
+        // several), any other trip by the lowest unfinished SM.
+        Instance *culprit = nullptr;
+        int starved = -1;
+        if (verdict == ProgressMonitor::Verdict::Ok && num_tenants >= 2) {
+            for (std::size_t i = 0; i < _sms.size() && !culprit; ++i) {
+                starved = _sms[i]->simulator->starvedTenant(
+                    monitor, static_cast<unsigned>(i) * num_tenants, now);
+                if (starved >= 0) {
+                    culprit = _sms[i].get();
+                    verdict = ProgressMonitor::Verdict::Stalled;
+                }
+            }
+        } else if (verdict != ProgressMonitor::Verdict::Ok) {
+            for (auto &instance : _sms) {
+                if (!instance->simulator->sm().done()) {
+                    culprit = instance.get();
+                    break;
+                }
+            }
+        }
+        if (culprit) {
             for (auto &instance : _sms)
                 instance->simulator->writeTrace();
-            for (auto &instance : _sms) {
-                GpuSimulator &gpu = *instance->simulator;
-                if (gpu.sm().done())
-                    continue;
-                throw DeadlockError(gpu.deadlockSnapshot(
-                    monitor, verdict, now, &instance->atProgress));
-            }
+            throw DeadlockError(culprit->simulator->deadlockSnapshot(
+                monitor, verdict, now, &culprit->atProgress, starved));
         }
         if (monitor.lastProgressCycle() != last_progress) {
             last_progress = monitor.lastProgressCycle();
@@ -155,7 +178,7 @@ MultiSmSimulator::run(double wall_timeout_sec)
         mergeRunStats(total, _perSm[i]);
     // The shared DRAM's accesses were counted once per instance
     // harvest; take them from the shared model directly.
-    total.dramAccesses = _dram->stats().value("accesses");
+    total.dramAccesses = _dram->stats().accesses;
     return total;
 }
 

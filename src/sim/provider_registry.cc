@@ -101,8 +101,8 @@ void
 collectBaseline(regfile::RegisterProvider &provider, RunStats &stats)
 {
     auto &rf = static_cast<regfile::BaselineRf &>(provider);
-    stats.rfReads = rf.stats().value("reads");
-    stats.rfWrites = rf.stats().value("writes");
+    stats.rfReads = rf.stats().reads;
+    stats.rfWrites = rf.stats().writes;
     stats.meanWorkingSetBytes = rf.meanWorkingSetBytes();
     rf.flushSeries();
     stats.backingSeries = rf.accessSeries().points();
@@ -112,10 +112,10 @@ void
 collectRfh(regfile::RegisterProvider &provider, RunStats &stats)
 {
     auto &rfh = static_cast<regfile::RfHierarchy &>(provider);
-    auto &s = rfh.stats();
-    stats.lrfAccesses = s.value("lrf_reads") + s.value("lrf_writes");
-    stats.orfAccesses = s.value("orf_reads") + s.value("orf_writes");
-    stats.mrfAccesses = s.value("mrf_reads") + s.value("mrf_writes");
+    const auto &s = rfh.stats();
+    stats.lrfAccesses = s.lrfReads + s.lrfWrites;
+    stats.orfAccesses = s.orfReads + s.orfWrites;
+    stats.mrfAccesses = s.mrfReads + s.mrfWrites;
     rfh.mrfSeries().flush();
     stats.backingSeries = rfh.mrfSeries().points();
 }
@@ -123,49 +123,50 @@ collectRfh(regfile::RegisterProvider &provider, RunStats &stats)
 void
 collectRfv(regfile::RegisterProvider &provider, RunStats &stats)
 {
-    auto &rfv = static_cast<regfile::RfVirtualization &>(provider);
-    stats.rfReads = rfv.stats().value("reads");
-    stats.rfWrites = rfv.stats().value("writes");
-    stats.renameLookups = rfv.stats().value("rename_lookups");
+    const auto &s =
+        static_cast<regfile::RfVirtualization &>(provider).stats();
+    stats.rfReads = s.reads;
+    stats.rfWrites = s.writes;
+    stats.renameLookups = s.renameLookups;
 }
 
 void
 collectRegless(regfile::RegisterProvider &provider, RunStats &stats)
 {
     auto &rp = static_cast<staging::ReglessProvider &>(provider);
-    stats.preloadSrcOsu = rp.cmCounter("preload_src_osu");
-    stats.preloadSrcCompressor = rp.cmCounter("preload_src_compressor");
-    stats.preloadSrcL1 = rp.cmCounter("preload_src_l1");
-    stats.preloadSrcL2Dram = rp.cmCounter("preload_src_l2dram");
-    stats.l1PreloadReqs = rp.cmCounter("l1_preload_reqs");
-    stats.l1StoreReqs = rp.cmCounter("l1_store_reqs");
-    stats.l1InvalidateReqs = rp.cmCounter("l1_invalidate_reqs");
-    stats.metadataInsns = rp.cmCounter("metadata_insns");
-    stats.osuGatedBankCycles = rp.cmCounter("gated_bank_cycles");
     stats.regionPreloadsMean = rp.meanRegionPreloads();
     stats.regionLiveMean = rp.meanRegionLive();
     stats.regionLiveStddev = rp.stddevRegionLive();
     stats.regionCyclesMean = rp.meanRegionCycles();
     stats.regionInsnsMean = rp.meanRegionInsns();
     stats.backingSeries = rp.l1SeriesPoints();
-    stats.osuBankConflicts = rp.stats().value("osu_bank_conflicts");
+    stats.osuBankConflicts = rp.stats().osuBankConflicts;
     for (unsigned s = 0; s < staging::kNumShards; ++s) {
-        const StatGroup &osu = rp.osu(s).stats();
-        stats.osuAccesses += osu.value("reads") + osu.value("writes");
-        stats.osuTagLookups += osu.value("tag_lookups");
+        const staging::CapacityManager::Stats &cm = rp.cm(s).stats();
+        stats.preloadSrcOsu += cm.preloadSrcOsu;
+        stats.preloadSrcCompressor += cm.preloadSrcCompressor;
+        stats.preloadSrcL1 += cm.preloadSrcL1;
+        stats.preloadSrcL2Dram += cm.preloadSrcL2Dram;
+        stats.l1PreloadReqs += cm.l1PreloadReqs;
+        stats.l1StoreReqs += cm.l1StoreReqs;
+        stats.l1InvalidateReqs += cm.l1InvalidateReqs;
+        stats.metadataInsns += cm.metadataInsns;
+        stats.osuGatedBankCycles += cm.gatedBankCycles;
+        const staging::OperandStagingUnit::Stats &osu = rp.osu(s).stats();
+        stats.osuAccesses += osu.reads + osu.writes;
+        stats.osuTagLookups += osu.tagLookups;
         const staging::Compressor *comp = rp.compressor(s);
         if (!comp)
             continue;
-        const StatGroup &cs = comp->stats();
-        stats.compressorAccesses +=
-            cs.value("matches") + cs.value("incompressible") +
-            cs.value("cache_hits") + cs.value("cache_misses");
+        const staging::Compressor::Stats &cs = comp->stats();
+        stats.compressorAccesses += cs.matches + cs.incompressible +
+                                    cs.cacheHits + cs.cacheMisses;
         // Compressed line flushes are L1 stores too (Figure 18).
-        stats.l1StoreReqs += cs.value("line_flushes");
-        stats.compressorMatches += cs.value("matches");
-        stats.compressorIncompressible += cs.value("incompressible");
-        stats.compressorStaticHits += cs.value("static_hits");
-        stats.compressorStaticUnsound += cs.value("static_unsound");
+        stats.l1StoreReqs += cs.lineFlushes;
+        stats.compressorMatches += cs.matches;
+        stats.compressorIncompressible += cs.incompressible;
+        stats.compressorStaticHits += cs.staticHits;
+        stats.compressorStaticUnsound += cs.staticUnsound;
     }
 }
 
@@ -173,24 +174,24 @@ void
 collectCompilerRfCache(regfile::RegisterProvider &provider,
                        RunStats &stats)
 {
-    auto &rc = static_cast<regfile::CompilerRfCache &>(provider);
-    auto &s = rc.stats();
-    stats.rfCacheHits = s.value("cache_hits");
-    stats.rfCacheMisses = s.value("cache_misses");
+    const auto &s =
+        static_cast<regfile::CompilerRfCache &>(provider).stats();
+    stats.rfCacheHits = s.cacheHits;
+    stats.rfCacheMisses = s.cacheMisses;
     // The backing MRF absorbs whatever the cache did not.
-    stats.rfReads = s.value("mrf_reads");
-    stats.rfWrites = s.value("mrf_writes");
+    stats.rfReads = s.mrfReads;
+    stats.rfWrites = s.mrfWrites;
 }
 
 void
 collectRegDem(regfile::RegisterProvider &provider, RunStats &stats)
 {
-    auto &rd = static_cast<regfile::RegDemProvider &>(provider);
-    auto &s = rd.stats();
-    stats.rfReads = s.value("rf_reads");
-    stats.rfWrites = s.value("rf_writes");
-    stats.fillLoads = s.value("fill_loads");
-    stats.spillStores = s.value("spill_stores");
+    const auto &s =
+        static_cast<regfile::RegDemProvider &>(provider).stats();
+    stats.rfReads = s.rfReads;
+    stats.rfWrites = s.rfWrites;
+    stats.fillLoads = s.fillLoads;
+    stats.spillStores = s.spillStores;
 }
 
 /* ---------------- energy models ---------------- */

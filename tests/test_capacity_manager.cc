@@ -181,9 +181,8 @@ TEST(CmStateTest, MetadataCountedPerActivation)
     run.sm.run();
     std::uint64_t meta = 0, activations = 0;
     for (unsigned s = 0; s < 4; ++s) {
-        meta += run.provider.cm(s).stats().value("metadata_insns");
-        activations +=
-            run.provider.cm(s).stats().value("activations");
+        meta += run.provider.cm(s).stats().metadataInsns;
+        activations += run.provider.cm(s).stats().activations;
     }
     EXPECT_GT(meta, 0u);
     EXPECT_GE(meta, activations); // >= 1 metadata insn per region

@@ -7,28 +7,14 @@
 
 #include <cmath>
 #include <set>
-#include <sstream>
 
 #include "common/rng.hh"
-#include "common/sim_error.hh"
 #include "common/stats.hh"
 
 namespace regless
 {
 namespace
 {
-
-TEST(CounterTest, StartsAtZeroAndIncrements)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    ++c;
-    c++;
-    c += 5;
-    EXPECT_EQ(c.value(), 7u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
 
 TEST(DistributionTest, EmptyDistributionIsZero)
 {
@@ -110,39 +96,6 @@ TEST(WindowedSeriesTest, FirstRecordNotInWindowZero)
     s.flush();
     ASSERT_EQ(s.points().size(), 1u);
     EXPECT_DOUBLE_EQ(s.points()[0], 5.0);
-}
-
-TEST(StatGroupTest, DumpContainsAllStats)
-{
-    StatGroup group("osu");
-    group.counter("hits") += 3;
-    group.distribution("occupancy").sample(1.5);
-    std::ostringstream oss;
-    group.dump(oss);
-    std::string text = oss.str();
-    EXPECT_NE(text.find("osu.hits 3"), std::string::npos);
-    EXPECT_NE(text.find("osu.occupancy.mean 1.5"), std::string::npos);
-}
-
-TEST(StatGroupTest, CounterIsStableAcrossLookups)
-{
-    StatGroup group("g");
-    Counter &a = group.counter("x");
-    ++a;
-    EXPECT_EQ(&group.counter("x"), &a);
-    EXPECT_EQ(group.value("x"), 1u);
-}
-
-TEST(StatGroupTest, MisspelledReadThrows)
-{
-    // Reads never create: a typo is an error, not a silent zero.
-    StatGroup group("cm");
-    group.counter("metadata_insns") += 2;
-    EXPECT_EQ(group.value("metadata_insns"), 2u);
-    EXPECT_THROW(group.value("metadata_insn"), sim::SimError);
-    std::ostringstream oss;
-    group.dump(oss);
-    EXPECT_EQ(oss.str(), "cm.metadata_insns 2\n");
 }
 
 TEST(GeomeanTest, KnownValues)

@@ -283,6 +283,52 @@ TEST(MultiTenantMultiSm, ThreadCountNeverChangesCoRunResults)
     ASSERT_EQ(a.tenants.size(), 2u);
 }
 
+TEST(MultiTenantMultiSm, StarvedTenantIsNamedAtOneCycle)
+{
+    // The per-tenant watchdog on a chip: with the whole staging pool
+    // reserved for the priority tenant, best-effort srad_v1 never
+    // activates a region while nn runs. Each SM checks its tenants at
+    // every epoch barrier, so every thread count and stepping mode
+    // must name srad_v1 in the identical report.
+    auto starve = [](unsigned threads, bool skip) {
+        sim::GpuConfig cfg =
+            skip ? skippingConfig(sim::ProviderKind::Regless)
+                 : referenceConfig(sim::ProviderKind::Regless);
+        cfg.tenants.workloads = {{"nn", 1}, {"srad_v1", 0}};
+        cfg.tenants.policy = regfile::CapacityPolicy::PriorityReserve;
+        cfg.tenants.reserveFrac = 1.0;
+        cfg.sm.watchdogWindow = 20'000;
+        cfg.sm.maxCycles = 2'000'000;
+        const std::vector<ir::Kernel> kernels{
+            workloads::makeRodinia("nn"),
+            workloads::makeRodinia("srad_v1")};
+        sim::MultiSmSimulator gpu(kernels, cfg, /*num_sms=*/2, threads);
+        try {
+            gpu.run();
+        } catch (const sim::DeadlockError &e) {
+            return e.report();
+        }
+        ADD_FAILURE() << "fully reserved pool did not starve the "
+                         "best-effort tenant (threads="
+                      << threads << ", skip=" << skip << ")";
+        return sim::DeadlockReport{};
+    };
+
+    const sim::DeadlockReport ref = starve(1, false);
+    EXPECT_EQ(ref.starvedTenant, 1) << ref.render();
+    EXPECT_EQ(ref.starvedTenantKernel, "srad_v1");
+    EXPECT_EQ(ref.starvedTenantStall, "cm_no_capacity") << ref.render();
+    for (unsigned threads : {1u, 4u}) {
+        for (bool skip : {false, true}) {
+            const sim::DeadlockReport r = starve(threads, skip);
+            EXPECT_EQ(r.cycle, ref.cycle)
+                << "threads=" << threads << " skip=" << skip;
+            EXPECT_TRUE(r == ref) << r.render() << "\nvs\n"
+                                  << ref.render();
+        }
+    }
+}
+
 TEST(CycleSkipTrace, ChromeTracesAreByteIdentical)
 {
     // Trace labels are state-derived and state is frozen across a

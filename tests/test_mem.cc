@@ -47,19 +47,19 @@ TEST(CacheTest, LineAlignment)
 
 TEST(CacheTest, MissThenHit)
 {
-    Cache cache("t", smallCache());
+    Cache cache(smallCache());
     CacheResult first = cache.access(0x1000, false, false, 0);
     EXPECT_FALSE(first.hit);
     CacheResult second = cache.access(0x1000, false, false, 10);
     EXPECT_TRUE(second.hit);
     EXPECT_TRUE(cache.contains(0x1000));
-    EXPECT_EQ(cache.stats().value("hits"), 1u);
-    EXPECT_EQ(cache.stats().value("misses"), 1u);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 TEST(CacheTest, SameLineDifferentWordsHit)
 {
-    Cache cache("t", smallCache());
+    Cache cache(smallCache());
     cache.access(0x1000, false, false, 0);
     EXPECT_TRUE(cache.access(0x1004, false, false, 1).hit);
     EXPECT_TRUE(cache.access(0x107c, false, false, 2).hit);
@@ -69,19 +69,19 @@ TEST(CacheTest, SameLineDifferentWordsHit)
 TEST(CacheTest, LruEviction)
 {
     // 8 sets x 4 ways; fill one set with 5 lines.
-    Cache cache("t", smallCache());
+    Cache cache(smallCache());
     unsigned sets = cache.numSets();
     for (unsigned i = 0; i < 5; ++i)
         cache.access(0x1000 + i * sets * 128, false, false, i);
     // The first line was LRU and must be gone.
     EXPECT_FALSE(cache.contains(0x1000));
     EXPECT_TRUE(cache.contains(0x1000 + 4 * sets * 128));
-    EXPECT_EQ(cache.stats().value("evictions"), 1u);
+    EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
 TEST(CacheTest, DirtyVictimReportsWriteback)
 {
-    Cache cache("t", smallCache());
+    Cache cache(smallCache());
     unsigned sets = cache.numSets();
     // Dirty register line.
     cache.access(0x1000, true, true, 0);
@@ -95,7 +95,7 @@ TEST(CacheTest, DirtyVictimReportsWriteback)
 
 TEST(CacheTest, WriteNoAllocatePassesThrough)
 {
-    Cache cache("t", smallCache());
+    Cache cache(smallCache());
     CacheResult r = cache.access(0x2000, true, false, 0);
     EXPECT_FALSE(r.hit);
     EXPECT_FALSE(cache.contains(0x2000));
@@ -105,7 +105,7 @@ TEST(CacheTest, RegisterWriteAllocatesWithoutMshr)
 {
     CacheConfig cfg = smallCache();
     cfg.mshrs = 1;
-    Cache cache("t", cfg);
+    Cache cache(cfg);
     // Exhaust the single MSHR with an outstanding read miss.
     cache.access(0x3000, false, false, 0);
     cache.fillComplete(0x3000, 1000);
@@ -120,7 +120,7 @@ TEST(CacheTest, RegisterWriteAllocatesWithoutMshr)
 
 TEST(CacheTest, MshrMergeOnOutstandingFill)
 {
-    Cache cache("t", smallCache());
+    Cache cache(smallCache());
     cache.access(0x6000, false, false, 0);
     cache.fillComplete(0x6000, 500);
     CacheResult merged = cache.access(0x6000, false, false, 10);
@@ -140,7 +140,7 @@ TEST(CacheTest, MshrBoundIsTheEarliestFill)
     // (100 instead of 50) would keep A's MSHR busy at cycle 60.
     CacheConfig cfg = smallCache();
     cfg.mshrs = 2;
-    Cache cache("t", cfg);
+    Cache cache(cfg);
     cache.access(0x1000, false, false, 0);
     cache.fillComplete(0x1000, 50);
     cache.access(0x2000, false, false, 0);
@@ -161,7 +161,7 @@ TEST(CacheTest, RefillOfAnOutstandingLineKeepsOneMshr)
     // it never takes a second MSHR.
     CacheConfig cfg = smallCache();
     cfg.mshrs = 2;
-    Cache cache("t", cfg);
+    Cache cache(cfg);
     cache.access(0x1000, false, false, 0);
     cache.fillComplete(0x1000, 100);
     cache.fillComplete(0x1000, 200);
@@ -179,7 +179,7 @@ TEST(CacheTest, FillsPastTheMshrCountStayTracked)
     // and read misses are rejected while the count is at the limit.
     CacheConfig cfg = smallCache();
     cfg.mshrs = 2;
-    Cache cache("t", cfg);
+    Cache cache(cfg);
     cache.fillComplete(0x1000, 100);
     cache.fillComplete(0x2000, 200);
     cache.fillComplete(0x3000, 300);
@@ -192,12 +192,12 @@ TEST(CacheTest, FillsPastTheMshrCountStayTracked)
     EXPECT_EQ(cache.mshrsInUse(250), 2u);
     EXPECT_FALSE(cache.access(0x5000, false, false, 350).rejected);
     EXPECT_EQ(cache.mshrsInUse(350), 1u);
-    EXPECT_EQ(cache.stats().value("mshr_rejects"), 3u);
+    EXPECT_EQ(cache.stats().mshrRejects, 3u);
 }
 
 TEST(CacheTest, InvalidateDropsLine)
 {
-    Cache cache("t", smallCache());
+    Cache cache(smallCache());
     cache.access(0x7000, false, false, 0);
     EXPECT_TRUE(cache.invalidate(0x7000));
     EXPECT_FALSE(cache.contains(0x7000));
@@ -265,7 +265,7 @@ TEST(MemorySystemTest, DataBypassSkipsL1)
     mem.access(0x100, false, MemSpace::Data, 0);
     EXPECT_FALSE(mem.l1().contains(0x100));
     // The L2 saw it.
-    EXPECT_GT(mem.l2().stats().value("misses"), 0u);
+    EXPECT_GT(mem.l2().stats().misses, 0u);
 }
 
 TEST(MemorySystemTest, RegisterLinesCacheInL1)
@@ -285,13 +285,11 @@ TEST(MemorySystemTest, RegisterLinesCacheInL1)
 TEST(MemorySystemTest, RegisterWriteAllocatesWithoutFetch)
 {
     MemorySystem mem;
-    std::uint64_t dram_before =
-        mem.dram().stats().value("accesses");
+    std::uint64_t dram_before = mem.dram().stats().accesses;
     MemAccessResult w = mem.access(0x300, true, MemSpace::Register, 0);
     EXPECT_TRUE(w.accepted);
     EXPECT_EQ(w.source, MemSource::L1);
-    EXPECT_EQ(mem.dram().stats().value("accesses"),
-              dram_before);
+    EXPECT_EQ(mem.dram().stats().accesses, dram_before);
     EXPECT_TRUE(mem.l1().contains(0x300));
 }
 
@@ -455,12 +453,10 @@ TEST(MemorySystemTest, NonBypassWritesAreWriteThrough)
     cfg.bypassL1Data = false;
     MemorySystem mem(cfg);
     std::uint64_t l2_before =
-        mem.l2().stats().value("hits") +
-        mem.l2().stats().value("misses");
+        mem.l2().stats().hits + mem.l2().stats().misses;
     mem.access(0xa00, true, MemSpace::Data, 0);
     std::uint64_t l2_after =
-        mem.l2().stats().value("hits") +
-        mem.l2().stats().value("misses");
+        mem.l2().stats().hits + mem.l2().stats().misses;
     EXPECT_GT(l2_after, l2_before); // the write propagated downstream
     EXPECT_FALSE(mem.l1().contains(0xa00)); // write-no-allocate
 }
@@ -478,7 +474,7 @@ TEST(MemorySystemTest, SharedDramContention)
     MemAccessResult ra = a.access(0x0, false, MemSpace::Data, 0);
     MemAccessResult rb = b.access(0x0, false, MemSpace::Data, 0);
     EXPECT_GT(rb.readyCycle, ra.readyCycle);
-    EXPECT_EQ(dram->stats().value("accesses"), 2u);
+    EXPECT_EQ(dram->stats().accesses, 2u);
 }
 
 } // namespace

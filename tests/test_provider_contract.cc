@@ -245,8 +245,8 @@ TEST(CompilerRfCacheTest, TinyCacheEvictsAndMisses)
         if (!insn.isExit())
             warp.stack().advance();
     }
-    EXPECT_GT(cache.stats().value("evictions"), 0u);
-    EXPECT_GT(cache.stats().value("cache_misses"), 0u);
+    EXPECT_GT(cache.stats().evictions, 0u);
+    EXPECT_GT(cache.stats().cacheMisses, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -56,7 +56,7 @@ TEST(RfvTest, AllocatesOnWriteReleasesOnLastUse)
     }
     // After the store, only dead values should be... everything
     // released except registers with no static last use.
-    EXPECT_GT(rfv.stats().value("releases"), 0u);
+    EXPECT_GT(rfv.stats().releases, 0u);
     EXPECT_LE(rfv.allocated(), 2u);
 }
 
@@ -71,7 +71,7 @@ TEST(RfvTest, SpillsWhenOverCommitted)
         if (!insn.isExit())
             warp.stack().advance();
     }
-    EXPECT_GT(rfv.stats().value("spill_stores"), 0u);
+    EXPECT_GT(rfv.stats().spillStores, 0u);
     EXPECT_LE(rfv.allocated(), 2u);
 }
 
@@ -93,7 +93,7 @@ TEST(RfvTest, SpilledSourceChargesDelay)
     }
     // pc 3 (imul) reads x which is mapped, but earlier regs spilled;
     // find an instruction whose source is spilled.
-    std::uint64_t spills = rfv.stats().value("spill_stores");
+    std::uint64_t spills = rfv.stats().spillStores;
     EXPECT_GT(spills, 0u);
 }
 
@@ -205,7 +205,7 @@ TEST(BaselineRfTest, CountsBankConflicts)
     arch::Warp warp(0, 0, 64);
     ir::Instruction square(ir::Opcode::IMul, 5, {3, 3});
     EXPECT_EQ(rf.operandDelay(warp, square, 0), 2u);
-    EXPECT_EQ(rf.stats().value("bank_conflicts"), 1u);
+    EXPECT_EQ(rf.stats().bankConflicts, 1u);
 
     // Distinct banks: no conflict.
     ir::Instruction add(ir::Opcode::IAdd, 5, {3, 4});
@@ -221,7 +221,7 @@ TEST(BaselineRfTest, DefaultCollectorHidesConflicts)
     arch::Warp warp(0, 0, 64);
     ir::Instruction square(ir::Opcode::IMul, 5, {3, 3});
     EXPECT_EQ(rf.operandDelay(warp, square, 0), 0u);
-    EXPECT_EQ(rf.stats().value("bank_conflicts"), 1u);
+    EXPECT_EQ(rf.stats().bankConflicts, 1u);
 }
 
 } // namespace

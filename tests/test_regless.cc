@@ -56,7 +56,7 @@ TEST(OsuTest, BankMappingRotatesByWarp)
 
 TEST(OsuTest, AllocateErasesFreesLines)
 {
-    OperandStagingUnit osu("t", 64, staging::VictimOrder::FreeCleanDirty);
+    OperandStagingUnit osu(64, staging::VictimOrder::FreeCleanDirty);
     EXPECT_EQ(osu.linesPerBank(), 8u);
     auto rec = osu.allocate(0, 0, false);
     EXPECT_FALSE(rec.needed);
@@ -72,7 +72,7 @@ TEST(OsuTest, AllocateErasesFreesLines)
 
 TEST(OsuTest, EvictableAndClaim)
 {
-    OperandStagingUnit osu("t", 64, staging::VictimOrder::FreeCleanDirty);
+    OperandStagingUnit osu(64, staging::VictimOrder::FreeCleanDirty);
     osu.allocate(0, 0, false);
     osu.markEvictable(0, 0);
     EXPECT_TRUE(osu.presentEvictable(0, 0));
@@ -84,7 +84,7 @@ TEST(OsuTest, EvictableAndClaim)
 
 TEST(OsuTest, DirtyTrackingFollowsWrites)
 {
-    OperandStagingUnit osu("t", 64, staging::VictimOrder::FreeCleanDirty);
+    OperandStagingUnit osu(64, staging::VictimOrder::FreeCleanDirty);
     osu.allocate(0, 0, false);
     EXPECT_FALSE(osu.isDirty(0, 0));
     EXPECT_EQ(osu.write(0, 0), staging::Residency::Owned);
@@ -106,7 +106,7 @@ TEST(OsuTest, ReclaimPrefersCleanOverDirty)
 {
     // 8 lines per bank; fill bank 0 with 4 dirty + 4 clean evictable,
     // then allocate: the clean LRU line must be the victim.
-    OperandStagingUnit osu("t", 64, staging::VictimOrder::FreeCleanDirty);
+    OperandStagingUnit osu(64, staging::VictimOrder::FreeCleanDirty);
     for (unsigned i = 0; i < 8; ++i) {
         RegId reg = static_cast<RegId>(i * 8); // all map to bank 0
         osu.allocate(0, reg, /*dirty=*/i < 4);
@@ -122,7 +122,7 @@ TEST(OsuTest, ReclaimPrefersCleanOverDirty)
 
 TEST(OsuTest, ReclaimFallsBackToDirty)
 {
-    OperandStagingUnit osu("t", 64, staging::VictimOrder::FreeCleanDirty);
+    OperandStagingUnit osu(64, staging::VictimOrder::FreeCleanDirty);
     for (unsigned i = 0; i < 8; ++i) {
         RegId reg = static_cast<RegId>(i * 8);
         osu.allocate(0, reg, /*dirty=*/true);
@@ -136,7 +136,7 @@ TEST(OsuTest, ReclaimFallsBackToDirty)
 
 TEST(OsuTest, DirtyFirstAblationOrder)
 {
-    OperandStagingUnit osu("t", 64, staging::VictimOrder::DirtyFirst);
+    OperandStagingUnit osu(64, staging::VictimOrder::DirtyFirst);
     for (unsigned i = 0; i < 8; ++i) {
         RegId reg = static_cast<RegId>(i * 8);
         osu.allocate(0, reg, /*dirty=*/i < 4);
@@ -149,7 +149,7 @@ TEST(OsuTest, DirtyFirstAblationOrder)
 
 TEST(OsuTest, DropWarpReleasesEverything)
 {
-    OperandStagingUnit osu("t", 64, staging::VictimOrder::FreeCleanDirty);
+    OperandStagingUnit osu(64, staging::VictimOrder::FreeCleanDirty);
     osu.allocate(3, 1, true);
     osu.allocate(3, 2, false);
     osu.allocate(4, 1, false);
@@ -166,7 +166,7 @@ TEST(OsuTest, InvariantsHoldUnderRandomInterleavings)
     // mutators: in every bank owned + clean + dirty + free equals
     // linesPerBank(), the cached per-bank counts match a recount of
     // the actual entries, and occupiedLines() matches their sum.
-    OperandStagingUnit osu("t", 64, staging::VictimOrder::FreeCleanDirty);
+    OperandStagingUnit osu(64, staging::VictimOrder::FreeCleanDirty);
     auto check = [&] {
         unsigned occupied = 0;
         for (unsigned b = 0; b < staging::osuBanks; ++b) {
@@ -285,7 +285,7 @@ TEST(CompressorTest, EvictAndPreloadThroughCache)
 {
     mem::MemorySystem mem;
     CompressorConfig cfg;
-    Compressor comp("c", cfg, mem, 0x6000'0000, 64);
+    Compressor comp(cfg, mem, 0x6000'0000, 64);
 
     EXPECT_FALSE(comp.isCompressed(1, 2));
     EXPECT_TRUE(comp.compressEvict(1, 2, lanes(5, 0), 0).compressed);
@@ -310,7 +310,7 @@ TEST(CompressorTest, MissPathChargesCheckLatency)
         CompressorConfig cfg;
         cfg.cacheLines = 1;
         cfg.checkLatency = check_latency;
-        Compressor comp("c", cfg, mem, 0x6000'0000, 64);
+        Compressor comp(cfg, mem, 0x6000'0000, 64);
         // Registers >= 32 apart land in distinct compressed lines, so
         // the second evict displaces the first from the 1-line cache.
         comp.compressEvict(0, 0, lanes(1, 0), 0);
@@ -333,7 +333,7 @@ TEST(CompressorTest, PreloadLatencyOrdering)
     mem::MemorySystem mem;
     CompressorConfig cfg;
     cfg.cacheLines = 1;
-    Compressor comp("c", cfg, mem, 0x6000'0000, 64);
+    Compressor comp(cfg, mem, 0x6000'0000, 64);
     comp.compressEvict(0, 0, lanes(1, 0), 0);
     comp.compressEvict(0, 64, lanes(2, 0), 0);
 
@@ -354,7 +354,7 @@ TEST(CompressorTest, PreloadLatencyOrdering)
 TEST(CompressorTest, IncompressibleValueRejected)
 {
     mem::MemorySystem mem;
-    Compressor comp("c", CompressorConfig{}, mem, 0x6000'0000, 64);
+    Compressor comp(CompressorConfig{}, mem, 0x6000'0000, 64);
     ir::LaneValues random{};
     for (unsigned i = 0; i < 32; ++i)
         random[i] = i * 2654435761u + (i % 3);
@@ -367,7 +367,7 @@ TEST(CompressorTest, IncompressibleValueRejected)
 TEST(CompressorTest, InvalidateClearsBitVector)
 {
     mem::MemorySystem mem;
-    Compressor comp("c", CompressorConfig{}, mem, 0x6000'0000, 64);
+    Compressor comp(CompressorConfig{}, mem, 0x6000'0000, 64);
     comp.compressEvict(0, 3, lanes(9, 1), 0);
     EXPECT_TRUE(comp.isCompressed(0, 3));
     comp.invalidate(0, 3);
@@ -379,14 +379,14 @@ TEST(CompressorTest, CacheOverflowFlushesDirtyLines)
     mem::MemorySystem mem;
     CompressorConfig cfg;
     cfg.cacheLines = 2;
-    Compressor comp("c", cfg, mem, 0x6000'0000, 64);
+    Compressor comp(cfg, mem, 0x6000'0000, 64);
     // Registers far apart land in distinct compressed lines.
     for (RegId r = 0; r < 6; ++r)
         comp.compressEvict(0, static_cast<RegId>(r * 32), lanes(r, 0), 0);
     // Drain the flush queue.
     for (Cycle t = 100; t < 200; ++t)
         comp.tick(t);
-    EXPECT_GT(comp.stats().value("line_flushes"), 0u);
+    EXPECT_GT(comp.stats().lineFlushes, 0u);
 }
 
 /** Harness running one kernel under RegLess. */
@@ -519,12 +519,15 @@ TEST(ReglessEndToEnd, PreloadsAreCounted)
 {
     ReglessRun rl(loadChainKernel());
     rl.sm.run();
-    std::uint64_t from_osu = rl.provider.cmCounter("preload_src_osu");
-    std::uint64_t from_l1 = rl.provider.cmCounter("preload_src_l1");
-    std::uint64_t from_comp =
-        rl.provider.cmCounter("preload_src_compressor");
-    std::uint64_t from_far =
-        rl.provider.cmCounter("preload_src_l2dram");
+    std::uint64_t from_osu = 0, from_l1 = 0, from_comp = 0, from_far = 0;
+    for (unsigned s = 0; s < staging::kNumShards; ++s) {
+        const staging::CapacityManager::Stats &cm =
+            rl.provider.cm(s).stats();
+        from_osu += cm.preloadSrcOsu;
+        from_l1 += cm.preloadSrcL1;
+        from_comp += cm.preloadSrcCompressor;
+        from_far += cm.preloadSrcL2Dram;
+    }
     // The chain kernel crosses region boundaries (load/use split), so
     // preloads must happen, and most should hit in the OSU.
     EXPECT_GT(from_osu + from_l1 + from_comp + from_far, 0u);
@@ -535,11 +538,14 @@ TEST(ReglessEndToEnd, ActivationsAndRegionStats)
 {
     ReglessRun rl(computeKernel());
     rl.sm.run();
-    EXPECT_GT(rl.provider.cmCounter("activations"), 0u);
+    std::uint64_t activations = 0;
+    for (unsigned s = 0; s < staging::kNumShards; ++s)
+        activations += rl.provider.cm(s).stats().activations;
+    EXPECT_GT(activations, 0u);
     EXPECT_GT(rl.provider.meanRegionInsns(), 0.0);
     EXPECT_GT(rl.provider.meanRegionLive(), 0.0);
-    const StatGroup &osu = rl.provider.osu(0).stats();
-    EXPECT_GT(osu.value("reads") + osu.value("writes"), 0u);
+    const OperandStagingUnit::Stats &osu = rl.provider.osu(0).stats();
+    EXPECT_GT(osu.reads + osu.writes, 0u);
 }
 
 TEST(ReglessEndToEnd, TinyOsuStillCorrect)

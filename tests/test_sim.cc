@@ -256,7 +256,7 @@ TEST(MultiSmTest, SharedDramSeesAllTraffic)
         sim::GpuConfig::forProvider(sim::ProviderKind::Baseline), 2);
     sim::RunStats total = multi.run();
     EXPECT_EQ(total.dramAccesses,
-              multi.dram().stats().value("accesses"));
+              multi.dram().stats().accesses);
     EXPECT_GT(total.dramAccesses, 0u);
 }
 

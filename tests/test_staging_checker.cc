@@ -781,8 +781,8 @@ TEST(ShadowCheckerTest, ReadOfErasedValueIsARuntimeViolation)
     compiler::CompiledKernel ck =
         compiler::compile(workloads::makeRodinia("nn"));
     staging::ShadowChecker checker(ck);
-    staging::OperandStagingUnit osu(
-        "osu", 64, staging::VictimOrder::FreeCleanDirty);
+    staging::OperandStagingUnit osu(64,
+                                    staging::VictimOrder::FreeCleanDirty);
     auto [pc, reg] = firstReadingPc(ck);
     checker.onErase(0, reg);
     checker.onIssue(0, pc, ck.kernel().insn(pc), osu, ck.regionAt(pc));
@@ -796,8 +796,8 @@ TEST(ShadowCheckerTest, ReadOfInvalidatedValueIsARuntimeViolation)
     compiler::CompiledKernel ck =
         compiler::compile(workloads::makeRodinia("nn"));
     staging::ShadowChecker checker(ck);
-    staging::OperandStagingUnit osu(
-        "osu", 64, staging::VictimOrder::FreeCleanDirty);
+    staging::OperandStagingUnit osu(64,
+                                    staging::VictimOrder::FreeCleanDirty);
     auto [pc, reg] = firstReadingPc(ck);
     // The backing copy vanished while the line was NOT resident: the
     // value is gone on both paths.
@@ -815,8 +815,8 @@ TEST(ShadowCheckerTest, ReadOfUnstagedOperandIsARuntimeViolation)
     staging::ShadowChecker checker(ck);
     // An empty OSU: the operand was never staged, yet the value was
     // never destroyed either — the softest of the three read codes.
-    staging::OperandStagingUnit osu(
-        "osu", 64, staging::VictimOrder::FreeCleanDirty);
+    staging::OperandStagingUnit osu(64,
+                                    staging::VictimOrder::FreeCleanDirty);
     auto [pc, reg] = firstReadingPc(ck);
     checker.onIssue(0, pc, ck.kernel().insn(pc), osu, ck.regionAt(pc));
     EXPECT_TRUE(hasCode(checker.violations(),

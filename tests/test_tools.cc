@@ -253,29 +253,13 @@ TEST(VerifierTest, NoLoadUseCheckWhenSplitDisabled)
     EXPECT_TRUE(findings.empty()) << findings.front().message;
 }
 
-TEST(StatsDumpTest, ProviderAndSimulatorDumpStats)
-{
-    sim::GpuConfig cfg =
-        sim::GpuConfig::forProvider(sim::ProviderKind::Regless);
-    sim::GpuSimulator g(workloads::makeRodinia("nn"), cfg);
-    g.run();
-    std::ostringstream oss;
-    g.dumpStats(oss);
-    std::string text = oss.str();
-    EXPECT_NE(text.find("sm.insns_issued"), std::string::npos);
-    EXPECT_NE(text.find("cm0.activations"), std::string::npos);
-    EXPECT_NE(text.find("osu0.reads"), std::string::npos);
-    EXPECT_NE(text.find("l1.hits"), std::string::npos);
-    EXPECT_NE(text.find("dram.accesses"), std::string::npos);
-}
-
 TEST(CompressorMaskTest, DisabledPatternsDoNotMatch)
 {
     mem::MemorySystem mem;
     staging::CompressorConfig cfg;
     cfg.patternMask =
         1u << static_cast<unsigned>(staging::Pattern::Constant);
-    staging::Compressor comp("c", cfg, mem, 0x6000'0000, 64);
+    staging::Compressor comp(cfg, mem, 0x6000'0000, 64);
 
     ir::LaneValues constant{};
     constant.fill(9);

@@ -564,7 +564,7 @@ TEST(CompressorStaticTest, StaticHitsSkipTheMatcherAndGuardUnsound)
 {
     mem::MemorySystem mem;
     staging::CompressorConfig ccfg;
-    staging::Compressor comp("c", ccfg, mem, 0x6000'0000, 64);
+    staging::Compressor comp(ccfg, mem, 0x6000'0000, 64);
     std::vector<StaticEncoding> table(16, StaticEncoding::None);
     table[3] = StaticEncoding::UniformScalar;
     comp.setStaticEncodings(staging::CompressionMode::Static, &table);
@@ -597,7 +597,7 @@ TEST(CompressorStaticTest, HybridFallsBackToTheMatcher)
 {
     mem::MemorySystem mem;
     staging::CompressorConfig ccfg;
-    staging::Compressor comp("c", ccfg, mem, 0x6000'0000, 64);
+    staging::Compressor comp(ccfg, mem, 0x6000'0000, 64);
     std::vector<StaticEncoding> table(16, StaticEncoding::None);
     table[3] = StaticEncoding::UniformScalar;
     comp.setStaticEncodings(staging::CompressionMode::Hybrid, &table);

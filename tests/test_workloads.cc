@@ -184,7 +184,7 @@ TEST(RodiniaCharacterTest, DivergentKernelsDiverge)
         sim::GpuSimulator g(workloads::makeRodinia(name), cfg);
         g.run();
         EXPECT_GT(
-            g.sm().stats().value("divergent_branches"), 0u)
+            g.sm().stats().divergentBranches, 0u)
             << name;
     }
 }

@@ -24,6 +24,7 @@
 #include <string>
 
 #include "common/flags.hh"
+#include "common/logging.hh"
 #include "common/sim_error.hh"
 #include "sim/gpu_config.hh"
 #include "sim/gpu_simulator.hh"
@@ -81,10 +82,8 @@ validateFile(const std::string &path)
     return true;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::string kernel = "nn";
     std::string provider = "regless";
@@ -181,4 +180,12 @@ main(int argc, char **argv)
         std::fprintf(stderr, "regless_trace: %s\n", e.what());
         return 2;
     }
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return finishStdout(run(argc, argv));
 }
