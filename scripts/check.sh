@@ -33,8 +33,9 @@
 #      numbers into a fixed char buffer, and the compiled-kernel
 #      analysis tests, which copy and move compiled kernels that share
 #      one analysis bundle; the multi-SM epoch loop skips under worker
-#      threads, and the worker threads of a multi-SM co-run read the
-#      compiled kernels all SMs share).
+#      threads, the worker threads of a multi-SM co-run read the
+#      compiled kernels all SMs share, and the experiment engine's
+#      workers lint kernels and read cache entries).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -126,11 +127,17 @@ scripts/gtest_filtered.sh "$ASAN_DIR"/tests/regless_tests \
 # Same subset's parallel face under ThreadSanitizer: epoch-clamped
 # skipping on worker threads must stay race-free, and so must the
 # worker threads' reads of the compiled kernels every SM shares (the
-# nn+hotspot co-run at 8 threads).
+# nn+hotspot co-run at 8 threads). The experiment engine's pool runs
+# the lint gate, the cache reads and the simulations of each flush,
+# so the pool's own tests and the engine's worker-count and lint-gate
+# tests run under TSan too.
 TSAN_DIR=${TSAN_BUILD_DIR:-build-tsan}
 cmake -B "$TSAN_DIR" -S . -DREGLESS_SANITIZE=thread
-cmake --build "$TSAN_DIR" -j "$(nproc)" --target regless_oracle_tests
+cmake --build "$TSAN_DIR" -j "$(nproc)" --target regless_oracle_tests \
+    --target regless_tests
 scripts/gtest_filtered.sh "$TSAN_DIR"/tests/regless_oracle_tests \
     '*MultiSmCycleSkipOracle*:MultiTenantMultiSm.*'
+scripts/gtest_filtered.sh "$TSAN_DIR"/tests/regless_tests \
+    'ThreadPoolTest.*:ExperimentEngine.ResultsAreWorkerCountInvariant:ExperimentEngine.WarmFlushIsWorkerCountInvariant:ExperimentEngine.LintGateStaysShutAfterARejection:ExperimentEngine.LintGateRaisesTheFirstFailureInSubmissionOrder'
 
 echo "check: tier-1, release, oracle, perfbench, asan, and tsan subsets all passed"

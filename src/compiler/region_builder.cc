@@ -129,20 +129,6 @@ RegionBuilder::build() const
     return regions;
 }
 
-unsigned
-RegionBuilder::maxLiveInRange(Pc start, Pc end) const
-{
-    return computeOccupancy(_kernel, _live, start, end).maxLive;
-}
-
-std::array<std::uint8_t, numOsuBanks>
-RegionBuilder::bankUsageInRange(Pc start, Pc end) const
-{
-    // The hardware maps (warp + reg) & 7 to a bank; per-warp rotation
-    // does not change the per-bank peak, so model bank = reg & 7.
-    return computeOccupancy(_kernel, _live, start, end).bankUsage;
-}
-
 bool
 RegionBuilder::containsLoadAndUse(Pc start, Pc end) const
 {
@@ -169,11 +155,14 @@ RegionBuilder::containsLoadAndUse(Pc start, Pc end) const
 bool
 RegionBuilder::isValid(Pc start, Pc end) const
 {
-    if (maxLiveInRange(start, end) > _cfg.maxRegsPerRegion)
+    // One occupancy sweep answers both capacity checks. The hardware
+    // maps (warp + reg) & 7 to a bank; per-warp rotation does not
+    // change the per-bank peak, so the sweep models bank = reg & 7.
+    const Occupancy occ = computeOccupancy(_kernel, _live, start, end);
+    if (occ.maxLive > _cfg.maxRegsPerRegion)
         return false;
-    auto banks = bankUsageInRange(start, end);
     for (unsigned b = 0; b < numOsuBanks; ++b) {
-        if (banks[b] > _cfg.maxRegsPerBank)
+        if (occ.bankUsage[b] > _cfg.maxRegsPerBank)
             return false;
     }
     if (_cfg.splitLoadUse && containsLoadAndUse(start, end))

@@ -62,16 +62,11 @@ class RegionBuilder
     /// @{
     bool isValid(Pc start, Pc end) const;
     Pc findSplitPoint(Pc start, Pc end) const;
-    unsigned maxLiveInRange(Pc start, Pc end) const;
     bool containsLoadAndUse(Pc start, Pc end) const;
     unsigned inputOutputCount(Pc start, Pc end) const;
     /// @}
 
   private:
-    /** Per-bank peak of concurrently live region-referenced registers. */
-    std::array<std::uint8_t, numOsuBanks>
-    bankUsageInRange(Pc start, Pc end) const;
-
     /** Count of (global load, first use) pairs wholly inside a half. */
     unsigned loadUsePairsWithin(Pc start, Pc end, Pc split) const;
 

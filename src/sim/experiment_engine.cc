@@ -4,10 +4,11 @@
 #include <charconv>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <thread>
+#include <unordered_set>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "compiler/staging_checker.hh"
 #include "sim/gpu_simulator.hh"
 #include "sim/multi_sm.hh"
@@ -52,6 +53,40 @@ forEachJobKernel(const SimJob &job, Visit &&visit)
             return job.builder ? job.builder()
                                : workloads::makeRodinia(job.kernel);
         });
+    }
+}
+
+/** The lint gate's memo key of kernel @a name under the compiler
+ * config whose compilerConfigText() is @a config_text. */
+std::string
+lintKey(const std::string &name, const std::string &config_text)
+{
+    return name + "|" + config_text;
+}
+
+/** One (kernel, compiler config) the lint gate has not checked yet. */
+struct LintTask
+{
+    /** lintKey() of the kernel and its compiler config. */
+    std::string key;
+    /** Makes the kernel; refers into a pending entry's job. */
+    std::function<ir::Kernel()> build;
+    const compiler::CompilerConfig *config = nullptr;
+};
+
+/** Compile and lint @a kernel; fatal() on any error finding. */
+void
+lintKernel(const ir::Kernel &kernel, const compiler::CompilerConfig &config)
+{
+    const compiler::CompiledKernel ck = compiler::compile(kernel, config);
+    compiler::LintOptions opts;
+    opts.checkLoadUse = config.splitLoadUse;
+    const std::vector<compiler::Finding> findings =
+        compiler::lintCompiledKernel(ck, opts);
+    if (compiler::hasErrors(findings)) {
+        fatal("lint: kernel '", kernel.name(),
+              "' failed staging verification:\n",
+              compiler::formatFindings(findings));
     }
 }
 
@@ -250,30 +285,6 @@ ExperimentEngine::runIsolated(SimJob job, const Options &options)
     }
 }
 
-bool
-ExperimentEngine::loadFromCache(Entry &entry)
-{
-    if (!_cache.enabled())
-        return false;
-    JobRecord record;
-    if (!_cache.load(
-            JobCache::Key{cacheFileName(entry.job, entry.fingerprint),
-                          entry.fingerprint},
-            record))
-        return false;
-    // Entries are keyed by fingerprint, so a provider mismatch means
-    // the file was tampered with or collided: miss.
-    if (record.status == JobStatus::Ok &&
-        record.stats.provider != entry.job.config.provider)
-        return false;
-    entry.result.status = record.status;
-    entry.result.stats = std::move(record.stats);
-    entry.result.error = std::move(record.error);
-    entry.result.deadlock = std::move(record.deadlock);
-    entry.result.attempts = record.attempts;
-    return true;
-}
-
 void
 ExperimentEngine::storeToCache(const Entry &entry)
 {
@@ -290,29 +301,18 @@ ExperimentEngine::storeToCache(const Entry &entry)
 }
 
 void
-ExperimentEngine::lintPending()
+ExperimentEngine::raiseFirstLintFailure(
+    const std::vector<Entry *> &pending) const
 {
-    for (const Entry &entry : _entries) {
-        if (entry.done)
-            continue;
-        const compiler::CompilerConfig &config = entry.job.config.compiler;
-        const std::string config_text = compilerConfigText(config);
-        forEachJobKernel(entry.job, [&](const std::string &name,
-                                        const auto &build) {
-            if (!_linted.insert(name + "|" + config_text).second)
-                return;
-            const ir::Kernel kernel = build();
-            const compiler::CompiledKernel ck =
-                compiler::compile(kernel, config);
-            compiler::LintOptions opts;
-            opts.checkLoadUse = config.splitLoadUse;
-            const std::vector<compiler::Finding> findings =
-                compiler::lintCompiledKernel(ck, opts);
-            if (compiler::hasErrors(findings)) {
-                fatal("lint: kernel '", kernel.name(),
-                      "' failed staging verification:\n",
-                      compiler::formatFindings(findings));
-            }
+    for (const Entry *entry : pending) {
+        const std::string config_text =
+            compilerConfigText(entry->job.config.compiler);
+        forEachJobKernel(entry->job, [&](const std::string &name,
+                                         const auto &) {
+            const std::exception_ptr &error =
+                _lintVerdicts.at(lintKey(name, config_text));
+            if (error)
+                std::rethrow_exception(error);
         });
     }
 }
@@ -320,35 +320,106 @@ ExperimentEngine::lintPending()
 void
 ExperimentEngine::flush()
 {
-    // Lint before touching the cache: a cached result must never let a
-    // kernel with unsound annotations slip past the gate.
-    if (_options.lint)
-        lintPending();
-
-    std::vector<Entry *> to_run;
+    std::vector<Entry *> pending;
     for (Entry &entry : _entries) {
-        if (entry.done)
-            continue;
-        if (loadFromCache(entry)) {
+        if (!entry.done)
+            pending.push_back(&entry);
+    }
+    if (pending.empty())
+        return;
+    if (!_pool) {
+        _pool.emplace(_options.jobs
+                          ? _options.jobs
+                          : ThreadPool::defaultThreads(
+                                std::numeric_limits<unsigned>::max()));
+    }
+
+    // Step 1, on the pool: lint each (kernel, compiler config) that
+    // has no verdict yet, and read each pending entry's cache file.
+    // Nothing is read when a pending kernel already failed the gate:
+    // the flush raises that failure (or an earlier one) below.
+    std::vector<LintTask> lints;
+    bool shut = false;
+    if (_options.lint) {
+        std::unordered_set<std::string> queued;
+        for (const Entry *entry : pending) {
+            const compiler::CompilerConfig &config =
+                entry->job.config.compiler;
+            const std::string config_text = compilerConfigText(config);
+            forEachJobKernel(entry->job, [&](const std::string &name,
+                                             const auto &build) {
+                std::string key = lintKey(name, config_text);
+                const auto verdict = _lintVerdicts.find(key);
+                if (verdict != _lintVerdicts.end())
+                    shut = shut || verdict->second;
+                else if (queued.insert(key).second)
+                    lints.push_back({std::move(key), build, &config});
+            });
+        }
+    }
+    const std::size_t reads_at = lints.size();
+    const std::size_t num_reads =
+        _cache.enabled() && !shut ? pending.size() : 0;
+    std::vector<JobCache::Key> keys(num_reads);
+    std::vector<JobCache::Read> reads(num_reads);
+    // An exception escaping a worker ends the process, so each task's
+    // is kept here and rethrown on this thread.
+    std::vector<std::exception_ptr> errors(reads_at + num_reads);
+    _pool->parallelFor(errors.size(), [&](std::size_t i) {
+        try {
+            if (i < reads_at) {
+                lintKernel(lints[i].build(), *lints[i].config);
+                return;
+            }
+            const std::size_t r = i - reads_at;
+            const Entry &entry = *pending[r];
+            keys[r] = {cacheFileName(entry.job, entry.fingerprint),
+                       entry.fingerprint};
+            reads[r] = _cache.read(keys[r]);
+        } catch (...) {
+            errors[i] = std::current_exception();
+        }
+    });
+
+    // Step 2, on this thread in submission order. The gate comes
+    // first: a cached result must never let a kernel with unsound
+    // annotations slip past it, so a failure is raised before any
+    // read is counted or served.
+    for (std::size_t i = 0; i < reads_at; ++i) {
+        _lintedClean += !errors[i];
+        shut = shut || errors[i];
+        _lintVerdicts.emplace(std::move(lints[i].key), errors[i]);
+    }
+    if (shut)
+        raiseFirstLintFailure(pending);
+    for (std::size_t i = reads_at; i < errors.size(); ++i) {
+        if (errors[i])
+            std::rethrow_exception(errors[i]);
+    }
+    std::vector<Entry *> to_run;
+    for (std::size_t r = 0; r < pending.size(); ++r) {
+        Entry &entry = *pending[r];
+        JobRecord record;
+        // Entries are keyed by fingerprint, so a provider mismatch
+        // means the file was tampered with or collided: miss.
+        if (r < num_reads &&
+            _cache.admit(keys[r], std::move(reads[r]), record) &&
+            (record.status != JobStatus::Ok ||
+             record.stats.provider == entry.job.config.provider)) {
+            entry.result = {record.status, std::move(record.stats),
+                            std::move(record.error),
+                            std::move(record.deadlock), record.attempts};
             entry.done = true;
             ++_cacheHits;
-            continue;
+        } else {
+            to_run.push_back(&entry);
         }
-        to_run.push_back(&entry);
     }
-    if (to_run.empty())
-        return;
 
-    const unsigned threads =
-        _options.jobs
-            ? _options.jobs
-            : ThreadPool::defaultThreads(
-                  static_cast<unsigned>(to_run.size()));
-    ThreadPool pool(threads);
-    // runIsolated() never lets an exception escape: one wedged or
-    // crashing job must not take down the worker (worker threads
-    // terminate on escaping exceptions) or its sibling jobs.
-    pool.parallelFor(to_run.size(), [&](std::size_t i) {
+    // Step 3: simulate the misses on the pool. runIsolated() turns
+    // every std::exception into the job's result: one wedged or
+    // crashing job must not take down a worker or its sibling jobs.
+    _pool->parallelFor(to_run.size(), [&](std::size_t i) {
         to_run[i]->result = runIsolated(to_run[i]->job, _options);
     });
 

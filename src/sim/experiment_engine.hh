@@ -3,10 +3,18 @@
  * ExperimentEngine: the evaluation layer's job scheduler. A SimJob is
  * one simulation point — (kernel, canonical GpuConfig fingerprint,
  * SM count). Submitted jobs are deduplicated, executed in parallel on
- * the common thread pool (results are bit-identical for every worker
- * count), and memoized in a persistent on-disk JSON cache keyed by
- * the config fingerprint, so a warm rerun of the full paper report
+ * the engine's own thread pool (results are bit-identical for every
+ * worker count), and memoized in a persistent on-disk JSON cache keyed
+ * by the config fingerprint, so a warm rerun of the full paper report
  * performs zero simulations. See DESIGN.md §7.
+ *
+ * A flush runs in three steps. On the pool: the lint gate builds,
+ * compiles and lints each new (kernel, compiler config), and each
+ * pending entry's cache file is read and parsed. On the calling
+ * thread, in submission order: the first lint failure is raised
+ * before anything is counted or served, then each read is counted
+ * and the hits are served. On the pool again: the misses are
+ * simulated, and then published serially.
  *
  * Jobs are fault-isolated (DESIGN.md §9): an exception or watchdog
  * trip inside one job is captured as that job's JobResult without
@@ -27,12 +35,14 @@
 
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <set>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/thread_pool.hh"
 #include "ir/kernel.hh"
 #include "sim/gpu_config.hh"
 #include "sim/job_cache.hh"
@@ -89,7 +99,8 @@ class ExperimentEngine
   public:
     struct Options
     {
-        /** Worker threads for a flush; 0 = min(jobs, cores). */
+        /** Worker threads of the engine's pool, the calling thread
+         * included; 0 = one per core. */
         unsigned jobs = 0;
 
         /** Cache directory; empty disables the on-disk cache. */
@@ -100,7 +111,11 @@ class ExperimentEngine
          * before simulating (or serving cached results for) it, and
          * fatal() on any error-severity finding. Lint verdicts are
          * memoized per (kernel, compiler config), so a grid sweeping
-         * runtime parameters lints each kernel exactly once.
+         * runtime parameters lints each kernel exactly once. New
+         * kernels are linted on the pool; a flush raises the first
+         * failure in submission order. A rejected kernel stays
+         * rejected: every later flush with a pending job of it raises
+         * the same error before reading the cache.
          */
         bool lint = false;
 
@@ -183,8 +198,9 @@ class ExperimentEngine
     std::uint64_t simulated() const { return _simulated; }
     /** Points served from the on-disk cache. */
     std::uint64_t cacheHits() const { return _cacheHits; }
-    /** Distinct (kernel, compiler config) pairs linted (Options::lint). */
-    std::uint64_t kernelsLinted() const { return _linted.size(); }
+    /** Distinct (kernel, compiler config) pairs that linted clean
+     * (Options::lint). */
+    std::uint64_t kernelsLinted() const { return _lintedClean; }
     /** Jobs that failed with an exception (fresh or cache-served). */
     std::uint64_t failed() const { return countStatus(JobStatus::Failed); }
     /** Jobs terminated by the forward-progress watchdog. */
@@ -239,16 +255,15 @@ class ExperimentEngine
         bool done = false;
     };
 
-    bool loadFromCache(Entry &entry);
     void storeToCache(const Entry &entry);
     static RunStats execute(const SimJob &job, double timeout_sec);
     static JobResult runIsolated(SimJob job, const Options &options);
 
     std::uint64_t countStatus(JobStatus status) const;
 
-    /** Lint each kernel of a pending entry that is not yet linted
-     * under its compiler config (Options::lint). */
-    void lintPending();
+    /** Rethrow the lint failure of the first pending entry, in
+     * submission order, that has one. */
+    void raiseFirstLintFailure(const std::vector<Entry *> &pending) const;
 
     Options _options;
     JobCache _cache;
@@ -258,8 +273,18 @@ class ExperimentEngine
     std::uint64_t _simulated = 0;
     std::uint64_t _cacheHits = 0;
 
-    /** Kernels already linted, keyed by name + compiler config. */
-    std::set<std::string> _linted;
+    /**
+     * Lint verdict per (kernel name + compiler config) key: null when
+     * the key linted clean, else the error its build, compile or lint
+     * raised, which every later flush of the key raises again.
+     */
+    std::unordered_map<std::string, std::exception_ptr> _lintVerdicts;
+    std::uint64_t _lintedClean = 0;
+
+    /** Made at the first flush with work. Declared last, so its
+     * workers are joined before the state their tasks read is
+     * destroyed. */
+    std::optional<ThreadPool> _pool;
 };
 
 } // namespace regless::sim

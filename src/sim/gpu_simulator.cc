@@ -452,6 +452,9 @@ GpuSimulator::deadlockSnapshot(const ProgressMonitor &monitor,
         const auto t = static_cast<unsigned>(starved_tenant);
         report.starvedTenant = starved_tenant;
         report.starvedTenantKernel = _cks[t]->kernel().name();
+        // The headline names the tenant that starved, not one that
+        // kept running.
+        report.kernel = report.starvedTenantKernel;
         // The tenant's dominant stall cause over the whole run,
         // preferring causes that pin a live warp over no_warp.
         std::size_t top = 0;

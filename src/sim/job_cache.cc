@@ -5,6 +5,7 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -134,16 +135,29 @@ isHexShardName(const std::string &name)
            std::isxdigit(static_cast<unsigned char>(name[1]));
 }
 
-/** Read a whole file; false when it cannot be opened. */
+/**
+ * Read a whole file straight into @a out; false when it cannot be
+ * opened. A read error keeps the bytes read so far, which then fail
+ * to parse.
+ */
 bool
 slurp(const fs::path &path, std::string &out)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    std::FILE *file = std::fopen(path.c_str(), "rb");
+    if (!file)
         return false;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    out = buffer.str();
+    constexpr std::size_t kChunk = 8192;
+    std::size_t size = 0;
+    for (;;) {
+        out.resize(size + kChunk);
+        const std::size_t got =
+            std::fread(out.data() + size, 1, kChunk, file);
+        size += got;
+        if (got < kChunk)
+            break;
+    }
+    out.resize(size);
+    std::fclose(file);
     return true;
 }
 
@@ -297,36 +311,50 @@ JobCache::ensureOpen()
     return enabled();
 }
 
+JobCache::Read
+JobCache::read(const Key &key) const
+{
+    Read read;
+    std::string text;
+    if (!enabled() || !slurp(entryPath(key), text))
+        return read;
+    // A corrupt or truncated entry is a miss, never an error: the
+    // point is re-simulated and the entry rewritten (healed).
+    if (!tryRecordFromJson(text, read.record))
+        read.outcome = Read::Outcome::Corrupt;
+    else if (read.record.schema != _options.expectedSchema)
+        read.outcome = Read::Outcome::WrongSchema;
+    else
+        read.outcome = Read::Outcome::Valid;
+    return read;
+}
+
 bool
-JobCache::load(const Key &key, JobRecord &out)
+JobCache::admit(const Key &key, Read read, JobRecord &out)
 {
     if (!ensureOpen())
         return false;
-    std::string text;
-    if (!slurp(entryPath(key), text)) {
-        ++_counters.misses;
-        return false;
-    }
-    // A corrupt or truncated entry is a miss, never an error: the
-    // point is re-simulated and the entry rewritten (healed).
-    JobRecord record;
-    if (!tryRecordFromJson(text, record)) {
+    switch (read.outcome) {
+      case Read::Outcome::Valid:
+        ++_counters.hits;
+        out = std::move(read.record);
+        return true;
+      case Read::Outcome::Missing:
+        break;
+      case Read::Outcome::Corrupt:
         ++_counters.corrupt;
-        ++_counters.misses;
-        return false;
-    }
-    if (record.schema != _options.expectedSchema) {
+        break;
+      case Read::Outcome::WrongSchema: {
         // Parseable but foreign: the flat key-value body would
         // *half-parse* (unknown keys dropped, new fields zeroed), so
         // the schema gate must reject it outright — and say why.
         ++_counters.schemaRejects;
-        ++_counters.misses;
         if (!_warnedSchema) {
             _warnedSchema = true;
             warn("experiment cache: rejecting '", key.file,
-                 "': entry schema ", record.schema, " != expected ",
+                 "': entry schema ", read.record.schema, " != expected ",
                  _options.expectedSchema, " (",
-                 record.schema > _options.expectedSchema
+                 read.record.schema > _options.expectedSchema
                      ? "written by a newer build sharing this cache; "
                        "upgrade this binary or use a separate "
                        "--cache-dir"
@@ -334,11 +362,17 @@ JobCache::load(const Key &key, JobRecord &out)
                        "`regless_cache gc` can reclaim it",
                  "); re-simulating");
         }
-        return false;
+        break;
+      }
     }
-    ++_counters.hits;
-    out = std::move(record);
-    return true;
+    ++_counters.misses;
+    return false;
+}
+
+bool
+JobCache::load(const Key &key, JobRecord &out)
+{
+    return admit(key, read(key), out);
 }
 
 bool

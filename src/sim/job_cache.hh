@@ -107,8 +107,8 @@ const char *cacheModeName(CacheMode mode);
 /** Observability counters for the report footer and the tests. */
 struct CacheCounters
 {
-    std::uint64_t hits = 0;          ///< load() served a valid record
-    std::uint64_t misses = 0;        ///< load() found nothing usable
+    std::uint64_t hits = 0;          ///< admit() served a valid record
+    std::uint64_t misses = 0;        ///< admit() found nothing usable
     std::uint64_t stores = 0;        ///< entries published
     std::uint64_t storeFailures = 0; ///< writes that failed and were
                                      ///< cleaned up
@@ -178,13 +178,43 @@ class JobCache
 
     bool enabled() const { return _mode != CacheMode::Disabled; }
 
+    /** What read() found on disk for one key, before it is counted. */
+    struct Read
+    {
+        enum class Outcome : std::uint8_t
+        {
+            Missing,     ///< no readable file (or the cache is off)
+            Corrupt,     ///< the file does not parse as a record
+            WrongSchema, ///< a record under another schema
+            Valid,       ///< a record under the expected schema
+        };
+        Outcome outcome = Outcome::Missing;
+        /** The parsed record (Valid and WrongSchema). */
+        JobRecord record;
+    };
+
     /**
-     * Fetch the record for @a key. Corrupt, truncated, torn,
-     * tampered, or wrong-schema entries are misses, never errors; a
-     * wrong-schema entry additionally warns once per process with a
-     * diagnosis naming both schemas (a *newer* schema means a newer
-     * build shares this directory — its entries must not be
-     * half-parsed into this build's narrower RunStats).
+     * Read and parse the entry for @a key. Const and counter-free, so
+     * several threads may read at once while nothing else touches the
+     * cache; admit() then counts what was found.
+     */
+    Read read(const Key &key) const;
+
+    /**
+     * Count one read() of @a key into counters() and, when it found a
+     * valid record, move it into @a out and return true. A
+     * wrong-schema record warns once per process with a diagnosis
+     * naming both schemas (a *newer* schema means a newer build shares
+     * this directory — its entries must not be half-parsed into this
+     * build's narrower RunStats). The first call opens the cache
+     * directory (lazily, like store()).
+     */
+    bool admit(const Key &key, Read read, JobRecord &out);
+
+    /**
+     * Fetch the record for @a key: admit(key, read(key), out).
+     * Corrupt, truncated, torn, tampered, or wrong-schema entries are
+     * misses, never errors.
      */
     bool load(const Key &key, JobRecord &out);
 

@@ -316,6 +316,7 @@ TEST(MultiTenantMultiSm, StarvedTenantIsNamedAtOneCycle)
 
     const sim::DeadlockReport ref = starve(1, false);
     EXPECT_EQ(ref.starvedTenant, 1) << ref.render();
+    EXPECT_EQ(ref.kernel, "srad_v1") << ref.render();
     EXPECT_EQ(ref.starvedTenantKernel, "srad_v1");
     EXPECT_EQ(ref.starvedTenantStall, "cm_no_capacity") << ref.render();
     for (unsigned threads : {1u, 4u}) {

@@ -3,19 +3,23 @@
  * ExperimentEngine coverage: the config fingerprint reacts to every
  * top-level GpuConfig field, duplicate submissions collapse onto one
  * job, the on-disk cache hits on identical configs and misses on any
- * change or corruption, and results are identical for every worker
- * count. Also the report's flags: numeric values must parse whole,
- * and an unknown flag is a usage error.
+ * change or corruption, results and cache counters are identical for
+ * every worker count, and the lint gate raises the first failure in
+ * submission order and stays shut after it. Also the report's flags:
+ * numeric values must parse whole, and an unknown flag is a usage
+ * error.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/flags.hh"
@@ -409,6 +413,210 @@ TEST(ExperimentEngine, LintGateKeysCoRunsByTheirTenantKernels)
     engine.flush();
     EXPECT_EQ(engine.failed() + engine.deadlocked(), 0u);
     EXPECT_EQ(engine.kernelsLinted(), 2u);
+}
+
+/** A tiny job named @a kernel whose builder raises @a message after
+ * @a delay. */
+sim::SimJob
+throwingJob(const std::string &kernel, const std::string &message,
+            std::chrono::milliseconds delay = {})
+{
+    sim::SimJob job = tinyJob(sim::ProviderKind::Regless);
+    job.kernel = kernel;
+    job.builder = [message, delay]() -> ir::Kernel {
+        std::this_thread::sleep_for(delay);
+        throw sim::SimError(sim::SimErrorKind::Config, message);
+    };
+    return job;
+}
+
+/** what() of the error @a engine's flush() raises ("" for none). */
+std::string
+flushError(sim::ExperimentEngine &engine)
+{
+    try {
+        engine.flush();
+    } catch (const sim::SimError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(ExperimentEngine, LintGateStaysShutAfterARejection)
+{
+    // The cache holds a result under the rejected kernel's key, so a
+    // gate that reopened would serve it.
+    const auto dir = freshCacheDir("lint-shut");
+    sim::ExperimentEngine::Options options;
+    options.cacheDir = dir.string();
+    {
+        sim::SimJob good = tinyJob(sim::ProviderKind::Regless);
+        good.kernel = "rejected";
+        sim::ExperimentEngine fill(options);
+        fill.submit(good);
+        fill.flush();
+        ASSERT_EQ(fill.simulated(), 1u);
+    }
+    options.lint = true;
+    for (unsigned jobs : {1u, 4u}) {
+        options.jobs = jobs;
+        sim::ExperimentEngine engine(options);
+        engine.submit(throwingJob("rejected", "no kernel to build"));
+        EXPECT_EQ(flushError(engine), "no kernel to build") << jobs;
+        EXPECT_EQ(flushError(engine), "no kernel to build") << jobs;
+        EXPECT_EQ(engine.simulated(), 0u) << jobs;
+        EXPECT_EQ(engine.cacheHits(), 0u) << jobs;
+        EXPECT_EQ(engine.kernelsLinted(), 0u) << jobs;
+        EXPECT_EQ(engine.cache().counters().hits +
+                      engine.cache().counters().misses,
+                  0u)
+            << jobs;
+    }
+}
+
+TEST(ExperimentEngine, LintGateRaisesTheFirstFailureInSubmissionOrder)
+{
+    // The second job's builder is the slower one to fail, so a gate
+    // that raised the first failure to arrive would name the third.
+    const auto dir = freshCacheDir("lint-order");
+    auto flushOnce = [&](unsigned jobs) {
+        sim::ExperimentEngine::Options options;
+        options.jobs = jobs;
+        options.lint = true;
+        options.cacheDir = dir.string();
+        sim::ExperimentEngine engine(options);
+        engine.submit(tinyJob(sim::ProviderKind::Regless));
+        engine.submit(throwingJob("second", "second failed",
+                                  std::chrono::milliseconds(1)));
+        engine.submit(throwingJob("third", "third failed"));
+        const std::string error = flushError(engine);
+        EXPECT_EQ(engine.simulated() + engine.cacheHits(), 0u);
+        EXPECT_EQ(engine.cache().counters().misses, 0u);
+        return error;
+    };
+    EXPECT_EQ(flushOnce(1), "second failed");
+    for (int run = 0; run < 20; ++run)
+        EXPECT_EQ(flushOnce(8), "second failed") << "run " << run;
+}
+
+/** Every CacheCounters field, in declaration order. */
+std::vector<std::uint64_t>
+counterFields(const sim::CacheCounters &c)
+{
+    return {c.hits,        c.misses,        c.stores,
+            c.storeFailures, c.corrupt,     c.schemaRejects,
+            c.coalesced,   c.lockWaits,     c.lockTimeouts,
+            c.janitorRemoved};
+}
+
+/** The whole text of @a path. */
+std::string
+readFile(const std::filesystem::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+}
+
+/** Replace the first @a from in the file at @a path with @a to. */
+void
+editFile(const std::filesystem::path &path, const std::string &from,
+         const std::string &to)
+{
+    std::string text = readFile(path);
+    const std::size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << path << ": " << from;
+    text.replace(at, from.size(), to);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+}
+
+TEST(ExperimentEngine, WarmFlushIsWorkerCountInvariant)
+{
+    std::vector<sim::SimJob> jobs;
+    for (sim::ProviderKind kind : sim::allProviderKinds())
+        jobs.push_back(tinyJob(kind));
+    jobs.push_back({"nn",
+                    sim::GpuConfig::forProvider(sim::ProviderKind::Regless),
+                    0,
+                    {}});
+
+    // Fill the cache, then damage four entries: a truncation, a
+    // foreign schema, a swapped provider and a deletion.
+    const auto damaged = freshCacheDir("warm-parity");
+    {
+        sim::ExperimentEngine::Options options;
+        options.cacheDir = damaged.string();
+        sim::ExperimentEngine fill(options);
+        for (const sim::SimJob &job : jobs)
+            fill.submit(job);
+        fill.flush();
+        ASSERT_EQ(fill.simulated(), jobs.size());
+    }
+    auto entry = [&](std::size_t i) {
+        return damaged / sim::ExperimentEngine::cacheEntryPath(jobs[i]);
+    };
+    const std::string full = readFile(entry(0));
+    std::ofstream(entry(0), std::ios::binary | std::ios::trunc)
+        << full.substr(0, full.size() / 2);
+    editFile(entry(1),
+             "\"record_schema\":" +
+                 std::to_string(sim::kJobCacheSchemaVersion),
+             "\"record_schema\":8");
+    editFile(entry(2),
+             std::string("\"provider\":\"") +
+                 sim::providerName(jobs[2].config.provider),
+             std::string("\"provider\":\"") +
+                 sim::providerName(jobs[3].config.provider));
+    std::filesystem::remove(entry(3));
+
+    struct Warm
+    {
+        std::vector<sim::JobResult> results;
+        std::vector<std::uint64_t> counters;
+        std::uint64_t hits = 0;
+        std::uint64_t simulated = 0;
+    };
+    // Each engine heals its own copy of the damaged directory.
+    auto warm = [&](unsigned workers) {
+        const auto dir =
+            freshCacheDir("warm-parity-" + std::to_string(workers));
+        std::filesystem::copy(damaged, dir,
+                              std::filesystem::copy_options::recursive);
+        sim::ExperimentEngine::Options options;
+        options.cacheDir = dir.string();
+        options.lint = true;
+        options.jobs = workers;
+        sim::ExperimentEngine engine(options);
+        std::vector<sim::ExperimentEngine::JobId> ids;
+        for (const sim::SimJob &job : jobs)
+            ids.push_back(engine.submit(job));
+        engine.flush();
+        Warm out;
+        for (sim::ExperimentEngine::JobId id : ids)
+            out.results.push_back(engine.result(id));
+        out.counters = counterFields(engine.cache().counters());
+        out.hits = engine.cacheHits();
+        out.simulated = engine.simulated();
+        return out;
+    };
+    const Warm serial = warm(1);
+    const Warm parallel = warm(8);
+    EXPECT_EQ(serial.hits, jobs.size() - 4);
+    EXPECT_EQ(serial.simulated, 4u);
+    EXPECT_EQ(parallel.hits, serial.hits);
+    EXPECT_EQ(parallel.simulated, serial.simulated);
+    EXPECT_EQ(parallel.counters, serial.counters);
+    ASSERT_EQ(parallel.results.size(), serial.results.size());
+    for (std::size_t i = 0; i < serial.results.size(); ++i) {
+        const sim::JobResult &a = serial.results[i];
+        const sim::JobResult &b = parallel.results[i];
+        EXPECT_EQ(a.status, b.status) << "job " << i;
+        EXPECT_TRUE(a.stats == b.stats) << "job " << i;
+        EXPECT_EQ(a.error, b.error) << "job " << i;
+        EXPECT_EQ(a.deadlock, b.deadlock) << "job " << i;
+        EXPECT_EQ(a.attempts, b.attempts) << "job " << i;
+    }
 }
 
 TEST(FigureGenerators, ColdAndWarmRunsEmitIdenticalBytes)

@@ -397,6 +397,7 @@ TEST(TenantStarvation, ReportNamesTheStarvedTenantAndCause)
     } catch (const sim::DeadlockError &e) {
         const sim::DeadlockReport &report = e.report();
         EXPECT_EQ(report.starvedTenant, 1) << report.render();
+        EXPECT_EQ(report.kernel, "srad_v1") << report.render();
         EXPECT_EQ(report.starvedTenantKernel, "srad_v1");
         EXPECT_EQ(report.starvedTenantStall, "cm_no_capacity")
             << report.render();
