@@ -105,8 +105,6 @@ printCacheFooter(const sim::ExperimentEngine &engine, std::ostream &os)
     os << "# cache: " << sim::cacheModeName(cache.mode()) << " ("
        << cache.options().dir << "): " << c.hits << " hits, "
        << c.misses << " misses, " << c.stores << " stores";
-    if (c.coalesced)
-        os << ", " << c.coalesced << " coalesced";
     if (c.storeFailures)
         os << ", " << c.storeFailures << " store failures";
     if (c.corrupt)
@@ -115,9 +113,6 @@ printCacheFooter(const sim::ExperimentEngine &engine, std::ostream &os)
         os << ", " << c.schemaRejects << " schema rejects";
     if (c.janitorRemoved)
         os << ", " << c.janitorRemoved << " stale temps swept";
-    if (c.lockWaits || c.lockTimeouts)
-        os << ", " << c.lockWaits << " lock waits ("
-           << c.lockTimeouts << " timed out)";
     os << "\n";
     if (cache.mode() != sim::CacheMode::ReadWrite)
         os << "# cache: degraded: " << cache.modeReason() << "\n";

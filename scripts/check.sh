@@ -12,9 +12,9 @@
 #   3. the provider-registry contract suite (ctest label "providers"):
 #      every registered provider end-to-end under the closed stall
 #      account and memory-image invariants (DESIGN.md §13);
-#   4. the fleet-safe cache suite (ctest label "cache"): chaos
-#      injection under every CacheFaultPlan and forked multi-process
-#      stress over one shared directory (DESIGN.md §15);
+#   4. the cache suite (ctest label "cache"): chaos injection under
+#      every CacheFaultPlan and forked multi-process stress over one
+#      directory (DESIGN.md §15);
 #   5. the multi-tenant suite (ctest label "tenants"): single-tenant
 #      byte parity, per-tenant closed accounts, the preemption chaos
 #      test, starved-tenant reporting, and QoS (DESIGN.md §16);
@@ -35,7 +35,10 @@
 #      one analysis bundle; the multi-SM epoch loop skips under worker
 #      threads, the worker threads of a multi-SM co-run read the
 #      compiled kernels all SMs share, and the experiment engine's
-#      workers lint kernels and read cache entries).
+#      workers lint kernels and read cache entries; the seeded record
+#      mutants and the cache unit tests, whose store, janitor, survey
+#      and gc code walk files and parse hostile records, run under
+#      ASan as well).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -111,18 +114,22 @@ python3 perfbench/test_perfbench.py
 # Skip-enabled determinism subset under AddressSanitizer: the oracle
 # sweep, the property fuzzer (random kernels + fault plans), the
 # stall-accounting tests, the unit tests of the flat cache, memory
-# and OSU structures, the config-fingerprint tests, and the compiled
+# and OSU structures, the config-fingerprint tests, the compiled
 # kernel's shared analyses (copied and moved compiled kernels, and the
-# pinned lint that reads them). Each filter pattern must select a test
+# pinned lint that reads them), the hostile and seeded-mutant cache
+# records, and the experiment cache's unit tests (store, janitor,
+# survey and gc). Each filter pattern must select a test
 # (scripts/gtest_filtered.sh).
 ASAN_DIR=${ASAN_BUILD_DIR:-build-asan}
 cmake -B "$ASAN_DIR" -S . -DREGLESS_SANITIZE=address
 cmake --build "$ASAN_DIR" -j "$(nproc)" --target regless_tests \
-    --target regless_oracle_tests
+    --target regless_oracle_tests --target regless_cache_tests
 scripts/gtest_filtered.sh "$ASAN_DIR"/tests/regless_oracle_tests \
     '*CycleSkipOracle*:CycleSkip*'
 scripts/gtest_filtered.sh "$ASAN_DIR"/tests/regless_tests \
-    '*CycleSkipFuzz*:SlotInvariant.*:StallTrace.*:DeadlockBreakdown.*:CacheTest.*:MemorySystemTest.*:OsuTest.*:ConfigFingerprint.*:CompiledKernelAnalyses.*:LintPinned.*'
+    '*CycleSkipFuzz*:SlotInvariant.*:StallTrace.*:DeadlockBreakdown.*:CacheTest.*:MemorySystemTest.*:OsuTest.*:ConfigFingerprint.*:CompiledKernelAnalyses.*:LintPinned.*:StatsIoHostile.*'
+scripts/gtest_filtered.sh "$ASAN_DIR"/tests/regless_cache_tests \
+    'ShardLayout.*:JobCacheLoad.*:JobCacheStore.*:CacheSurveyTest.*:CacheGc.*'
 
 # Same subset's parallel face under ThreadSanitizer: epoch-clamped
 # skipping on worker threads must stay race-free, and so must the

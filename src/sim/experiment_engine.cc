@@ -143,7 +143,6 @@ cacheOptions(const ExperimentEngine::Options &options)
 {
     JobCache::Options cache;
     cache.dir = options.cacheDir;
-    cache.readOnly = options.cacheReadOnly;
     cache.faults = options.cacheFaults;
     return cache;
 }
@@ -271,6 +270,11 @@ ExperimentEngine::runIsolated(SimJob job, const Options &options)
             result.status = JobStatus::Failed;
             result.error = e.what();
             result.deadlock.clear();
+        } catch (...) {
+            // Escaping a pool worker would end the process.
+            result.status = JobStatus::Failed;
+            result.error = "a non-standard exception was thrown";
+            result.deadlock.clear();
         }
         if (attempt >= options.retries)
             return result;
@@ -375,7 +379,15 @@ ExperimentEngine::flush()
             const Entry &entry = *pending[r];
             keys[r] = {cacheFileName(entry.job, entry.fingerprint),
                        entry.fingerprint};
-            reads[r] = _cache.read(keys[r]);
+            JobCache::Read &read = reads[r];
+            read = _cache.read(keys[r]);
+            // The fingerprint names the provider, so an Ok record of
+            // another one was tampered with or collided: a corrupt
+            // miss, whose point is re-simulated and rewritten.
+            if (read.outcome == JobCache::Read::Outcome::Valid &&
+                read.record.status == JobStatus::Ok &&
+                read.record.stats.provider != entry.job.config.provider)
+                read.outcome = JobCache::Read::Outcome::Corrupt;
         } catch (...) {
             errors[i] = std::current_exception();
         }
@@ -400,12 +412,8 @@ ExperimentEngine::flush()
     for (std::size_t r = 0; r < pending.size(); ++r) {
         Entry &entry = *pending[r];
         JobRecord record;
-        // Entries are keyed by fingerprint, so a provider mismatch
-        // means the file was tampered with or collided: miss.
         if (r < num_reads &&
-            _cache.admit(keys[r], std::move(reads[r]), record) &&
-            (record.status != JobStatus::Ok ||
-             record.stats.provider == entry.job.config.provider)) {
+            _cache.admit(keys[r], std::move(reads[r]), record)) {
             entry.result = {record.status, std::move(record.stats),
                             std::move(record.error),
                             std::move(record.deadlock), record.attempts};
@@ -417,8 +425,8 @@ ExperimentEngine::flush()
     }
 
     // Step 3: simulate the misses on the pool. runIsolated() turns
-    // every std::exception into the job's result: one wedged or
-    // crashing job must not take down a worker or its sibling jobs.
+    // every exception into the job's result: one wedged or crashing
+    // job must not take down a worker or its sibling jobs.
     _pool->parallelFor(to_run.size(), [&](std::size_t i) {
         to_run[i]->result = runIsolated(to_run[i]->job, _options);
     });

@@ -24,10 +24,9 @@
  * annotates the gap.
  *
  * The on-disk cache is the JobCache subsystem (DESIGN.md §15):
- * sharded, crash-tolerant, safe under concurrent writer processes,
- * and degrading structurally (read-only / disabled, surfaced in the
- * report footer) instead of ever failing a run. Processes may share
- * one cache directory; each simulates only what is not cached yet.
+ * sharded, crash-tolerant, published by atomic rename, and degrading
+ * structurally (read-only / disabled, surfaced in the report footer)
+ * instead of ever failing a run.
  */
 
 #ifndef REGLESS_SIM_EXPERIMENT_ENGINE_HH
@@ -135,9 +134,6 @@ class ExperimentEngine
         /** Base delay before a retry, in milliseconds (doubles per
          * attempt). */
         unsigned retryBackoffMs = 10;
-
-        /** Never write cache entries (reads still hit). */
-        bool cacheReadOnly = false;
 
         /** Chaos injection into the cache layer (tests only). */
         CacheFaultPlan cacheFaults;

@@ -3,19 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define REGLESS_HAVE_FLOCK 1
-#include <fcntl.h>
-#include <sys/file.h>
 #include <unistd.h>
-#endif
 
 #include "common/logging.hh"
 
@@ -27,90 +20,11 @@ namespace fs = std::filesystem;
 namespace
 {
 
-/** Shard lock-file leaf name; never an entry, skipped by survey/gc. */
-constexpr const char *kLockName = ".lock";
-
 double
 ageSeconds(fs::file_time_type then, fs::file_time_type now)
 {
     return std::chrono::duration<double>(now - then).count();
 }
-
-/**
- * Advisory per-shard writer lock: flock with bounded exponential
- * backoff. Failing to lock is never an error — the caller proceeds
- * lock-free (atomic rename keeps that correct; the lock only
- * coalesces redundant work). Where flock does not exist the class
- * degenerates to the deterministic lock-free fallback.
- */
-class ShardLock
-{
-  public:
-    ShardLock(const fs::path &shard, unsigned timeout_ms,
-              CacheCounters *counters)
-    {
-#ifdef REGLESS_HAVE_FLOCK
-        const fs::path lock_path = shard / kLockName;
-        _fd = ::open(lock_path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC,
-                     0666);
-        if (_fd < 0)
-            return; // unwritable shard: lock-free fallback
-        unsigned waited_ms = 0;
-        unsigned delay_ms = 1;
-        bool waited = false;
-        for (;;) {
-            if (::flock(_fd, LOCK_EX | LOCK_NB) == 0) {
-                _held = true;
-                break;
-            }
-            if (errno == EINTR)
-                continue;
-            if (errno != EWOULDBLOCK)
-                break; // e.g. flock unsupported on this filesystem
-            if (!waited && counters)
-                ++counters->lockWaits;
-            waited = true;
-            if (waited_ms >= timeout_ms) {
-                if (counters)
-                    ++counters->lockTimeouts;
-                break;
-            }
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(delay_ms));
-            waited_ms += delay_ms;
-            delay_ms = std::min(delay_ms * 2, 50u);
-        }
-        if (!_held) {
-            ::close(_fd);
-            _fd = -1;
-        }
-#else
-        (void)shard;
-        (void)timeout_ms;
-        (void)counters;
-#endif
-    }
-
-    ~ShardLock()
-    {
-#ifdef REGLESS_HAVE_FLOCK
-        if (_fd >= 0) {
-            ::flock(_fd, LOCK_UN);
-            ::close(_fd);
-        }
-#endif
-    }
-
-    ShardLock(const ShardLock &) = delete;
-    ShardLock &operator=(const ShardLock &) = delete;
-
-    /** True when the flock is actually held (not the fallback). */
-    bool held() const { return _held; }
-
-  private:
-    int _fd = -1;
-    bool _held = false;
-};
 
 /** PID + per-process nonce so temp names never collide across (or
  * within) writer processes, even after a crash left old ones. */
@@ -118,11 +32,7 @@ std::string
 tempSuffix()
 {
     static std::atomic<unsigned> nonce{0};
-#ifdef REGLESS_HAVE_FLOCK
     const long pid = static_cast<long>(::getpid());
-#else
-    const long pid = 0;
-#endif
     return ".tmp." + std::to_string(pid) + "." +
            std::to_string(nonce.fetch_add(1));
 }
@@ -289,12 +199,6 @@ JobCache::ensureOpen()
     _opened = true;
     if (_options.dir.empty())
         return false;
-    if (_options.readOnly) {
-        // Read-only by configuration: don't even create the
-        // directory; a missing one just means every load misses.
-        degrade(CacheMode::ReadOnly, "configured read-only");
-        return enabled();
-    }
     std::error_code ec;
     fs::create_directories(_options.dir, ec);
     if (ec) {
@@ -322,7 +226,7 @@ JobCache::read(const Key &key) const
     // point is re-simulated and the entry rewritten (healed).
     if (!tryRecordFromJson(text, read.record))
         read.outcome = Read::Outcome::Corrupt;
-    else if (read.record.schema != _options.expectedSchema)
+    else if (read.record.schema != kJobCacheSchemaVersion)
         read.outcome = Read::Outcome::WrongSchema;
     else
         read.outcome = Read::Outcome::Valid;
@@ -353,8 +257,8 @@ JobCache::admit(const Key &key, Read read, JobRecord &out)
             _warnedSchema = true;
             warn("experiment cache: rejecting '", key.file,
                  "': entry schema ", read.record.schema, " != expected ",
-                 _options.expectedSchema, " (",
-                 read.record.schema > _options.expectedSchema
+                 kJobCacheSchemaVersion, " (",
+                 read.record.schema > kJobCacheSchemaVersion
                      ? "written by a newer build sharing this cache; "
                        "upgrade this binary or use a separate "
                        "--cache-dir"
@@ -403,7 +307,7 @@ JobCache::janitor(const fs::path &shard)
             continue;
         // Fresh temps may belong to a live writer mid-publish; only
         // ones past the staleness threshold are crash leftovers.
-        if (ageSeconds(mtime, now) < _options.staleTmpAgeSec)
+        if (ageSeconds(mtime, now) < kStaleTempAgeSec)
             continue;
         if (fs::remove(it.path(), ec))
             ++_counters.janitorRemoved;
@@ -426,23 +330,6 @@ JobCache::store(const Key &key, const JobRecord &record)
         return false;
     }
     janitor(shard);
-
-    // Coalesce concurrent writers: take the shard's advisory lock
-    // (bounded backoff, lock-free fallback on timeout), then check
-    // whether the race winner already published this entry — entries
-    // are deterministic functions of their fingerprint, so a valid
-    // same-schema record on disk makes this write redundant.
-    ShardLock lock(shard, _options.lockTimeoutMs, &_counters);
-    {
-        std::string existing;
-        JobRecord prior;
-        if (slurp(path, existing) &&
-            tryRecordFromJson(existing, prior) &&
-            prior.schema == _options.expectedSchema) {
-            ++_counters.coalesced;
-            return true;
-        }
-    }
 
     std::ostringstream payload_stream;
     writeJson(payload_stream, record);
@@ -517,7 +404,7 @@ JobCache::storeFailed(const std::filesystem::path &path,
         warn("experiment cache: cannot store '", path.string(), "': ",
              why, " (warning once; see the report footer for counts)");
     }
-    if (++_consecutiveStoreFailures >= _options.maxStoreFailures) {
+    if (++_consecutiveStoreFailures >= kMaxStoreFailures) {
         degrade(CacheMode::ReadOnly,
                 "writes disabled after " +
                     std::to_string(_consecutiveStoreFailures) +
@@ -536,21 +423,30 @@ namespace
 struct GcFile
 {
     fs::path path;
-    fs::path shard; ///< shard dir to lock ("" = cache root)
     std::uint64_t bytes = 0;
     double ageSec = 0.0;
     bool isTemp = false;
     bool isSuspect = false; ///< corrupt or misplaced
 };
 
+/**
+ * True for dot-files, which survey and gc leave alone: they are not
+ * cache content. Caches written by older builds hold one `.lock`
+ * file per shard, from a writer lock this cache no longer takes.
+ */
+bool
+isDotFile(const std::string &leaf)
+{
+    return leaf[0] == '.';
+}
+
 void
 surveyFile(const fs::path &root, const fs::path &path,
-           const std::string &shard_name, unsigned expected_schema,
-           CacheSurvey &survey)
+           const std::string &shard_name, CacheSurvey &survey)
 {
     const std::string leaf = path.filename().string();
-    if (leaf == kLockName || leaf[0] == '.')
-        return; // internal bookkeeping, not cache content
+    if (isDotFile(leaf))
+        return;
     std::error_code ec;
     const std::uint64_t bytes =
         static_cast<std::uint64_t>(fs::file_size(path, ec));
@@ -582,9 +478,9 @@ surveyFile(const fs::path &root, const fs::path &path,
         return;
     }
     ++survey.entries;
-    if (record.schema != expected_schema) {
+    if (record.schema != kJobCacheSchemaVersion) {
         ++survey.wrongSchema;
-        if (record.schema > expected_schema)
+        if (record.schema > kJobCacheSchemaVersion)
             ++survey.newerSchema;
     }
     switch (record.status) {
@@ -603,7 +499,7 @@ surveyFile(const fs::path &root, const fs::path &path,
 } // namespace
 
 CacheSurvey
-cacheSurveyDir(const fs::path &dir, unsigned expected_schema)
+cacheSurveyDir(const fs::path &dir)
 {
     CacheSurvey survey;
     std::error_code ec;
@@ -618,12 +514,11 @@ cacheSurveyDir(const fs::path &dir, unsigned expected_schema)
             for (const auto &f :
                  fs::directory_iterator(it.path(), ec)) {
                 if (f.is_regular_file(ec))
-                    surveyFile(dir, f.path(), name, expected_schema,
-                               survey);
+                    surveyFile(dir, f.path(), name, survey);
             }
         } else if (it.is_regular_file(ec)) {
             // Flat root files: legacy pre-shard entries and strays.
-            surveyFile(dir, it.path(), "", expected_schema, survey);
+            surveyFile(dir, it.path(), "", survey);
         }
     }
     return survey;
@@ -638,16 +533,13 @@ cacheGcDir(const fs::path &dir, const CacheGcOptions &options)
         return result;
     const auto now = fs::file_time_type::clock::now();
 
-    // Phase 1: scan without locks.
     std::vector<GcFile> files;
-    auto scan = [&](const fs::path &path, const fs::path &shard,
-                    const std::string &shard_name) {
+    auto scan = [&](const fs::path &path, const std::string &shard_name) {
         const std::string leaf = path.filename().string();
-        if (leaf == kLockName || leaf[0] == '.')
+        if (isDotFile(leaf))
             return;
         GcFile f;
         f.path = path;
-        f.shard = shard;
         f.bytes = static_cast<std::uint64_t>(fs::file_size(path, ec));
         const auto mtime = fs::last_write_time(path, ec);
         f.ageSec = ec ? 0.0 : ageSeconds(mtime, now);
@@ -674,16 +566,17 @@ cacheGcDir(const fs::path &dir, const CacheGcOptions &options)
             for (const auto &f :
                  fs::directory_iterator(it.path(), ec)) {
                 if (f.is_regular_file(ec))
-                    scan(f.path(), it.path(), name);
+                    scan(f.path(), name);
             }
         } else if (it.is_regular_file(ec)) {
-            scan(it.path(), fs::path(), "");
+            scan(it.path(), "");
         }
     }
 
-    // Decide removals. The grace margin is the live-lock/live-writer
-    // safety net: nothing young enough to be mid-publish is touched,
-    // so gc can never race a writer into data loss.
+    // Decide removals. The grace margin is the only guard against
+    // live writers: nothing young enough to be mid-publish is touched.
+    // A writer that heals an old entry just before gc removes it
+    // costs one re-simulation later, never a bad record.
     auto protectedByGrace = [&](const GcFile &f) {
         return f.ageSec < options.graceSec;
     };
@@ -722,34 +615,11 @@ cacheGcDir(const fs::path &dir, const CacheGcOptions &options)
                    kept.begin() + static_cast<std::ptrdiff_t>(i));
     }
 
-    // Phase 2: remove, one bounded-wait shard lock at a time. A shard
-    // whose lock never frees is skipped — gc yields to writers rather
-    // than spinning against them.
-    std::stable_sort(doomed.begin(), doomed.end(),
-                     [](const GcFile *a, const GcFile *b) {
-                         return a->shard.string() < b->shard.string();
-                     });
-    std::size_t i = 0;
-    while (i < doomed.size()) {
-        const fs::path shard = doomed[i]->shard;
-        std::size_t end = i;
-        while (end < doomed.size() && doomed[end]->shard == shard)
-            ++end;
-        CacheCounters counters;
-        ShardLock lock(shard.empty() ? dir : shard,
-                       options.lockTimeoutMs, &counters);
-        if (counters.lockTimeouts) {
-            ++result.skippedShards;
-            i = end;
+    for (const GcFile *f : doomed) {
+        if (!options.dryRun && !fs::remove(f->path, ec))
             continue;
-        }
-        for (; i < end; ++i) {
-            const GcFile &f = *doomed[i];
-            if (!options.dryRun && !fs::remove(f.path, ec))
-                continue;
-            ++(f.isTemp ? result.removedTemps : result.removedEntries);
-            result.removedBytes += f.bytes;
-        }
+        ++(f->isTemp ? result.removedTemps : result.removedEntries);
+        result.removedBytes += f->bytes;
     }
     result.keptEntries = kept.size();
     return result;

@@ -1,25 +1,21 @@
 /**
  * @file
- * JobCache: the experiment engine's on-disk memoization store, built
- * to be shared by a fleet of report processes (CI jobs, sweep
- * workers on several machines) hammering one directory. Entries are
+ * JobCache: the experiment engine's on-disk memoization store, one
+ * directory a report fills and later reports read. Entries are
  * JobRecords (stats_io) keyed by the job's config fingerprint and
  * partitioned into 256 shard subdirectories (the fingerprint's low
  * byte) so no directory grows unbounded. See DESIGN.md §15.
  *
  * Safety model:
- *  - Writers publish with write-temp-then-atomic-rename; temp names
- *    carry the PID and a per-process nonce so concurrent writers and
- *    a crashed writer's leftovers never collide.
- *  - A janitor sweeps stale temp files (older than a threshold) the
- *    first time a shard is written, so `kill -9` mid-write only costs
- *    a few bytes until the next writer passes by.
- *  - Writes to one shard coalesce through an advisory flock with
- *    bounded exponential backoff; on timeout (or where flock is
- *    unavailable) the writer falls back to lock-free operation —
- *    atomic rename keeps that correct, the lock only avoids
- *    redundant work. After the lock, an entry published by the race
- *    winner is detected and the duplicate write is skipped.
+ *  - Writers publish only with write-temp-then-atomic-rename, so a
+ *    reader sees the old entry or the new one, never a torn file.
+ *    Temp names carry the PID and a per-process nonce, so two writers
+ *    and a crashed writer's leftovers never collide. An entry is a
+ *    deterministic function of its fingerprint: when two writers
+ *    publish the same entry, the last rename wins with the same bytes.
+ *  - A janitor sweeps stale temp files (older than kStaleTempAgeSec)
+ *    the first time a shard is written, so `kill -9` mid-write only
+ *    costs a few bytes until the next writer passes by.
  *  - Every environmental failure (unwritable directory, full disk,
  *    failed rename) degrades the cache to a structured read-only or
  *    disabled mode with a reason string for the report footer; the
@@ -116,13 +112,9 @@ struct CacheCounters
                                      ///< as misses)
     std::uint64_t schemaRejects = 0; ///< parseable entries under a
                                      ///< different schema
-    std::uint64_t coalesced = 0;     ///< duplicate writes skipped
-                                     ///< (race winner already
-                                     ///< published)
-    std::uint64_t lockWaits = 0;     ///< stores that found the shard
-                                     ///< lock held and backed off
-    std::uint64_t lockTimeouts = 0;  ///< backoffs that hit the bound
-                                     ///< and fell back to lock-free
+    std::uint64_t lockWaits = 0;     ///< always 0: no store takes a
+                                     ///< lock; kept for perfbench's
+                                     ///< job_cache.lock_waits metric
     std::uint64_t janitorRemoved = 0; ///< stale temp files swept
 };
 
@@ -130,6 +122,13 @@ struct CacheCounters
 class JobCache
 {
   public:
+    /** Consecutive store failures before writes are disabled. */
+    static constexpr unsigned kMaxStoreFailures = 3;
+
+    /** Temp files older than this are a crashed writer's leftovers,
+     * which the janitor sweeps; younger ones may be mid-publish. */
+    static constexpr double kStaleTempAgeSec = 3600.0;
+
     /** One entry's identity: its leaf file name plus the fingerprint
      * that names it (the shard is the fingerprint's low byte). */
     struct Key
@@ -142,22 +141,6 @@ class JobCache
     {
         /** Cache root; empty = CacheMode::Disabled. */
         std::string dir;
-
-        /** Start at CacheMode::ReadOnly (never write). */
-        bool readOnly = false;
-
-        /** Schema entries must carry to be served. */
-        unsigned expectedSchema = kJobCacheSchemaVersion;
-
-        /** Total bounded-backoff budget before a store proceeds
-         * without the shard lock, in milliseconds. */
-        unsigned lockTimeoutMs = 200;
-
-        /** Temp files older than this are janitor fodder. */
-        double staleTmpAgeSec = 3600.0;
-
-        /** Consecutive store failures before writes are disabled. */
-        unsigned maxStoreFailures = 3;
 
         /** Chaos injection (tests only). */
         CacheFaultPlan faults;
@@ -184,9 +167,11 @@ class JobCache
         enum class Outcome : std::uint8_t
         {
             Missing,     ///< no readable file (or the cache is off)
-            Corrupt,     ///< the file does not parse as a record
+            Corrupt,     ///< the file does not parse as a record (or,
+                         ///< set by the engine, is an Ok record of
+                         ///< another provider than its job's)
             WrongSchema, ///< a record under another schema
-            Valid,       ///< a record under the expected schema
+            Valid,       ///< a record under kJobCacheSchemaVersion
         };
         Outcome outcome = Outcome::Missing;
         /** The parsed record (Valid and WrongSchema). */
@@ -219,11 +204,12 @@ class JobCache
     bool load(const Key &key, JobRecord &out);
 
     /**
-     * Publish the record for @a key with temp-write + atomic rename
-     * under the shard's advisory lock. Returns false (and counts,
+     * Publish the record for @a key with temp-write + atomic rename,
+     * replacing whatever the entry held. Returns false (and counts,
      * and warns once per process) when the write failed; the temp
-     * file is always cleaned up on failure. Repeated failures
-     * degrade the cache to read-only instead of warning forever.
+     * file is always cleaned up on failure. kMaxStoreFailures
+     * consecutive failures degrade the cache to read-only instead of
+     * warning forever.
      */
     bool store(const Key &key, const JobRecord &record);
 
@@ -291,12 +277,12 @@ struct CacheSurvey
     std::uint64_t failedRecords = 0; ///< status == Failed
     std::uint64_t deadlockedRecords = 0;
     std::uint64_t corrupt = 0;     ///< unparseable .json files
-    std::uint64_t wrongSchema = 0; ///< schema != expectedSchema
+    std::uint64_t wrongSchema = 0; ///< schema != kJobCacheSchemaVersion
     std::uint64_t newerSchema = 0; ///< subset of wrongSchema: newer
     std::uint64_t misplaced = 0;   ///< entry not in its fingerprint's
                                    ///< shard (or at the flat root)
     std::uint64_t tempFiles = 0;   ///< writer temp files present
-    std::uint64_t otherFiles = 0;  ///< unrecognized names (locks
+    std::uint64_t otherFiles = 0;  ///< unrecognized names (dot-files
                                    ///< excluded)
     std::uint64_t totalBytes = 0;  ///< bytes in entries + temps
     std::uint64_t shardsUsed = 0;  ///< shard subdirectories present
@@ -307,9 +293,7 @@ struct CacheSurvey
 
 /** Walk @a dir and classify everything in it. Missing directory =
  * empty survey (a cache that was never written is healthy). */
-CacheSurvey cacheSurveyDir(const std::filesystem::path &dir,
-                           unsigned expectedSchema =
-                               kJobCacheSchemaVersion);
+CacheSurvey cacheSurveyDir(const std::filesystem::path &dir);
 
 struct CacheGcOptions
 {
@@ -320,8 +304,7 @@ struct CacheGcOptions
     std::uint64_t maxBytes = 0;
 
     /** Never remove files younger than this, whatever the policy
-     * says: an entry this fresh may be mid-publish by a live writer
-     * (the live-lock safety margin). */
+     * says: an entry or temp this fresh may belong to a live writer. */
     double graceSec = 300.0;
 
     /** Also remove corrupt entries and files in the wrong shard. */
@@ -329,10 +312,6 @@ struct CacheGcOptions
 
     /** Report what would be removed without removing it. */
     bool dryRun = false;
-
-    /** Per-shard lock wait budget; a shard whose lock stays held is
-     * skipped, not spun on. */
-    unsigned lockTimeoutMs = 200;
 };
 
 struct CacheGcResult
@@ -341,14 +320,15 @@ struct CacheGcResult
     std::uint64_t removedTemps = 0;
     std::uint64_t removedBytes = 0;
     std::uint64_t keptEntries = 0;
-    std::uint64_t skippedShards = 0; ///< lock never came free
 };
 
 /**
  * Garbage-collect @a dir: stale temps always, then age policy, then
- * size policy (oldest first). Each shard is cleaned under its
- * advisory lock with a bounded wait so gc can never live-lock
- * against writers — a busy shard is skipped and left for next time.
+ * size policy (oldest first). gc takes no lock: only the grace margin
+ * keeps it off files a live writer may be publishing. Should it still
+ * race a writer, the worst case is deleting an entry the writer just
+ * healed, which costs one re-simulation and never serves a bad
+ * record.
  */
 CacheGcResult cacheGcDir(const std::filesystem::path &dir,
                          const CacheGcOptions &options);

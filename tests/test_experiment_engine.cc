@@ -503,10 +503,8 @@ TEST(ExperimentEngine, LintGateRaisesTheFirstFailureInSubmissionOrder)
 std::vector<std::uint64_t>
 counterFields(const sim::CacheCounters &c)
 {
-    return {c.hits,        c.misses,        c.stores,
-            c.storeFailures, c.corrupt,     c.schemaRejects,
-            c.coalesced,   c.lockWaits,     c.lockTimeouts,
-            c.janitorRemoved};
+    return {c.hits,    c.misses,        c.stores,    c.storeFailures,
+            c.corrupt, c.schemaRejects, c.lockWaits, c.janitorRemoved};
 }
 
 /** The whole text of @a path. */

@@ -3,15 +3,18 @@
  * Fault-injection and fault-isolation coverage (DESIGN.md §9): every
  * injected fault class provokes its failure deterministically, the
  * forward-progress watchdog terminates hangs within its window with a
- * populated DeadlockReport, a crashing job never disturbs its
- * siblings, transient faults are retried exactly once, and failures
- * are negative-cached through the JobRecord JSON round trip.
+ * populated DeadlockReport, a crashing job (whatever it throws) never
+ * disturbs its siblings, transient faults are retried exactly once,
+ * and failures are negative-cached through the JobRecord JSON round
+ * trip.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <sstream>
+#include <thread>
 
 #include "common/sim_error.hh"
 #include "sim/experiment_engine.hh"
@@ -238,6 +241,40 @@ TEST(FaultIsolation, ProviderThrowIsCapturedWithDiagnosis)
     EXPECT_THROW(engine.stats(id), sim::SimError);
     EXPECT_EQ(engine.tryStats(id), nullptr);
     EXPECT_EQ(engine.failedJobs(), std::vector<sim::ExperimentEngine::JobId>{id});
+}
+
+TEST(FaultIsolation, NonStandardExceptionFailsOnlyItsJob)
+{
+    // A throw of any type is its job's failure: one that escaped a
+    // pool worker would end the process. The builders sleep first, so
+    // both workers are inside a throwing job at once.
+    sim::ExperimentEngine::Options options;
+    options.jobs = 2;
+    options.retryBackoffMs = 0;
+    sim::ExperimentEngine engine(options);
+    std::vector<sim::ExperimentEngine::JobId> bad;
+    for (const char *name : {"throws_int_a", "throws_int_b"}) {
+        sim::SimJob job = tinyJob(sim::ProviderKind::Regless);
+        job.kernel = name;
+        job.builder = []() -> ir::Kernel {
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            throw 42;
+        };
+        bad.push_back(engine.submit(job));
+    }
+    const auto good = engine.submit(tinyJob(sim::ProviderKind::Baseline));
+    engine.flush();
+
+    for (sim::ExperimentEngine::JobId id : bad) {
+        const sim::JobResult &result = engine.result(id);
+        EXPECT_EQ(result.status, sim::JobStatus::Failed);
+        EXPECT_NE(result.error.find("non-standard exception"),
+                  std::string::npos)
+            << result.error;
+        EXPECT_EQ(result.attempts, 2u); // retried like any failure
+    }
+    EXPECT_EQ(engine.result(good).status, sim::JobStatus::Ok);
+    EXPECT_EQ(engine.failedJobs(), bad);
 }
 
 TEST(FaultIsolation, TransientFaultRetriesOnceAndSucceeds)

@@ -1,6 +1,6 @@
 /**
  * @file
- * The fleet-safe cache suite (ctest label "cache", DESIGN.md §15):
+ * The cache suite (ctest label "cache", DESIGN.md §15):
  * sharded layout, crash/corruption tolerance, the CacheFaultPlan
  * chaos oracle (under every injected environmental fault the engine
  * never crashes, never serves a corrupt entry, and produces results
@@ -20,11 +20,6 @@
 #include <sstream>
 #include <string>
 #include <vector>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <sys/file.h>
-#endif
 
 #include "common/sim_error.hh"
 #include "sim/experiment_engine.hh"
@@ -108,6 +103,27 @@ syntheticRecord(unsigned index)
     record.stats.insns = 17 * index;
     record.attempts = 1;
     return record;
+}
+
+/** The whole text of @a path. */
+std::string
+readFile(const fs::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+}
+
+/** Backdate @a path's mtime by @a seconds. */
+void
+backdate(const fs::path &path, double seconds)
+{
+    const auto mtime = fs::last_write_time(path);
+    fs::last_write_time(
+        path, mtime - std::chrono::duration_cast<
+                          fs::file_time_type::duration>(
+                          std::chrono::duration<double>(seconds)));
 }
 
 sim::JobCache::Key
@@ -362,8 +378,49 @@ TEST(JobCacheLoad, EngineHealsADamagedCountToTheReferenceBytes)
     }
 }
 
+TEST(JobCacheLoad, EngineHealsAnEntryOfAnotherProvider)
+{
+    // Entries are keyed by fingerprint, so an Ok record of another
+    // provider was tampered with or collided: a corrupt miss, which
+    // the engine re-simulates and rewrites, so the next engine hits.
+    const fs::path dir = freshDir("engine-provider");
+    sim::ExperimentEngine::Options options;
+    options.cacheDir = dir.string();
+    const sim::SimJob job = tinyJob(sim::ProviderKind::Regless);
+    {
+        sim::ExperimentEngine engine(options);
+        engine.stats(engine.submit(job));
+    }
+    const fs::path path =
+        dir / sim::ExperimentEngine::cacheEntryPath(job);
+    const std::string good = readFile(path);
+    const std::string from = "\"provider\":\"regless\"";
+    std::string text = good;
+    const std::size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, from.size(), "\"provider\":\"rfh\"");
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+
+    sim::ExperimentEngine engine(options);
+    engine.stats(engine.submit(job));
+    EXPECT_EQ(engine.simulated(), 1u);
+    EXPECT_EQ(engine.cacheHits(), 0u);
+    const sim::CacheCounters &c = engine.cache().counters();
+    EXPECT_EQ(c.corrupt, 1u);
+    EXPECT_EQ(c.misses, 1u);
+    EXPECT_EQ(c.hits, 0u);
+    EXPECT_EQ(c.stores, 1u);
+    EXPECT_EQ(readFile(path), good);
+
+    sim::ExperimentEngine warm(options);
+    warm.submit(job);
+    warm.flush();
+    EXPECT_EQ(warm.simulated(), 0u);
+    EXPECT_EQ(warm.cacheHits(), 1u);
+}
+
 // ---------------------------------------------------------------------
-// Store paths: coalescing, cleanup, degradation.
+// Store paths: cleanup, degradation.
 // ---------------------------------------------------------------------
 
 /** Count writer temp files anywhere under @a dir. */
@@ -379,23 +436,6 @@ tempFilesUnder(const fs::path &dir)
             ++n;
     }
     return n;
-}
-
-TEST(JobCacheStore, DuplicateWritesCoalesce)
-{
-    const fs::path dir = freshDir("coalesce");
-    sim::JobCache::Options options;
-    options.dir = dir.string();
-    sim::JobCache a(options);
-    sim::JobCache b(options);
-    const sim::JobCache::Key key = syntheticKey(4);
-    ASSERT_TRUE(a.store(key, syntheticRecord(4)));
-    EXPECT_EQ(a.counters().stores, 1u);
-    // The race loser (any process, any time) detects the published
-    // entry under the shard lock and skips the redundant write.
-    ASSERT_TRUE(b.store(key, syntheticRecord(4)));
-    EXPECT_EQ(b.counters().stores, 0u);
-    EXPECT_EQ(b.counters().coalesced, 1u);
 }
 
 TEST(JobCacheStore, RenameFailureCleansTheTempAndCounts)
@@ -422,10 +462,10 @@ TEST(JobCacheStore, RepeatedDiskFullDegradesToReadOnly)
     options.faults.kind = sim::CacheFaultPlan::Kind::Enospc;
     options.faults.repeat = true;
     sim::JobCache cache(options);
-    // Ladder: keep trying for maxStoreFailures consecutive failures,
+    // Ladder: keep trying for kMaxStoreFailures consecutive failures,
     // then stop writing for the rest of the process — structured
     // degradation, not a warning storm and never a crash.
-    for (unsigned i = 0; i < options.maxStoreFailures; ++i) {
+    for (unsigned i = 0; i < sim::JobCache::kMaxStoreFailures; ++i) {
         EXPECT_EQ(cache.mode(), sim::CacheMode::ReadWrite);
         EXPECT_FALSE(cache.store(syntheticKey(i), syntheticRecord(i)));
     }
@@ -435,7 +475,7 @@ TEST(JobCacheStore, RepeatedDiskFullDegradesToReadOnly)
     // Further stores are structural no-ops, not new failures.
     EXPECT_FALSE(cache.store(syntheticKey(9), syntheticRecord(9)));
     EXPECT_EQ(cache.counters().storeFailures,
-              options.maxStoreFailures);
+              sim::JobCache::kMaxStoreFailures);
     EXPECT_EQ(tempFilesUnder(dir), 0u);
 }
 
@@ -457,10 +497,13 @@ TEST(JobCacheStore, CrashAfterTmpOrphanIsSweptByTheJanitor)
     sim::JobRecord out;
     EXPECT_FALSE(reader.load(key, out));
 
-    // The next writer into that shard sweeps stale temps first.
-    sim::JobCache::Options sweep = options;
-    sweep.staleTmpAgeSec = 0.0;
-    sim::JobCache janitor(sweep);
+    // Once the orphan is older than kStaleTempAgeSec, the next writer
+    // into that shard sweeps it first.
+    for (const auto &it : fs::recursive_directory_iterator(dir)) {
+        if (sim::JobCache::isTempName(it.path().filename().string()))
+            backdate(it.path(), sim::JobCache::kStaleTempAgeSec + 60.0);
+    }
+    sim::JobCache janitor(options);
     ASSERT_TRUE(janitor.store(key, syntheticRecord(6)));
     EXPECT_EQ(janitor.counters().janitorRemoved, 1u);
     EXPECT_EQ(tempFilesUnder(dir), 0u);
@@ -566,7 +609,6 @@ TEST(MultiProcess, EightWritersOneDirectoryStaysConsistent)
             // crash after their first temp, two lose a publish race.
             sim::JobCache::Options options;
             options.dir = dir.string();
-            options.lockTimeoutMs = 50;
             if (w < 2)
                 options.faults.kind =
                     sim::CacheFaultPlan::Kind::CrashAfterTmp;
@@ -683,17 +725,6 @@ TEST(MultiProcess, EngineFleetSharedDirectoryByteParity)
 // Maintenance: survey and gc.
 // ---------------------------------------------------------------------
 
-/** Backdate @a path's mtime by @a seconds. */
-void
-backdate(const fs::path &path, double seconds)
-{
-    const auto mtime = fs::last_write_time(path);
-    fs::last_write_time(
-        path, mtime - std::chrono::duration_cast<
-                          fs::file_time_type::duration>(
-                          std::chrono::duration<double>(seconds)));
-}
-
 TEST(CacheSurveyTest, ClassifiesEveryFileKind)
 {
     const fs::path dir = freshDir("survey");
@@ -704,7 +735,8 @@ TEST(CacheSurveyTest, ClassifiesEveryFileKind)
     ASSERT_TRUE(cache.store(syntheticKey(2), syntheticRecord(2)));
 
     // A corrupt entry, a misplaced entry (legacy flat root), a
-    // writer temp, and a stray file.
+    // writer temp, a stray file, and the per-shard lock file that
+    // caches written by older builds hold (not cache content).
     std::ofstream(cache.entryPath(syntheticKey(2)),
                   std::ios::binary | std::ios::trunc)
         << "{torn";
@@ -713,6 +745,9 @@ TEST(CacheSurveyTest, ClassifiesEveryFileKind)
                   ".tmp.999.0")
         << "half";
     std::ofstream(dir / "README.txt") << "hello";
+    const fs::path lock =
+        cache.entryPath(syntheticKey(1)).parent_path() / ".lock";
+    std::ofstream(lock) << "";
 
     const sim::CacheSurvey survey = sim::cacheSurveyDir(dir);
     EXPECT_EQ(survey.entries, 1u);
@@ -723,6 +758,16 @@ TEST(CacheSurveyTest, ClassifiesEveryFileKind)
     EXPECT_EQ(survey.otherFiles, 1u);
     EXPECT_GE(survey.suspects.size(), 2u);
     EXPECT_EQ(survey.shardsUsed, 2u);
+
+    // gc leaves the lock file alone, however old and whatever it
+    // removes around it.
+    backdate(lock, 1000.0);
+    sim::CacheGcOptions gc;
+    gc.maxAgeSec = 500.0;
+    gc.graceSec = 0.0;
+    gc.removeCorrupt = true;
+    sim::cacheGcDir(dir, gc);
+    EXPECT_TRUE(fs::exists(lock));
 }
 
 TEST(CacheGc, AgePolicyRespectsTheGraceMargin)
@@ -747,7 +792,7 @@ TEST(CacheGc, AgePolicyRespectsTheGraceMargin)
     EXPECT_TRUE(cache.load(syntheticKey(2), out));
 
     // Young files are protected even when the age policy wants them:
-    // they may be a live writer's fresh publish (live-lock safety).
+    // they may be a live writer's fresh publish.
     sim::CacheGcOptions eager;
     eager.maxAgeSec = 0.0001;
     eager.graceSec = 3600.0;
@@ -780,43 +825,6 @@ TEST(CacheGc, SizePolicyEvictsOldestFirst)
     EXPECT_FALSE(cache.load(syntheticKey(0), out));
     EXPECT_TRUE(cache.load(syntheticKey(5), out));
 }
-
-#if defined(__unix__) || defined(__APPLE__)
-TEST(CacheGc, BusyShardIsSkippedNotSpunOn)
-{
-    const fs::path dir = freshDir("gc-lock");
-    sim::JobCache::Options options;
-    options.dir = dir.string();
-    sim::JobCache cache(options);
-    const sim::JobCache::Key key = syntheticKey(7);
-    ASSERT_TRUE(cache.store(key, syntheticRecord(7)));
-    backdate(cache.entryPath(key), 1000.0);
-
-    // A writer holds the shard lock; flock is not recursive across
-    // descriptors, so gc (same process, different fd) must back off,
-    // give up within its bound, and leave the shard alone.
-    const fs::path lock_path =
-        cache.entryPath(key).parent_path() / ".lock";
-    const int fd = ::open(lock_path.c_str(), O_CREAT | O_RDWR, 0666);
-    ASSERT_GE(fd, 0);
-    ASSERT_EQ(::flock(fd, LOCK_EX), 0);
-
-    sim::CacheGcOptions gc;
-    gc.maxAgeSec = 500.0;
-    gc.graceSec = 0.0;
-    gc.lockTimeoutMs = 50;
-    const sim::CacheGcResult blocked = sim::cacheGcDir(dir, gc);
-    EXPECT_EQ(blocked.skippedShards, 1u);
-    EXPECT_EQ(blocked.removedEntries, 0u);
-    EXPECT_TRUE(fs::exists(cache.entryPath(key)));
-
-    ::flock(fd, LOCK_UN);
-    ::close(fd);
-    const sim::CacheGcResult freed = sim::cacheGcDir(dir, gc);
-    EXPECT_EQ(freed.removedEntries, 1u);
-    EXPECT_FALSE(fs::exists(cache.entryPath(key)));
-}
-#endif
 
 TEST(CacheGc, RemoveCorruptReclaimsSuspects)
 {

@@ -4,12 +4,14 @@
  * as JSON and read back must compare exactly equal, including doubles
  * (written at full precision) and the backing-store time series. Also
  * the RunStats/TenantLane field lists (every member listed, compared,
- * round-tripped and merged by its rule) and hostile records.
+ * round-tripped and merged by its rule) and hostile records, hand
+ * damaged and seeded mutants.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <set>
 #include <sstream>
 
@@ -577,6 +579,105 @@ TEST(StatsIoHostile, DamagedCountsFailTheParse)
             EXPECT_FALSE(sim::tryFromJson(text, stats)) << to;
         }
     }
+}
+
+/** A record as a failed or deadlocked job stores it: error and
+ *  deadlock texts with quotes, backslashes and newlines. */
+std::string
+failureRecordJson(sim::JobStatus status)
+{
+    sim::JobRecord record;
+    record.schema = sim::kJobCacheSchemaVersion;
+    record.status = status;
+    record.stats.kernel = "doomed";
+    record.error = "job \"doomed\" threw: C:\\tmp\nsecond line";
+    if (status == sim::JobStatus::Deadlocked) {
+        record.deadlock = "deadlock: kernel 'doomed' made no forward "
+                          "progress\n  w0 cm_no_capacity pc=22\n";
+    }
+    record.attempts = 2;
+    std::ostringstream oss;
+    sim::writeJson(oss, record);
+    return oss.str();
+}
+
+/**
+ * One random edit of @a text: a byte flip, a truncation, a deleted or
+ * duplicated span, or spliced digits. Draws straight from the engine
+ * (not a distribution, whose output the standard leaves to each
+ * library), so the mutants are the same everywhere.
+ */
+void
+mutate(std::string &text, std::mt19937_64 &rng)
+{
+    auto below = [&rng](std::size_t n) {
+        return n ? static_cast<std::size_t>(rng() % n) : 0;
+    };
+    const std::size_t at = below(text.size());
+    const std::size_t span = 1 + below(std::min<std::size_t>(
+                                     24, text.size() - at));
+    switch (rng() % 5) {
+      case 0:
+        if (!text.empty())
+            text[at] = static_cast<char>(text[at] ^ (1 << below(8)));
+        break;
+      case 1:
+        text.resize(at);
+        break;
+      case 2:
+        text.erase(at, span);
+        break;
+      case 3:
+        text.insert(below(text.size() + 1), text.substr(at, span));
+        break;
+      default: {
+        std::string digits;
+        for (std::size_t i = 0; i < span; ++i)
+            digits.push_back(static_cast<char>('0' + below(10)));
+        text.insert(below(text.size() + 1), digits);
+        break;
+      }
+    }
+}
+
+TEST(StatsIoHostile, SeededMutantsParseOrFail)
+{
+    const std::string seeds[] = {
+        tenantRecordJson(),
+        failureRecordJson(sim::JobStatus::Failed),
+        failureRecordJson(sim::JobStatus::Deadlocked),
+    };
+    std::mt19937_64 rng(27);
+    unsigned parsed = 0;
+    unsigned rejected = 0;
+    for (const std::string &seed : seeds) {
+        sim::JobRecord record;
+        ASSERT_TRUE(sim::tryRecordFromJson(seed, record)) << seed;
+        for (int i = 0; i < 1500; ++i) {
+            std::string text = seed;
+            for (std::uint64_t edits = 1 + rng() % 3; edits; --edits)
+                mutate(text, rng);
+            std::string error;
+            if (!sim::tryRecordFromJson(text, record, &error)) {
+                EXPECT_FALSE(error.empty()) << text;
+                ++rejected;
+                continue;
+            }
+            ++parsed;
+            // What parses must survive a write and a second parse,
+            // and writing it again must give the same bytes.
+            std::ostringstream once;
+            sim::writeJson(once, record);
+            sim::JobRecord again;
+            ASSERT_TRUE(sim::tryRecordFromJson(once.str(), again, &error))
+                << error << "\nmutant: " << text;
+            std::ostringstream twice;
+            sim::writeJson(twice, again);
+            EXPECT_EQ(twice.str(), once.str()) << "mutant: " << text;
+        }
+    }
+    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(rejected, 0u);
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
- * regless_cache: maintenance CLI for the shared experiment cache
- * (DESIGN.md §15). A fleet of report processes leaves a cache
- * directory behind; this tool audits and prunes it.
+ * regless_cache: maintenance CLI for the experiment cache
+ * (DESIGN.md §15). Report runs leave a cache directory behind; this
+ * tool audits and prunes it.
  *
  *   regless_cache stats  [--dir DIR]            # what's in there
  *   regless_cache verify [--dir DIR] [--strict] # is it healthy
@@ -13,12 +13,10 @@
  * verify exits 0 on a healthy cache (corrupt or misplaced entries
  * make it exit 1; --strict also fails on wrong-schema entries, temp
  * files, and strays), so CI can gate on it. gc removes stale writer
- * temps always, then applies the age and size policies oldest-first;
- * every removal happens under the shard's advisory lock with a
- * bounded wait (a busy shard is skipped — gc never live-locks
- * against writers) and never touches files younger than the grace
- * margin, which is what makes it safe to run while a fleet is
- * writing.
+ * temps always, then applies the age and size policies oldest-first.
+ * It takes no lock: it never touches files younger than the grace
+ * margin, which keeps it off a live writer's publish. Should it race
+ * a writer anyway, the worst case is one entry to re-simulate.
  */
 
 #include <cstdlib>
@@ -99,11 +97,7 @@ runGc(const std::string &dir, const sim::CacheGcOptions &options)
     std::cout << "gc " << dir << (options.dryRun ? " (dry run)" : "")
               << ": removed " << r.removedEntries << " entries + "
               << r.removedTemps << " temps (" << r.removedBytes
-              << " bytes), kept " << r.keptEntries;
-    if (r.skippedShards)
-        std::cout << ", skipped " << r.skippedShards
-                  << " locked shards";
-    std::cout << "\n";
+              << " bytes), kept " << r.keptEntries << "\n";
     return 0;
 }
 
