@@ -38,7 +38,9 @@
 #      workers lint kernels and read cache entries; the seeded record
 #      mutants and the cache unit tests, whose store, janitor, survey
 #      and gc code walk files and parse hostile records, run under
-#      ASan as well).
+#      ASan as well, and so do the capacity-manager, baseline-RF and
+#      SM unit tests, which index flat per-(warp, reg) flags and
+#      per-SM scratch buffers).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -117,8 +119,10 @@ python3 perfbench/test_perfbench.py
 # and OSU structures, the config-fingerprint tests, the compiled
 # kernel's shared analyses (copied and moved compiled kernels, and the
 # pinned lint that reads them), the hostile and seeded-mutant cache
-# records, and the experiment cache's unit tests (store, janitor,
-# survey and gc). Each filter pattern must select a test
+# records, the experiment cache's unit tests (store, janitor, survey
+# and gc), and the capacity-manager, baseline-RF and SM unit tests,
+# which index the per-(warp, reg) backing flags, the bank counters and
+# the per-SM scratch buffers. Each filter pattern must select a test
 # (scripts/gtest_filtered.sh).
 ASAN_DIR=${ASAN_BUILD_DIR:-build-asan}
 cmake -B "$ASAN_DIR" -S . -DREGLESS_SANITIZE=address
@@ -127,17 +131,19 @@ cmake --build "$ASAN_DIR" -j "$(nproc)" --target regless_tests \
 scripts/gtest_filtered.sh "$ASAN_DIR"/tests/regless_oracle_tests \
     '*CycleSkipOracle*:CycleSkip*'
 scripts/gtest_filtered.sh "$ASAN_DIR"/tests/regless_tests \
-    '*CycleSkipFuzz*:SlotInvariant.*:StallTrace.*:DeadlockBreakdown.*:CacheTest.*:MemorySystemTest.*:OsuTest.*:ConfigFingerprint.*:CompiledKernelAnalyses.*:LintPinned.*:StatsIoHostile.*'
+    '*CycleSkipFuzz*:SlotInvariant.*:StallTrace.*:DeadlockBreakdown.*:CacheTest.*:MemorySystemTest.*:OsuTest.*:ConfigFingerprint.*:CompiledKernelAnalyses.*:LintPinned.*:StatsIoHostile.*:CmStateTest.*:CmInvariantTest.*:BaselineRfTest.*:SmTest.*'
 scripts/gtest_filtered.sh "$ASAN_DIR"/tests/regless_cache_tests \
     'ShardLayout.*:JobCacheLoad.*:JobCacheStore.*:CacheSurveyTest.*:CacheGc.*'
 
 # Same subset's parallel face under ThreadSanitizer: epoch-clamped
 # skipping on worker threads must stay race-free, and so must the
 # worker threads' reads of the compiled kernels every SM shares (the
-# nn+hotspot co-run at 8 threads). The experiment engine's pool runs
-# the lint gate, the cache reads and the simulations of each flush,
-# so the pool's own tests and the engine's worker-count and lint-gate
-# tests run under TSan too.
+# nn+hotspot co-run at 8 threads). The pool's home items and steals
+# move SMs between workers, so the multi-SM thread-count, stress and
+# shared-DRAM tests run under TSan as well. The experiment engine's
+# pool runs the lint gate, the cache reads and the simulations of each
+# flush, so the pool's own tests and the engine's worker-count and
+# lint-gate tests run under TSan too.
 TSAN_DIR=${TSAN_BUILD_DIR:-build-tsan}
 cmake -B "$TSAN_DIR" -S . -DREGLESS_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$(nproc)" --target regless_oracle_tests \
@@ -145,6 +151,6 @@ cmake --build "$TSAN_DIR" -j "$(nproc)" --target regless_oracle_tests \
 scripts/gtest_filtered.sh "$TSAN_DIR"/tests/regless_oracle_tests \
     '*MultiSmCycleSkipOracle*:MultiTenantMultiSm.*'
 scripts/gtest_filtered.sh "$TSAN_DIR"/tests/regless_tests \
-    'ThreadPoolTest.*:ExperimentEngine.ResultsAreWorkerCountInvariant:ExperimentEngine.WarmFlushIsWorkerCountInvariant:ExperimentEngine.LintGateStaysShutAfterARejection:ExperimentEngine.LintGateRaisesTheFirstFailureInSubmissionOrder'
+    'ThreadPoolTest.*:*ThreadCountInvariance*:*ParallelStress*:MultiSmParallel.*:MultiSmTest.*:ExperimentEngine.ResultsAreWorkerCountInvariant:ExperimentEngine.WarmFlushIsWorkerCountInvariant:ExperimentEngine.LintGateStaysShutAfterARejection:ExperimentEngine.LintGateRaisesTheFirstFailureInSubmissionOrder'
 
 echo "check: tier-1, release, oracle, perfbench, asan, and tsan subsets all passed"

@@ -315,10 +315,11 @@ Sm::laneAddrs(const Warp &warp, const ir::Instruction &insn,
     return addrs;
 }
 
-std::vector<Addr>
-Sm::coalesce(const mem::LaneAddrs &addrs, LaneMask mask) const
+const std::vector<Addr> &
+Sm::coalesce(const mem::LaneAddrs &addrs, LaneMask mask)
 {
-    std::vector<Addr> lines;
+    std::vector<Addr> &lines = _lineScratch;
+    lines.clear();
     for (unsigned lane = 0; lane < warpSize; ++lane) {
         if (!(mask & (1u << lane)))
             continue;
@@ -340,8 +341,8 @@ Sm::execAlu(Tenant &tn, Warp &warp, const ir::Instruction &insn,
     } else if (insn.op() == ir::Opcode::CtaId) {
         result.fill(warp.blockId());
     } else {
-        std::vector<ir::LaneValues> srcs;
-        srcs.reserve(insn.srcs().size());
+        std::vector<ir::LaneValues> &srcs = _srcScratch;
+        srcs.clear();
         for (RegId src : insn.srcs())
             srcs.push_back(warp.regValue(src));
         result = insn.evaluate(srcs);

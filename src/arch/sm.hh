@@ -463,9 +463,10 @@ class Sm
                              const ir::Instruction &insn,
                              Addr base) const;
 
-    /** Distinct 128B lines touched by active lanes. */
-    std::vector<Addr> coalesce(const mem::LaneAddrs &addrs,
-                               LaneMask mask) const;
+    /** Distinct 128B lines touched by active lanes, in lane order;
+     *  valid until the next call. */
+    const std::vector<Addr> &coalesce(const mem::LaneAddrs &addrs,
+                                      LaneMask mask);
 
     /** Release a block's barrier when everyone has arrived. */
     void checkBarrier(Tenant &tn, unsigned block_id);
@@ -503,6 +504,12 @@ class Sm
     StallTraceHook _traceHook;
     std::vector<const char *> _traceLabel;
     std::vector<Cycle> _traceStart;
+    /** @name Per-instruction scratch: reused so the cycle loop does
+     *  not allocate. */
+    ///@{
+    std::vector<ir::LaneValues> _srcScratch;
+    std::vector<Addr> _lineScratch;
+    ///@}
 };
 
 } // namespace regless::arch

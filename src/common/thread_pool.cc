@@ -8,11 +8,11 @@ namespace regless
 {
 
 ThreadPool::ThreadPool(unsigned num_threads)
+    : _cursors(std::max(num_threads, 1u))
 {
-    unsigned extra = num_threads > 1 ? num_threads - 1 : 0;
-    _workers.reserve(extra);
-    for (unsigned i = 0; i < extra; ++i)
-        _workers.emplace_back([this] { workerLoop(); });
+    _workers.reserve(_cursors.size() - 1);
+    for (unsigned w = 1; w < _cursors.size(); ++w)
+        _workers.emplace_back([this, w] { workerLoop(w); });
 }
 
 ThreadPool::~ThreadPool()
@@ -36,19 +36,28 @@ ThreadPool::defaultThreads(unsigned jobs)
 }
 
 void
-ThreadPool::drainBatch(const std::function<void(std::size_t)> &fn,
+ThreadPool::drainBatch(unsigned self,
+                       const std::function<void(std::size_t)> &fn,
                        std::size_t count)
 {
-    for (;;) {
-        std::size_t i = _next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count)
-            return;
-        fn(i);
+    // Own items first, then each other worker's from self + 1 on,
+    // front first: a thief takes the victim's next item in order.
+    const std::size_t n = _cursors.size();
+    for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t owner = (self + k) % n;
+        std::atomic<std::size_t> &claimed = _cursors[owner].claimed;
+        for (;;) {
+            const std::size_t i =
+                owner + claimed.fetch_add(1, std::memory_order_relaxed) * n;
+            if (i >= count)
+                break;
+            fn(i);
+        }
     }
 }
 
 void
-ThreadPool::workerLoop()
+ThreadPool::workerLoop(unsigned self)
 {
     std::uint64_t seen = 0;
     for (;;) {
@@ -65,7 +74,7 @@ ThreadPool::workerLoop()
             job = _job;
             count = _count;
         }
-        drainBatch(*job, count);
+        drainBatch(self, *job, count);
         {
             std::lock_guard<std::mutex> lock(_mutex);
             // Every item a worker claimed is finished before it acks,
@@ -95,15 +104,17 @@ ThreadPool::parallelFor(std::size_t count,
             panic("re-entrant ThreadPool::parallelFor");
         _job = &fn;
         _count = count;
-        _next.store(0, std::memory_order_relaxed);
+        for (Cursor &cursor : _cursors)
+            cursor.claimed.store(0, std::memory_order_relaxed);
         _acked = 0;
         ++_generation;
     }
     _wakeWorkers.notify_all();
 
-    // The caller works too; a pool of size 1 ran everything inline
-    // above, so the serial path never touches the machinery.
-    drainBatch(fn, count);
+    // The caller works too, as worker 0; a pool of size 1 ran
+    // everything inline above, so the serial path never touches the
+    // machinery.
+    drainBatch(0, fn, count);
 
     std::unique_lock<std::mutex> lock(_mutex);
     _batchDone.wait(lock, [&] { return _acked == _workers.size(); });

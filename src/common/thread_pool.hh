@@ -5,10 +5,18 @@
  *
  * Built for the multi-SM executor, which dispatches one small batch of
  * independent per-SM jobs every simulated epoch: workers persist across
- * dispatches (no thread spawn per epoch), items are claimed from a
- * shared atomic cursor, and the calling thread participates in the work
- * so a pool of size 1 runs everything inline on the caller — the
- * serial reference path and the parallel path are the same code.
+ * dispatches (no thread spawn per epoch), and the calling thread
+ * participates in the work so a pool of size 1 runs everything inline
+ * on the caller — the serial reference path and the parallel path are
+ * the same code.
+ *
+ * Claim order: of a pool of T workers (the caller is worker 0), worker
+ * w first runs its home items w, w+T, w+2T, … in increasing order,
+ * then steals the unclaimed items of the other workers. A batch of the
+ * same size therefore puts item i on the same worker every dispatch
+ * unless it is stolen, so a multi-SM run keeps each SM's state in one
+ * core's cache, and the items of a batch still start in about their
+ * index order.
  *
  * Determinism contract: parallelFor() makes no ordering promise between
  * items; callers must ensure items touch disjoint state (plus read-only
@@ -65,13 +73,28 @@ class ThreadPool
     static unsigned defaultThreads(unsigned jobs);
 
   private:
-    void workerLoop();
+    /**
+     * Worker w's home items claimed so far this batch: the k-th claim
+     * takes item w + k * size(). The owner and thieves claim through
+     * the same fetch_add, so each item is claimed exactly once. Padded
+     * so that one worker's claims never invalidate another's line.
+     */
+    struct alignas(64) Cursor
+    {
+        std::atomic<std::size_t> claimed{0};
+    };
 
-    /** Claim and run items until the current batch is exhausted. */
-    void drainBatch(const std::function<void(std::size_t)> &fn,
+    void workerLoop(unsigned self);
+
+    /** Run worker @a self's home items, then steal until the batch is
+     *  exhausted. */
+    void drainBatch(unsigned self,
+                    const std::function<void(std::size_t)> &fn,
                     std::size_t count);
 
     std::vector<std::thread> _workers;
+    /** One per worker, the caller's first. */
+    std::vector<Cursor> _cursors;
 
     std::mutex _mutex;
     std::condition_variable _wakeWorkers;
@@ -84,7 +107,6 @@ class ThreadPool
 
     const std::function<void(std::size_t)> *_job = nullptr;
     std::size_t _count = 0;
-    std::atomic<std::size_t> _next{0};
 };
 
 } // namespace regless

@@ -1,7 +1,5 @@
 #include "regfile/baseline_rf.hh"
 
-#include <map>
-
 namespace regless::regfile
 {
 
@@ -10,6 +8,7 @@ BaselineRf::BaselineRf(Cycle window, unsigned num_banks,
     : _window(window),
       _numBanks(num_banks),
       _collectorPenalty(collector_penalty),
+      _bankUses(num_banks, 0),
       _accessSeries(window)
 {
 }
@@ -25,11 +24,12 @@ BaselineRf::operandDelay(const arch::Warp &warp,
     if (insn.srcs().size() < 2)
         return 0;
     unsigned worst = 0;
-    std::map<unsigned, unsigned> uses;
     for (RegId src : insn.srcs()) {
         unsigned bank = (warp.id() + src) % _numBanks;
-        worst = std::max(worst, ++uses[bank]);
+        worst = std::max(worst, ++_bankUses[bank]);
     }
+    for (RegId src : insn.srcs())
+        _bankUses[(warp.id() + src) % _numBanks] = 0;
     if (worst > 1) {
         ++_stats.bankConflicts;
         return (worst - 1) * _collectorPenalty;
@@ -49,32 +49,49 @@ BaselineRf::onIssue(const arch::Warp &warp, Pc, const ir::Instruction &insn,
 {
     // Close working-set windows that have elapsed.
     while (now >= _windowStart + _window) {
-        _workingSet.sample(static_cast<double>(_windowRegs.size()) *
-                           regBytes);
-        _windowRegs.clear();
+        closeWindow();
         _windowStart += _window;
     }
 
     for (RegId src : insn.srcs()) {
         ++_stats.reads;
         _accessSeries.record(now, 1.0);
-        _windowRegs.emplace(warp.id(), src);
+        touch(warp.id(), src);
     }
     if (insn.writesReg()) {
         ++_stats.writes;
         _accessSeries.record(now, 1.0);
-        _windowRegs.emplace(warp.id(), insn.dst());
+        touch(warp.id(), insn.dst());
     }
+}
+
+void
+BaselineRf::touch(WarpId warp, RegId reg)
+{
+    if (warp >= _touchedIn.size())
+        _touchedIn.resize(warp + 1);
+    std::vector<std::uint64_t> &row = _touchedIn[warp];
+    if (reg >= row.size())
+        row.resize(reg + 1, 0);
+    if (row[reg] != _windowId) {
+        row[reg] = _windowId;
+        ++_windowRegs;
+    }
+}
+
+void
+BaselineRf::closeWindow()
+{
+    _workingSet.sample(static_cast<double>(_windowRegs) * regBytes);
+    _windowRegs = 0;
+    ++_windowId;
 }
 
 double
 BaselineRf::meanWorkingSetBytes()
 {
-    if (!_windowRegs.empty()) {
-        _workingSet.sample(static_cast<double>(_windowRegs.size()) *
-                           regBytes);
-        _windowRegs.clear();
-    }
+    if (_windowRegs != 0)
+        closeWindow();
     return _workingSet.mean();
 }
 

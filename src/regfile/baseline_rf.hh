@@ -8,8 +8,8 @@
 #ifndef REGLESS_REGFILE_BASELINE_RF_HH
 #define REGLESS_REGFILE_BASELINE_RF_HH
 
-#include <set>
-#include <utility>
+#include <cstdint>
+#include <vector>
 
 #include "common/stats.hh"
 #include "regfile/register_provider.hh"
@@ -63,11 +63,26 @@ class BaselineRf : public RegisterProvider
     const Stats &stats() const { return _stats; }
 
   private:
+    /** Count (@a warp, @a reg) in the open window's working set. */
+    void touch(WarpId warp, RegId reg);
+
+    /** Sample the open window's working set and start the next. */
+    void closeWindow();
+
     Cycle _window;
     unsigned _numBanks;
     Cycle _collectorPenalty;
+    /** Sources per bank of the instruction operandDelay is reading;
+     *  all 0 between calls. */
+    std::vector<unsigned> _bankUses;
     Cycle _windowStart = 0;
-    std::set<std::pair<WarpId, RegId>> _windowRegs;
+    /** Distinct (warp, reg) pairs touched in the open window. */
+    unsigned _windowRegs = 0;
+    /** Number of the open window; windows start at 1. */
+    std::uint64_t _windowId = 1;
+    /** Last window that touched each (warp, reg), by [warp][reg];
+     *  0 for never. Rows grow on first touch. */
+    std::vector<std::vector<std::uint64_t>> _touchedIn;
     Distribution _workingSet;
     WindowedSeries _accessSeries;
     Stats _stats;

@@ -17,12 +17,6 @@ constexpr unsigned kPreloadSlotsPerShard = 2;
 /** Base of the uncompressed register backing space. */
 constexpr Addr kRegBase = 0x4000'0000;
 
-std::uint32_t
-backingKey(WarpId warp, RegId reg)
-{
-    return (static_cast<std::uint32_t>(warp) << 16) | reg;
-}
-
 } // namespace
 
 CapacityManager::CapacityManager(std::vector<WarpId> shard_warps,
@@ -39,6 +33,7 @@ CapacityManager::CapacityManager(std::vector<WarpId> shard_warps,
       _mem(mem),
       _cfg(cfg),
       _numWarps(num_warps),
+      _numRegs(ck.kernel().numRegs()),
       _l1Series(100)
 {
     WarpId max_id = 0;
@@ -46,6 +41,7 @@ CapacityManager::CapacityManager(std::vector<WarpId> shard_warps,
         max_id = std::max(max_id, w);
     _ctx.resize(_shardWarps.empty() ? 0 : max_id + 1);
     _supervised.assign(_ctx.size(), 0);
+    _backing.assign(_ctx.size() * _numRegs, 0);
     for (WarpId w : _shardWarps) {
         _supervised[w] = 1;
         _stack.push_back(w); // lowest id activates first
@@ -88,8 +84,7 @@ CapacityManager::writeBackLine(WarpId warp, RegId reg, Cycle now)
         if (er.compressed) {
             // The copy lives in the compressed path; invalidating it
             // later is a free bit-vector clear, not an L1 request.
-            _inBackingStore.insert(backingKey(warp, reg));
-            _inL1.erase(backingKey(warp, reg));
+            backing(warp, reg) = kInBackingStore;
             return;
         }
     }
@@ -97,8 +92,7 @@ CapacityManager::writeBackLine(WarpId warp, RegId reg, Cycle now)
     Cycle t = std::max(now, _mem.l1PortNextFree());
     _mem.access(regAddr(warp, reg), /*is_write=*/true,
                 mem::MemSpace::Register, t);
-    _inBackingStore.insert(backingKey(warp, reg));
-    _inL1.insert(backingKey(warp, reg));
+    backing(warp, reg) = kInBackingStore | kInL1;
     ++_stats.l1StoreReqs;
     _l1Series.record(now, 1.0);
 }
@@ -123,8 +117,8 @@ CapacityManager::allocateLine(WarpCtx &wc, WarpId warp, RegId reg,
         // copy exists either, the value is gone.
         _shadow->onCleanReclaim(
             reclaim.victimWarp, reclaim.victimReg,
-            _inBackingStore.count(
-                backingKey(reclaim.victimWarp, reclaim.victimReg)) != 0);
+            (backing(reclaim.victimWarp, reclaim.victimReg) &
+             kInBackingStore) != 0);
     }
     handleReclaim(reclaim, now);
     if (wc.budget[bank] > 0) {
@@ -151,15 +145,16 @@ void
 CapacityManager::invalidateBacking(WarpId warp, RegId reg,
                                    bool charge_l1, Cycle now)
 {
-    auto it = _inBackingStore.find(backingKey(warp, reg));
-    if (it == _inBackingStore.end())
+    std::uint8_t &flags = backing(warp, reg);
+    if (!(flags & kInBackingStore))
         return;
-    _inBackingStore.erase(it);
+    flags &= static_cast<std::uint8_t>(~kInBackingStore);
     if (_shadow)
         _shadow->onBackingInvalidate(warp, reg, _osu.present(warp, reg));
     if (_compressor)
         _compressor->invalidate(warp, reg);
-    if (charge_l1 && _inL1.erase(backingKey(warp, reg))) {
+    if (charge_l1 && (flags & kInL1)) {
+        flags &= static_cast<std::uint8_t>(~kInL1);
         Cycle t = std::max(now, _mem.l1PortNextFree());
         _mem.invalidateRegisterLine(regAddr(warp, reg), t);
         ++_stats.l1InvalidateReqs;
@@ -172,7 +167,7 @@ CapacityManager::processInvalidations(WarpCtx &wc, WarpId warp, Cycle now)
 {
     while (!wc.invalidations.empty()) {
         RegId reg = wc.invalidations.front();
-        if (_inL1.count(backingKey(warp, reg))) {
+        if (backing(warp, reg) & kInL1) {
             if (!_mem.l1PortFree(now))
                 return; // retry next cycle
             invalidateBacking(warp, reg, /*charge_l1=*/true, now);
@@ -425,7 +420,8 @@ CapacityManager::tryActivate(Cycle now)
         // Region inputs still resident from an earlier region are
         // *pinned* at activation (the preload-hit fast path).
         std::array<unsigned, osuBanks> pinned_in{};
-        std::vector<RegId> pinned;
+        std::vector<RegId> &pinned = _pinnedScratch;
+        pinned.clear();
         for (const compiler::Preload &p : region.preloads) {
             if (std::find(pinned.begin(), pinned.end(), p.reg) !=
                 pinned.end()) {
@@ -440,7 +436,8 @@ CapacityManager::tryActivate(Cycle now)
         // values that are dead on entry; erase them now so their
         // stale lines neither get stolen mid-region nor occupy space
         // beyond the peak-live reservation.
-        std::vector<RegId> stale_outputs;
+        std::vector<RegId> &stale_outputs = _staleScratch;
+        stale_outputs.clear();
         for (RegId reg : region.outputs) {
             if (std::find(pinned.begin(), pinned.end(), reg) !=
                     pinned.end() ||
@@ -484,7 +481,7 @@ CapacityManager::tryActivate(Cycle now)
                 ++_stats.preloadSrcOsu;
                 ++wc.preloadCount;
                 if (p.invalidate &&
-                    _inBackingStore.count(backingKey(warp, p.reg))) {
+                    (backing(warp, p.reg) & kInBackingStore)) {
                     wc.invalidations.push_back(p.reg);
                 }
             } else {
@@ -779,9 +776,8 @@ CapacityManager::finalizeSuspend(Cycle now)
         }
     }
     for (const OperandStagingUnit::EntryInfo &e : lines) {
-        const std::uint32_t key = backingKey(e.warp, e.reg);
         if (e.state == LineState::EvictDirty ||
-            !_inBackingStore.count(key)) {
+            !(backing(e.warp, e.reg) & kInBackingStore)) {
             writeBackLine(e.warp, e.reg, now);
         }
         if (_shadow) {

@@ -17,7 +17,6 @@
 #include <deque>
 #include <functional>
 #include <limits>
-#include <unordered_set>
 #include <vector>
 
 #include "arch/stall.hh"
@@ -256,6 +255,12 @@ class CapacityManager
     WarpCtx &ctx(WarpId warp);
     const WarpCtx &ctx(WarpId warp) const;
 
+    /** Backing-copy flags of (@a warp, @a reg), a BackingFlag set. */
+    std::uint8_t &backing(WarpId warp, RegId reg)
+    {
+        return _backing[static_cast<std::size_t>(warp) * _numRegs + reg];
+    }
+
     Addr regAddr(WarpId warp, RegId reg) const;
 
     /** Handle a reclaim's write-back duty (compressor or L1). */
@@ -298,6 +303,8 @@ class CapacityManager
     mem::MemorySystem &_mem;
     ReglessConfig _cfg;
     unsigned _numWarps;
+    /** The kernel's register count: the row length of _backing. */
+    unsigned _numRegs;
     WarpSource _warpOf;
     ShadowChecker *_shadow = nullptr;
     FaultInjector *_faults = nullptr;
@@ -336,10 +343,21 @@ class CapacityManager
     unsigned _lastGatedBanks = 0;
     std::deque<WarpId> _stack; ///< front = top (last to have executed)
     std::array<int, osuBanks> _reservedFuture{};
-    /** Registers with a live copy in the compressor/L1/L2 path. */
-    std::unordered_set<std::uint32_t> _inBackingStore;
-    /** Subset whose copy is an uncompressed L1/L2 line. */
-    std::unordered_set<std::uint32_t> _inL1;
+    enum BackingFlag : std::uint8_t
+    {
+        /** A live copy in the compressor/L1/L2 path. */
+        kInBackingStore = 1,
+        /** An uncompressed L1/L2 line. Cleared with kInBackingStore
+         *  only when the invalidation is charged to L1, so it can
+         *  outlive the copy; readers test the flag they need. */
+        kInL1 = 2,
+    };
+    /** BackingFlag sets indexed by warp id * _numRegs + reg. */
+    std::vector<std::uint8_t> _backing;
+    /** tryActivate's pinned inputs and stale outputs, in region
+     *  order; reused so an activation does not allocate. */
+    std::vector<RegId> _pinnedScratch;
+    std::vector<RegId> _staleScratch;
 
     Stats _stats;
     WindowedSeries _l1Series;

@@ -117,7 +117,7 @@ class ShadowChecker
     /**
      * Values whose backing-store line still matches the current
      * architectural value (fetched and not yet rewritten or
-     * invalidated). The CM's _inBackingStore only tracks copies
+     * invalidated). The CM's kInBackingStore flag only tracks copies
      * RegLess wrote back; this covers the pristine original.
      */
     std::set<std::uint32_t> _backingFresh;

@@ -604,10 +604,10 @@ cacheGcDir(const fs::path &dir, const CacheGcOptions &options)
                              return a->ageSec > b->ageSec;
                          });
         std::size_t i = 0;
-        while (kept_bytes > options.maxBytes && i < kept.size()) {
-            const GcFile *f = kept[i++];
+        for (; kept_bytes > options.maxBytes && i < kept.size(); ++i) {
+            const GcFile *f = kept[i];
             if (protectedByGrace(*f))
-                break; // the rest are younger still
+                break; // it and the rest are younger still, and stay
             kept_bytes -= f->bytes;
             doomed.push_back(f);
         }

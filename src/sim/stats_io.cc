@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <concepts>
 #include <cstdlib>
 #include <limits>
@@ -136,14 +137,17 @@ struct FieldWriter
     }
 };
 
-/** Parse @a text as a double, failing unless it is all consumed. */
+/** Parse @a text as a finite double, failing unless it is all
+ *  consumed. An inf or nan, spelled out or an overflow such as 1e999,
+ *  fails too: a damaged cache entry is then a corrupt miss, never a
+ *  served record. */
 double
 parseReal(std::string_view text)
 {
     char *end = nullptr;
     const double value = std::strtod(text.data(), &end);
-    if (end != text.data() + text.size())
-        parseFail("stats JSON: '", text, "' is not a number");
+    if (end != text.data() + text.size() || !std::isfinite(value))
+        parseFail("stats JSON: '", text, "' is not a finite number");
     return value;
 }
 

@@ -826,6 +826,28 @@ TEST(CacheGc, SizePolicyEvictsOldestFirst)
     EXPECT_TRUE(cache.load(syntheticKey(5), out));
 }
 
+TEST(CacheGc, SizePolicyCountsTheEntryTheGraceMarginKeeps)
+{
+    const fs::path dir = freshDir("gc-size-grace");
+    sim::JobCache::Options options;
+    options.dir = dir.string();
+    sim::JobCache cache(options);
+    for (unsigned k = 0; k < 3; ++k)
+        ASSERT_TRUE(cache.store(syntheticKey(k), syntheticRecord(k)));
+    backdate(cache.entryPath(syntheticKey(0)), 3600.0);
+    backdate(cache.entryPath(syntheticKey(1)), 3600.0);
+
+    // The budget wants every entry gone; the margin spares the young
+    // one, which stays on disk and so must be counted as kept.
+    sim::CacheGcOptions gc;
+    gc.maxBytes = 1;
+    gc.graceSec = 60.0;
+    gc.dryRun = true;
+    const sim::CacheGcResult result = sim::cacheGcDir(dir, gc);
+    EXPECT_EQ(result.removedEntries, 2u);
+    EXPECT_EQ(result.keptEntries, 1u);
+}
+
 TEST(CacheGc, RemoveCorruptReclaimsSuspects)
 {
     const fs::path dir = freshDir("gc-corrupt");

@@ -74,7 +74,8 @@ TEST_P(ThreadCountInvariance, BitIdenticalAcrossThreadCounts)
     ir::Kernel kernel = workloads::makeRodinia(name);
 
     MultiRunResult serial = runMulti(kernel, provider, sms, 1);
-    for (unsigned threads : {2u, 8u}) {
+    // 3 does not divide the 8 SMs: uneven home sets and steals.
+    for (unsigned threads : {2u, 3u, 8u}) {
         MultiRunResult parallel =
             runMulti(kernel, provider, sms, threads);
         expectIdentical(serial, parallel,
@@ -231,18 +232,31 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelStress,
 
 TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce)
 {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.size(), 4u);
-    std::vector<std::atomic<int>> hits(103);
-    for (auto &h : hits)
-        h.store(0);
-    for (int round = 0; round < 50; ++round) {
-        pool.parallelFor(hits.size(), [&](std::size_t i) {
-            hits[i].fetch_add(1, std::memory_order_relaxed);
-        });
+    // Counts around the pool size leave some workers with no home
+    // item, or with one more than the others, so claims and steals
+    // meet at every boundary of the home sets.
+    constexpr int rounds = 50;
+    for (unsigned size : {1u, 2u, 3u, 4u, 8u}) {
+        ThreadPool pool(size);
+        EXPECT_EQ(pool.size(), size);
+        const std::size_t counts[] = {0,  1,  size - 1, size, size + 1,
+                                      63, 64, 65,       103,  1000};
+        for (std::size_t count : counts) {
+            std::vector<std::atomic<int>> hits(count);
+            for (auto &h : hits)
+                h.store(0);
+            for (int round = 0; round < rounds; ++round) {
+                pool.parallelFor(count, [&](std::size_t i) {
+                    hits[i].fetch_add(1, std::memory_order_relaxed);
+                });
+            }
+            for (std::size_t i = 0; i < count; ++i) {
+                EXPECT_EQ(hits[i].load(), rounds)
+                    << "pool of " << size << ", " << count
+                    << " items, index " << i;
+            }
+        }
     }
-    for (auto &h : hits)
-        EXPECT_EQ(h.load(), 50);
 }
 
 TEST(ThreadPoolTest, SingleThreadRunsInline)

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <set>
 #include <sstream>
@@ -579,6 +580,46 @@ TEST(StatsIoHostile, DamagedCountsFailTheParse)
             EXPECT_FALSE(sim::tryFromJson(text, stats)) << to;
         }
     }
+}
+
+TEST(StatsIoHostile, NonFiniteRealsFailTheParse)
+{
+    const std::string good = tenantRecordJson();
+    sim::JobRecord record;
+    ASSERT_TRUE(sim::tryRecordFromJson(good, record));
+
+    const std::pair<std::string, std::string> damages[] = {
+        {"\"region_live_mean\":0", "\"region_live_mean\":1e999"},
+        {"\"region_live_mean\":0", "\"region_live_mean\":-1e999"},
+        {"\"region_live_mean\":0", "\"region_live_mean\":inf"},
+        {"\"region_live_mean\":0", "\"region_live_mean\":-infinity"},
+        {"\"region_live_mean\":0", "\"region_live_mean\":nan"},
+        {"\"energy_rest\":0", "\"energy_rest\":NAN"},
+        {"\"backing_series\":[]", "\"backing_series\":[1.5,1e999]"},
+        {"\"backing_series\":[]", "\"backing_series\":[nan]"},
+    };
+    for (const auto &[from, to] : damages) {
+        std::string text = good;
+        const std::size_t at = text.find(from);
+        ASSERT_NE(at, std::string::npos) << from;
+        text.replace(at, from.size(), to);
+        std::string error;
+        EXPECT_FALSE(sim::tryRecordFromJson(text, record, &error)) << to;
+        EXPECT_FALSE(error.empty()) << to;
+    }
+
+    // The finite extremes the writer can emit still read back exactly.
+    sim::JobRecord extreme;
+    ASSERT_TRUE(sim::tryRecordFromJson(good, extreme));
+    extreme.stats.regionLiveMean = std::numeric_limits<double>::max();
+    extreme.stats.regionCyclesMean =
+        std::numeric_limits<double>::denorm_min();
+    extreme.stats.backingSeries = {-std::numeric_limits<double>::max(),
+                                   std::numeric_limits<double>::min()};
+    std::ostringstream oss;
+    sim::writeJson(oss, extreme);
+    ASSERT_TRUE(sim::tryRecordFromJson(oss.str(), record)) << oss.str();
+    EXPECT_TRUE(record.stats == extreme.stats);
 }
 
 /** A record as a failed or deadlocked job stores it: error and
